@@ -10,15 +10,8 @@ per eligible user, and compares recovery precision/recall across scorers.
 import argparse
 import time
 
+from pliersim.cli import ALGORITHMS, K_ALGORITHMS, make_scorer
 from pliersim.evaluation import evaluate_on_pruned, prune_for_link_prediction
-from pliersim.recommend import (
-    cf_user_based,
-    heats_scores,
-    hybrid_scores,
-    pliers_tripartite,
-    probs_scores,
-    tag_expansion,
-)
 from pliersim.synth import generate_folksonomy
 
 
@@ -32,15 +25,13 @@ def main():
     parser.add_argument("--lambda", dest="lambda_weight", type=float, default=0.5)
     args = parser.parse_args()
 
-    scorers = {
-        "pliers": lambda g, u: pliers_tripartite(g, u, args.lambda_weight),
-        "probs": probs_scores,
-        "heats": heats_scores,
-        "hybrid": lambda g, u: hybrid_scores(g, u, args.lambda_weight),
-    }
-    for k in args.k:
-        scorers[f"cf(k={k})"] = lambda g, u, k=k: cf_user_based(g, u, k)
-        scorers[f"tagexp(k={k})"] = lambda g, u, k=k: tag_expansion(g, u, k)
+    scorers = {}
+    for name in ALGORITHMS:
+        if name in K_ALGORITHMS:
+            for k in args.k:
+                scorers[f"{name}(k={k})"] = make_scorer(name, k, args.lambda_weight)
+        else:
+            scorers[name] = make_scorer(name, 1, args.lambda_weight)
 
     totals = {name: [0.0, 0.0] for name in scorers}
     started = time.time()

@@ -21,7 +21,6 @@ from .recommend import (
     cf_user_based,
     heats_scores,
     hybrid_scores,
-    pliers_bipartite,
     pliers_tripartite,
     probs_scores,
     rank,

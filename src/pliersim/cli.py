@@ -10,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -81,9 +82,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traces.write_manifest(
         outdir / "manifest.json",
         "simulate",
-        traces.config_as_dict(config),
+        asdict(config),
         inputs,
-        config.rng_seed,
+        None,
         started,
         _now_utc(),
         outputs={

@@ -11,7 +11,9 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class EntityKind(Enum):
@@ -40,7 +42,7 @@ class FolksonomyGraph:
         "_ui_times",
         "_it_times",
         "_item_created",
-        "_version",
+        "_derived",
     )
 
     def __init__(self) -> None:
@@ -51,8 +53,8 @@ class FolksonomyGraph:
         self._ui_times: dict[tuple[str, str], int] = {}
         self._it_times: dict[tuple[str, str], int] = {}
         self._item_created: dict[str, int] = {}
-        # bumped on every mutation; lets scorers cache derived structures
-        self._version = 0
+        # results of derived(fn), keyed by fn; every mutator clears it
+        self._derived: dict[Callable, object] = {}
 
     # ------------------------------------------------------------------
     # node / edge views
@@ -83,10 +85,6 @@ class FolksonomyGraph:
     @property
     def item_created_at(self):
         return self._item_created
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     def items_of_user(self, user: str) -> set[str]:
         return self._user_items.get(user, set())
@@ -142,9 +140,6 @@ class FolksonomyGraph:
             and self._item_created == other._item_created
         )
 
-    def __hash__(self):  # mutable container
-        raise TypeError("FolksonomyGraph is not hashable")
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -181,7 +176,7 @@ class FolksonomyGraph:
 
         prev = self._item_created.get(item)
         self._item_created[item] = time if prev is None else min(prev, time)
-        self._version += 1
+        self._derived.clear()
 
     def remove_user_item_edge(self, user: str, item: str) -> None:
         """Drop one user-item link; endpoints stay while still connected.
@@ -198,7 +193,7 @@ class FolksonomyGraph:
             del self._user_items[user]
         if not self._item_users[item]:
             self._drop_item(item)
-        self._version += 1
+        self._derived.clear()
 
     def _drop_item(self, item: str) -> None:
         del self._item_users[item]
@@ -225,11 +220,21 @@ class FolksonomyGraph:
         for item, time in other._item_created.items():
             prev = self._item_created.get(item)
             self._item_created[item] = time if prev is None else min(prev, time)
-        self._version += 1
+        self._derived.clear()
 
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
+
+    def derived(self, fn: Callable[["FolksonomyGraph"], T]) -> T:
+        """``fn(self)``, computed once per graph state.
+
+        The result is kept until the next mutation; ``fn`` must be a pure
+        read of the graph, and callers must not mutate what it returns.
+        """
+        if fn not in self._derived:
+            self._derived[fn] = fn(self)
+        return self._derived[fn]
 
     def copy(self) -> "FolksonomyGraph":
         g = FolksonomyGraph()

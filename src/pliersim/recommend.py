@@ -144,7 +144,7 @@ def _overlap_diffusion(
 
 
 def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
-    """Popularity-matched diffusion over user-item links.
+    """Popularity-matched diffusion over user-item links (PLIERS, bipartite).
 
     Mass diffusion per path, multiplied per source item s and candidate j by
     the shared-user fraction |U_s & U_j| / k_u(j); candidates whose audience
@@ -159,11 +159,6 @@ def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         graph,
     )
     return ScoreVector(target, scores)
-
-
-def pliers_bipartite(graph: FolksonomyGraph, target: str) -> ScoreVector:
-    """PLIERS on the user-item bipartite view; alias of the affinity index."""
-    return affinity_scores(graph, target)
 
 
 def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -247,20 +242,6 @@ def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
     return counts
 
 
-_COOC_CACHE: dict[int, tuple[int, dict[tuple[str, str], int]]] = {}
-
-
-def _cached_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
-    cached = _COOC_CACHE.get(id(graph))
-    if cached is not None and cached[0] == graph.version:
-        return cached[1]
-    counts = tag_cooccurrence(graph)
-    _COOC_CACHE[id(graph)] = (graph.version, counts)
-    if len(_COOC_CACHE) > 8:
-        _COOC_CACHE.pop(next(iter(_COOC_CACHE)))
-    return counts
-
-
 def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     """Tag co-occurrence expansion baseline.
 
@@ -274,7 +255,7 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     own_tags = graph.tags_of_user(target)
     if not own_tags:
         return ScoreVector(target, scores)
-    counts = _cached_cooccurrence(graph)
+    counts = graph.derived(tag_cooccurrence)
     totals: dict[str, int] = {t: 0 for t in graph.tags if t not in own_tags}
     for own in own_tags:
         for cand in totals:

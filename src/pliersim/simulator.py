@@ -155,8 +155,6 @@ class SimConfig:
     expiry_window: int | None = None
     metric_cadence: int = 1
     top_n: int | None = None
-    spearman_mode: str = "corrected"
-    rng_seed: int = 0
     download_policy: DownloadPolicySpec | None = None
 
     def __post_init__(self):
@@ -166,8 +164,6 @@ class SimConfig:
             raise ValueError("metric_cadence must be >= 1")
         if self.expiry_window is not None and self.expiry_window <= 0:
             raise ValueError("expiry_window must be positive when set")
-        if self.spearman_mode not in ("corrected", "literal"):
-            raise ValueError(f"unknown spearman_mode {self.spearman_mode!r}")
         if not 0.0 <= self.affinity_weight <= 1.0:
             raise ValueError("affinity_weight must lie in [0, 1]")
 
@@ -283,9 +279,9 @@ class Simulation:
 
         Both sides end up with the union of the two pre-merge graphs (merge
         is a semilattice, so merging the already-updated side back gives the
-        same union). Each side then scores its newly discovered items on its
-        updated graph; the scores drive the download policy when one is set.
-        Returns the two new-item sets (for a, for b).
+        same union). When a download policy is set, each side then scores its
+        newly discovered items on its updated graph and feeds the scores to
+        its policy. Returns the two new-item sets (for a, for b).
         """
         for agent in (a, b):
             if agent not in self.lkgs:
@@ -300,14 +296,12 @@ class Simulation:
         return new_a, new_b
 
     def _evaluate_discoveries(self, agent: str, new_items: set[str], now: int) -> None:
-        if not new_items:
+        policy = self.policies.get(agent)
+        if policy is None or not new_items:
             return
         scores = pliers_tripartite(
             self.lkgs[agent], agent, self.config.affinity_weight
         ).scores
-        policy = self.policies.get(agent)
-        if policy is None:
-            return
         for item in sorted(new_items):
             apply_download_policy(policy, item, scores[item], now)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+import logging
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,6 +41,8 @@ CORRELATION_COMMENT = (
     "x1: n_contents; x2: n_contacts"
 )
 LINKPRED_HEADER = "algorithm,k,precision,recall,removed_fraction"
+
+log = logging.getLogger("pliersim")
 
 
 class TraceParseError(ValueError):
@@ -142,18 +144,20 @@ def write_contents(path: str | Path, events: Iterable[ContentEvent]) -> None:
 # config file
 # ----------------------------------------------------------------------
 
+# accepted and validated so that old config files still load; ignored
+_DEPRECATED_KEYS = ("spearman_mode", "rng_seed")
+
 _CONFIG_KEYS = {
     "step_length_s",
     "lambda",
     "expiry_window_s",
     "metric_cadence",
     "top_n",
-    "spearman_mode",
-    "rng_seed",
     "download_policy",
     "download_percentile",
     "download_buffer_capacity",
     "download_history_s",
+    *_DEPRECATED_KEYS,
 }
 
 
@@ -207,24 +211,26 @@ def build_config(raw: dict[str, str]) -> SimConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
+    # the deprecated keys are validated as before, then ignored
+    if raw.get("spearman_mode", "") not in ("", "corrected", "literal"):
+        raise ConfigError(f"unknown spearman_mode {raw['spearman_mode']!r}")
+    get_int("rng_seed", 0)
+
     try:
-        return SimConfig(
+        config = SimConfig(
             step_length=get_int("step_length_s", 60),
             affinity_weight=get_float("lambda", 0.5),
             expiry_window=get_int("expiry_window_s", None),
             metric_cadence=get_int("metric_cadence", 1),
             top_n=get_int("top_n", None),
-            spearman_mode=raw.get("spearman_mode", "corrected") or "corrected",
-            rng_seed=get_int("rng_seed", 0),
             download_policy=policy,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def config_as_dict(config: SimConfig) -> dict:
-    d = asdict(config)
-    return d
+    for key in _DEPRECATED_KEYS:
+        if key in raw:
+            log.warning("config key %r is deprecated and has no effect", key)
+    return config
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from pliersim.recommend import (
     cf_user_based,
     heats_scores,
     hybrid_scores,
-    pliers_bipartite,
     pliers_tripartite,
     probs_scores,
     rank,
@@ -76,7 +75,6 @@ def test_criterion_1_oracle_equivalence(corpus):
     pairs = [
         (probs_scores, probs_oracle),
         (heats_scores, heats_oracle),
-        (pliers_bipartite, pliers_oracle),
         (affinity_scores, pliers_oracle),
         (similarity_scores, similarity_oracle),
     ]
@@ -99,7 +97,7 @@ def test_criterion_2_conservation_and_bounds(corpus):
         probs = probs_scores(graph, target).scores
         mass = sum(probs.values())
         assert abs(mass - graph.user_degree(target)) <= 1e-12
-        pliers = pliers_bipartite(graph, target).scores
+        pliers = affinity_scores(graph, target).scores
         for item, value in pliers.items():
             assert -1e-15 <= value <= probs[item] + 1e-12
     report(2, "mass conservation and popularity-matched bound")

@@ -239,6 +239,33 @@ class TestDegrees:
         assert g.tags_of_user("u1") == {"t1", "t2", "t3"}
 
 
+class TestDerived:
+    def test_computed_once_until_mutated(self):
+        calls = []
+
+        def edge_count(graph):
+            calls.append(1)
+            return len(graph.user_item_edges) + len(graph.item_tag_edges)
+
+        g = FolksonomyGraph()
+        g.add_content("u1", "i1", ["t1"], 0)
+        assert g.derived(edge_count) == 2
+        assert g.derived(edge_count) == 2
+        assert len(calls) == 1
+        other = FolksonomyGraph()
+        other.add_content("u2", "i2", ["t1"], 0)
+        for mutate, edges in (
+            (lambda: g.add_content("u1", "i3", ["t2"], 1), 4),
+            (lambda: g.merge(other), 6),
+            (lambda: g.remove_user_item_edge("u1", "i3"), 4),
+        ):
+            mutate()
+            assert g.derived(edge_count) == edges
+        assert len(calls) == 4
+        assert g.copy().derived(edge_count) == 4
+        assert len(calls) == 5
+
+
 class TestSnapshotFile:
     def test_round_trip(self, rng, tmp_path):
         g = build_random_graph(rng)

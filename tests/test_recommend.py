@@ -12,7 +12,6 @@ from pliersim.recommend import (
     cosine_user_similarity,
     heats_scores,
     hybrid_scores,
-    pliers_bipartite,
     pliers_tripartite,
     probs_scores,
     rank,
@@ -112,7 +111,7 @@ class TestHybrid:
 class TestPliersBipartite:
     def test_hand_case(self):
         g = eq1_hand_graph()
-        assert pliers_bipartite(g, "u_t").scores["i2"] == pytest.approx(
+        assert affinity_scores(g, "u_t").scores["i2"] == pytest.approx(
             1 / 4, abs=1e-12
         )
 
@@ -120,32 +119,26 @@ class TestPliersBipartite:
         g = FolksonomyGraph()
         g.add_content("u_t", "i1", ["t1"], 0)
         g.add_content("u2", "i2", ["t1"], 0)
-        assert pliers_bipartite(g, "u_t").scores["i2"] == 0.0
+        assert affinity_scores(g, "u_t").scores["i2"] == 0.0
 
     def test_matches_oracle(self):
         rng = random.Random(14)
         for _ in range(50):
             g = build_random_graph(rng, 10, 10, 6)
             target = random_target(rng, g)
-            assert close(pliers_bipartite(g, target).scores, pliers_oracle(g, target))
+            assert close(affinity_scores(g, target).scores, pliers_oracle(g, target))
 
     def test_bounded_by_probs(self, rng):
         for _ in range(30):
             g = build_random_graph(rng)
             target = random_target(rng, g)
-            pl = pliers_bipartite(g, target).scores
+            pl = affinity_scores(g, target).scores
             pr = probs_scores(g, target).scores
             for item in pl:
                 assert -1e-15 <= pl[item] <= pr[item] + 1e-12
 
 
 class TestAffinityAndSimilarity:
-    def test_affinity_is_bipartite_pliers(self, rng):
-        for _ in range(20):
-            g = build_random_graph(rng, 8, 8, 5)
-            target = random_target(rng, g)
-            assert affinity_scores(g, target).scores == pliers_bipartite(g, target).scores
-
     def test_similarity_hand_case(self):
         g = eq1_hand_graph()
         assert similarity_scores(g, "u_t").scores["i2"] == pytest.approx(
@@ -263,6 +256,29 @@ class TestTagExpansion:
         g.add_content("u2", "i1", ["t1"], 0)
         assert all(v == 0.0 for v in tag_expansion(g, "u_t", 2).scores.values())
 
+    def test_rebuilt_graph_gets_fresh_cooccurrence(self):
+        # the two graphs differ only in which tag pairs with "own", after the
+        # same number of mutations; a freed graph's memory (and id) is
+        # usually reused by the next one built, so "second" tends to take
+        # the id of "first" (reference stays alive and keeps its own id)
+        def build(paired_tag):
+            g = FolksonomyGraph()
+            g.add_content("u_t", "i0", ["own"], 0)
+            g.add_content("u2", "i1", ["own", paired_tag], 0)
+            g.add_content("u2", "i2", ["a", "z"], 0)
+            return g
+
+        reference = build("z")
+        expected = tag_expansion(reference, "u_t", 1).scores
+        assert expected["i1"] == 2.0
+        for _ in range(200):
+            first = build("a")
+            tag_expansion(first, "u_t", 1)
+            del first
+            second = build("z")
+            assert tag_expansion(second, "u_t", 1).scores == expected
+            del second
+
 
 class TestRank:
     def test_all_zero_scores_empty(self):
@@ -281,7 +297,7 @@ class TestRank:
 
     def test_top_n_on_hand_graph(self):
         g = eq1_hand_graph()
-        rec = rank(pliers_bipartite(g, "u_t"), g, top_n=1)
+        rec = rank(affinity_scores(g, "u_t"), g, top_n=1)
         assert rec.ranked == [("i2", 0.25)]
 
     def test_owned_items_filtered(self, rng):
@@ -315,7 +331,7 @@ class TestPermutationInvariance:
             for scorer in (
                 probs_scores,
                 heats_scores,
-                pliers_bipartite,
+                affinity_scores,
                 similarity_scores,
             ):
                 original = scorer(g, target).scores
@@ -334,7 +350,7 @@ class TestPopularityAffinity:
         for adopter in ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8"):
             g.add_content(adopter, "P", ["g3"], 0)
         probs_top = rank(probs_scores(g, "t"), g).item_keys()[0]
-        pliers_top = rank(pliers_bipartite(g, "t"), g).item_keys()[0]
+        pliers_top = rank(affinity_scores(g, "t"), g).item_keys()[0]
         assert probs_top == "P" and pliers_top == "B"
         assert g.item_popularity(pliers_top) < g.item_popularity(probs_top)
 
@@ -348,7 +364,7 @@ def test_score_vectors_cover_all_items_and_stay_finite(seed):
     for scorer in (
         probs_scores,
         heats_scores,
-        pliers_bipartite,
+        affinity_scores,
         similarity_scores,
         lambda gr, tg: pliers_tripartite(gr, tg, 0.5),
         lambda gr, tg: hybrid_scores(gr, tg, 0.5),

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pliersim import simulator
 from pliersim.evaluation import jaccard
 from pliersim.graph import FolksonomyGraph
 from pliersim.simulator import (
@@ -75,6 +76,20 @@ class TestEncounter:
         sim = Simulation(config)
         sim.run(contacts, contents)
         assert set(sim.lkgs["c"].items) == {"i1"}
+
+    def test_discoveries_not_scored_without_policy(self, monkeypatch):
+        calls = []
+        real = simulator.pliers_tripartite
+        monkeypatch.setattr(
+            simulator,
+            "pliers_tripartite",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        sim = self._sim(["a", "b"])
+        sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
+        sim.apply_content(ContentEvent(0, "b", "i2", ("t2",)))
+        assert sim.encounter("a", "b", 60) == ({"i2"}, {"i1"})
+        assert calls == []
 
     def test_unknown_agent_with_explicit_roster(self):
         sim = Simulation(SimConfig(), ["a", "b"])
@@ -359,7 +374,6 @@ class TestConfigValidation:
             {"step_length": 0},
             {"metric_cadence": 0},
             {"expiry_window": 0},
-            {"spearman_mode": "odd"},
             {"affinity_weight": 2.0},
         ],
     )

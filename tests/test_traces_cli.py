@@ -76,7 +76,7 @@ class TestTraceFiles:
 
 
 class TestConfigFile:
-    def test_full_config(self, tmp_path):
+    def test_full_config(self, tmp_path, caplog):
         path = tmp_path / "sim.cfg"
         path.write_text(
             "# simulation settings\n"
@@ -96,8 +96,11 @@ class TestConfigFile:
         assert config.expiry_window == 3600
         assert config.metric_cadence == 5
         assert config.top_n == 10
-        assert config.spearman_mode == "literal"
-        assert config.rng_seed == 99
+        deprecated = [r.getMessage() for r in caplog.records if r.name == "pliersim"]
+        assert deprecated == [
+            "config key 'spearman_mode' is deprecated and has no effect",
+            "config key 'rng_seed' is deprecated and has no effect",
+        ]
         assert config.download_policy.kind == "bounded_buffer"
         assert config.download_policy.capacity == 4
 
@@ -118,6 +121,7 @@ class TestConfigFile:
             "step_length_s\n",
             "download_policy = shiny\n",
             "spearman_mode = odd\n",
+            "rng_seed = x\n",
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text):
