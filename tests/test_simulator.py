@@ -374,6 +374,7 @@ class TestConfigValidation:
             {"step_length": 0},
             {"metric_cadence": 0},
             {"expiry_window": 0},
+            {"affinity_weight": -0.1},
             {"affinity_weight": 2.0},
         ],
     )
