@@ -1,10 +1,10 @@
 """Discrete-time replay of contact and content traces with knowledge gossip.
 
-Each agent keeps a local knowledge graph (LKG) that grows when the agent
-creates content and when it meets other agents; a global knowledge graph
-(GKG) accumulates everything ever created. Per-step metrics compare every
-agent's local view (and locally computed recommendations) against the
-global ones.
+Each agent knows a set of content events that grows when the agent creates
+content and when it meets other agents; its local knowledge graph (LKG) is
+the graph of those events. A global knowledge graph (GKG) accumulates
+everything ever created. Per-step metrics compare every agent's local view
+(and locally computed recommendations) against the global ones.
 
 Time is integer seconds; step s covers [s*step_length, (s+1)*step_length)
 and its metrics are stamped with the step's end time. Within a step all
@@ -15,9 +15,9 @@ so knowledge can travel several hops in a single step.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -248,49 +248,120 @@ def compute_step_metrics(
 # the engine
 # ----------------------------------------------------------------------
 
+class _LocalGraphs(Mapping[str, FolksonomyGraph]):
+    """Read-only view agent -> local knowledge graph of a :class:`Simulation`.
+
+    A graph is built from the agent's content events when first asked for
+    and shared by every agent holding the same events; treat it as read-only.
+    """
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: "Simulation"):
+        self._sim = sim
+
+    def __getitem__(self, agent: str) -> FolksonomyGraph:
+        return self._sim._graph_of(self._sim._knowledge[agent])
+
+    def __contains__(self, agent: object) -> bool:
+        return agent in self._sim._knowledge
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sim._knowledge)
+
+    def __len__(self) -> int:
+        return len(self._sim._knowledge)
+
+
+def _set_bits(bits: int) -> list[int]:
+    """Indices of the set bits of ``bits``, lowest first, in time linear in its length."""
+    return [i for i, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"]
+
+
 class Simulation:
-    """Holds per-agent local graphs, the global graph, and policy states."""
+    """Per-agent knowledge as content-event sets, the global graph, policy states.
+
+    Every content event gets an integer id in replay order, and an agent's
+    knowledge is the bitset (a Python ``int``) of the events it has seen, so
+    a contact is one integer OR (a grow-only set, merged by union). A local
+    graph is a function of that set alone: ``lkgs[agent]`` builds it with
+    ``add_content`` over the agent's events, memoised by bitset while some
+    agent still holds that bitset.
+    """
 
     def __init__(self, config: SimConfig, agents: Iterable[str] = ()):
         self.config = config
         self.gkg = FolksonomyGraph()
-        self.lkgs: dict[str, FolksonomyGraph] = {}
+        self.lkgs: Mapping[str, FolksonomyGraph] = _LocalGraphs(self)
         self.policies: dict[str, DownloadPolicyState] = {}
+        self._events: list[ContentEvent] = []
+        self._knowledge: dict[str, int] = {}
+        self._items: dict[str, set[str]] = {}
+        # agents holding each bitset; a graph is kept only while its count is > 0
+        self._holders: Counter[int] = Counter()
+        self._graphs: dict[int, FolksonomyGraph] = {}
         for agent in agents:
             self.register(agent)
         # with an explicit roster, trace events naming outsiders are an error;
         # without one the roster is derived from the traces themselves
-        self._strict = bool(self.lkgs)
+        self._strict = bool(self._knowledge)
 
     def register(self, agent: str) -> None:
-        if agent not in self.lkgs:
-            self.lkgs[agent] = FolksonomyGraph()
+        if agent not in self._knowledge:
+            self._knowledge[agent] = 0
+            self._holders[0] += 1
+            self._items[agent] = set()
             if self.config.download_policy is not None:
                 self.policies[agent] = DownloadPolicyState(self.config.download_policy)
 
+    def _learn(self, agent: str, bits: int) -> None:
+        old = self._knowledge[agent]
+        self._knowledge[agent] = bits
+        self._holders[bits] += 1
+        self._holders[old] -= 1
+        if not self._holders[old]:
+            del self._holders[old]
+            self._graphs.pop(old, None)
+
+    def _graph_of(self, bits: int) -> FolksonomyGraph:
+        graph = self._graphs.get(bits)
+        if graph is None:
+            graph = FolksonomyGraph()
+            for index in _set_bits(bits):
+                ev = self._events[index]
+                graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
+            self._graphs[bits] = graph
+        return graph
+
     def apply_content(self, event: ContentEvent) -> None:
-        if event.creator not in self.lkgs:
+        if event.creator not in self._knowledge:
             raise SimulationError(f"content by unknown agent {event.creator!r}")
-        self.lkgs[event.creator].add_content(event.creator, event.item, event.tags, event.time)
+        self._learn(event.creator, self._knowledge[event.creator] | 1 << len(self._events))
+        self._events.append(event)
+        self._items[event.creator].add(event.item)
         self.gkg.add_content(event.creator, event.item, event.tags, event.time)
 
     def encounter(self, a: str, b: str, now: int) -> tuple[set[str], set[str]]:
         """Symmetric knowledge exchange followed by scoring of discoveries.
 
-        Both sides end up with the union of the two pre-merge graphs (merge
-        is a semilattice, so merging the already-updated side back gives the
-        same union). When a download policy is set, each side then scores its
-        newly discovered items on its updated graph and feeds the scores to
-        its policy. Returns the two new-item sets (for a, for b).
+        Both sides end up with the union of the two content-event sets, and
+        nothing changes when the sets are already equal. When a download
+        policy is set, each side then scores its newly discovered items on
+        its updated graph and feeds the scores to its policy. Returns the two
+        new-item sets (for a, for b).
         """
         for agent in (a, b):
-            if agent not in self.lkgs:
+            if agent not in self._knowledge:
                 raise SimulationError(f"contact names unknown agent {agent!r}")
-        ga, gb = self.lkgs[a], self.lkgs[b]
-        new_a = set(gb.items - ga.items)
-        new_b = set(ga.items - gb.items)
-        ga.merge(gb)
-        gb.merge(ga)
+        ka, kb = self._knowledge[a], self._knowledge[b]
+        if ka == kb:
+            return set(), set()
+        items_a, items_b = self._items[a], self._items[b]
+        new_a, new_b = items_b - items_a, items_a - items_b
+        items_a |= new_a
+        items_b |= new_b
+        self._learn(a, ka | kb)
+        self._learn(b, ka | kb)
         self._evaluate_discoveries(a, new_a, now)
         self._evaluate_discoveries(b, new_b, now)
         return new_a, new_b
@@ -325,14 +396,14 @@ class Simulation:
         """
         length = self.config.step_length
         for ev in contents:
-            if self._strict and ev.creator not in self.lkgs:
+            if self._strict and ev.creator not in self._knowledge:
                 raise SimulationError(
                     f"content at t={ev.time} names unknown agent {ev.creator!r}"
                 )
             self.register(ev.creator)
         for ev in contacts:
             for agent in (ev.a, ev.b):
-                if self._strict and agent not in self.lkgs:
+                if self._strict and agent not in self._knowledge:
                     raise SimulationError(
                         f"contact at t={ev.time} names unknown agent {agent!r}"
                     )

@@ -9,8 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .evaluation import CorrelationReport, correlation_analysis
 from .simulator import (
@@ -20,6 +21,8 @@ from .simulator import (
     SimConfig,
     StepMetrics,
 )
+
+T = TypeVar("T")
 
 TOOL_VERSION = "0.1.0"
 
@@ -53,7 +56,11 @@ class TraceParseError(ValueError):
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad configuration value; ``key`` names the config key at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        self.key = key
+        super().__init__(message)
 
 
 def fmt(value: float) -> str:
@@ -162,8 +169,13 @@ _CONFIG_KEYS = {
 
 
 def parse_config_file(path: str | Path) -> SimConfig:
-    """Read ``key = value`` lines (# comments allowed) into a SimConfig."""
+    """Read ``key = value`` lines (# comments allowed) into a SimConfig.
+
+    Every error cites ``path:line:`` of the key at fault, or ``path:`` when
+    no single line is.
+    """
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -176,7 +188,20 @@ def parse_config_file(path: str | Path) -> SimConfig:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value
-    return build_config(raw)
+            lines[key] = lineno
+    try:
+        return build_config(raw)
+    except ConfigError as exc:
+        where = f"{path}:{lines[exc.key]}" if exc.key in lines else str(path)
+        raise ConfigError(f"{where}: {exc}", exc.key) from None
+
+
+def _set(obj: T, field_name: str, value: object, key: str) -> T:
+    """``obj`` with one field replaced; its validation errors blame ``key``."""
+    try:
+        return replace(obj, **{field_name: value})
+    except ValueError as exc:
+        raise ConfigError(str(exc), key) from None
 
 
 def build_config(raw: dict[str, str]) -> SimConfig:
@@ -187,7 +212,7 @@ def build_config(raw: dict[str, str]) -> SimConfig:
         try:
             return int(value)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+            raise ConfigError(f"{key} must be an integer, got {value!r}", key) from None
 
     def get_float(key: str, default: float) -> float:
         value = raw.get(key, "")
@@ -196,37 +221,38 @@ def build_config(raw: dict[str, str]) -> SimConfig:
         try:
             return float(value)
         except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
+            raise ConfigError(f"{key} must be a number, got {value!r}", key) from None
 
+    # each check of SimConfig and DownloadPolicySpec is on one field, and the
+    # defaults pass them all, so setting one field at a time finds the key at fault
     policy = None
     kind = raw.get("download_policy", "")
     if kind not in ("", "none"):
         try:
-            policy = DownloadPolicySpec(
-                kind=kind,
-                percentile=get_float("download_percentile", 50.0),
-                capacity=get_int("download_buffer_capacity", 16),
-                history_span_s=get_int("download_history_s", None),
-            )
+            policy = DownloadPolicySpec(kind)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(str(exc), "download_policy") from None
+        for field_name, key, value in (
+            ("percentile", "download_percentile", get_float("download_percentile", 50.0)),
+            ("capacity", "download_buffer_capacity", get_int("download_buffer_capacity", 16)),
+            ("history_span_s", "download_history_s", get_int("download_history_s", None)),
+        ):
+            policy = _set(policy, field_name, value, key)
 
     # the deprecated keys are validated as before, then ignored
     if raw.get("spearman_mode", "") not in ("", "corrected", "literal"):
-        raise ConfigError(f"unknown spearman_mode {raw['spearman_mode']!r}")
+        raise ConfigError(f"unknown spearman_mode {raw['spearman_mode']!r}", "spearman_mode")
     get_int("rng_seed", 0)
 
-    try:
-        config = SimConfig(
-            step_length=get_int("step_length_s", 60),
-            affinity_weight=get_float("lambda", 0.5),
-            expiry_window=get_int("expiry_window_s", None),
-            metric_cadence=get_int("metric_cadence", 1),
-            top_n=get_int("top_n", None),
-            download_policy=policy,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = SimConfig(download_policy=policy)
+    for field_name, key, value in (
+        ("step_length", "step_length_s", get_int("step_length_s", 60)),
+        ("affinity_weight", "lambda", get_float("lambda", 0.5)),
+        ("expiry_window", "expiry_window_s", get_int("expiry_window_s", None)),
+        ("metric_cadence", "metric_cadence", get_int("metric_cadence", 1)),
+        ("top_n", "top_n", get_int("top_n", None)),
+    ):
+        config = _set(config, field_name, value, key)
     for key in _DEPRECATED_KEYS:
         if key in raw:
             log.warning("config key %r is deprecated and has no effect", key)

@@ -1,15 +1,23 @@
-"""Independent reference implementations used to cross-check the scorers.
+"""Independent reference implementations used to cross-check the code.
 
-Everything here evaluates the defining sums literally over dense adjacency
+The scorer oracles evaluate the defining sums literally over dense adjacency
 tables rebuilt from the graph's edge sets, sharing no code with the
-production scorers.
+production scorers. :func:`merge_replay` is the gossip replay done the
+direct way, with one graph per agent merged on every contact.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from pliersim.graph import FolksonomyGraph
+from pliersim.recommend import pliers_tripartite
+from pliersim.simulator import (
+    DownloadPolicyState,
+    apply_download_policy,
+    compute_step_metrics,
+)
 
 
 def _tables(graph: FolksonomyGraph):
@@ -142,3 +150,56 @@ def merged_components(a: FolksonomyGraph, b: FolksonomyGraph):
         for item, t in g.item_created_at.items():
             created[item] = min(created.get(item, t), t)
     return ui, it, created
+
+
+def merge_replay(config, contacts, contents, windows, agents=()):
+    """Replay the traces with one mutable graph per agent, merged on each contact.
+
+    Same step semantics as ``Simulation.run_windows``; both sides of a
+    contact run ``merge`` and a side with a download policy scores its new
+    items on its merged graph. Returns the new-item sets of every contact,
+    the final local graphs, the metric rows per window and the policy states.
+    """
+    roster = [*agents, *(ev.creator for ev in contents)]
+    roster += [x for ev in contacts for x in (ev.a, ev.b)]
+    lkgs = {agent: FolksonomyGraph() for agent in dict.fromkeys(roster)}
+    policies = {}
+    if config.download_policy is not None:
+        policies = {a: DownloadPolicyState(config.download_policy) for a in lkgs}
+    gkg = FolksonomyGraph()
+    length = config.step_length
+    last_step = max((ev.time // length for ev in [*contents, *contacts]), default=-1)
+    encounters = []
+    rows = {w: [] for w in windows}
+    for step in range(last_step + 1):
+        step_contents = [ev for ev in contents if ev.time // length == step]
+        for ev in step_contents:
+            lkgs[ev.creator].add_content(ev.creator, ev.item, ev.tags, ev.time)
+            gkg.add_content(ev.creator, ev.item, ev.tags, ev.time)
+        step_contacts = [ev for ev in contacts if ev.time // length == step]
+        for ev in step_contacts:
+            ga, gb = lkgs[ev.a], lkgs[ev.b]
+            new_a, new_b = set(gb.items - ga.items), set(ga.items - gb.items)
+            ga.merge(gb)
+            gb.merge(ga)
+            for agent, new in ((ev.a, new_a), (ev.b, new_b)):
+                if agent in policies and new:
+                    scores = pliers_tripartite(
+                        lkgs[agent], agent, config.affinity_weight
+                    ).scores
+                    for item in sorted(new):
+                        apply_download_policy(policies[agent], item, scores[item], ev.time)
+            encounters.append((new_a, new_b))
+        if (step + 1) % config.metric_cadence == 0 or step == last_step:
+            for window in windows:
+                rows[window].append(
+                    compute_step_metrics(
+                        lkgs,
+                        gkg,
+                        replace(config, expiry_window=window),
+                        step=step,
+                        n_contacts=len(step_contacts),
+                        n_contents=len(step_contents),
+                    )
+                )
+    return encounters, lkgs, rows, policies

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pliersim import simulator
 from pliersim.evaluation import jaccard
@@ -18,6 +20,8 @@ from pliersim.simulator import (
     generate_synthetic_contacts,
     run,
 )
+
+from oracles import merge_replay
 
 
 class TestEvents:
@@ -43,11 +47,33 @@ class TestEncounter:
 
     def test_identical_graphs_no_new_items(self):
         sim = self._sim(["a", "b"])
-        for agent in ("a", "b"):
-            sim.lkgs[agent].add_content("x", "i1", ["t1"], 0)
+        sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
+        sim.encounter("a", "b", 0)
         new_a, new_b = sim.encounter("a", "b", 60)
         assert new_a == set() and new_b == set()
         assert sim.lkgs["a"] == sim.lkgs["b"]
+
+    def test_local_graphs_are_read_only(self):
+        sim = self._sim(["a", "b"])
+        with pytest.raises(TypeError):
+            sim.lkgs["a"] = FolksonomyGraph()
+
+    def test_converged_agents_share_one_graph(self):
+        sim = self._sim(["a", "b"])
+        sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
+        assert sim.lkgs["a"] is not sim.lkgs["b"]
+        sim.encounter("a", "b", 60)
+        assert sim.lkgs["a"] is sim.lkgs["b"]
+
+    def test_graphs_kept_only_for_held_knowledge(self):
+        # graphs built for the step-0 metrics go stale once the contacts of
+        # step 1 change what a and b know
+        contents = [ContentEvent(0, "a", "i1", ("t1",)), ContentEvent(0, "b", "i2", ("t2",))]
+        contacts = [ContactEvent(60, "a", "b"), ContactEvent(61, "b", "c")]
+        sim = Simulation(SimConfig(), ["a", "b", "c", "d"])
+        sim.run_windows(contacts, contents, [None, 60])
+        assert sim._graphs
+        assert set(sim._graphs) <= set(sim._knowledge.values())
 
     def test_union_after_exchange(self):
         sim = self._sim(["a", "b"])
@@ -394,3 +420,86 @@ def test_gossip_convergence_hundred_agents():
     sims = [m.avg_graph_jaccard for m in metrics]
     assert all(b >= a - 1e-12 for a, b in zip(sims, sims[1:]))
     assert sims[-1] >= 0.99
+
+
+AGENTS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def replays(draw):
+    """Random traces over four agents plus two silent ones, with forced cases.
+
+    Always present: an item announced again by another creator with other
+    tags and an earlier time, and a three-hop chain of contacts in one step.
+    """
+    times = st.integers(0, 299)
+    tag_lists = st.lists(
+        st.sampled_from(["t0", "t1", "t2", "t3"]), min_size=1, max_size=3, unique=True
+    )
+    contents = draw(
+        st.lists(
+            st.builds(
+                ContentEvent,
+                time=times,
+                creator=st.sampled_from(AGENTS),
+                item=st.sampled_from(["i0", "i1", "i2", "i3"]),
+                tags=tag_lists.map(tuple),
+            ),
+            max_size=10,
+        )
+    )
+    step = draw(st.integers(0, 4))
+    contents += [
+        ContentEvent(step * 60 + 50, "a", "r", ("t0",)),
+        ContentEvent(step * 60 + 10, "b", "r", ("t1", "t2")),
+    ]
+    pairs = st.lists(st.sampled_from(AGENTS), min_size=2, max_size=2, unique=True)
+    contacts = draw(
+        st.lists(st.builds(lambda t, p: ContactEvent(t, *p), times, pairs), max_size=15)
+    )
+    hop = draw(st.integers(0, 4)) * 60
+    contacts += [
+        ContactEvent(hop + 1, "a", "b"),
+        ContactEvent(hop + 2, "b", "c"),
+        ContactEvent(hop + 3, "c", "d"),
+    ]
+    policy = DownloadPolicySpec(
+        "percentile_threshold",
+        percentile=draw(st.floats(0.0, 100.0)),
+        history_span_s=draw(st.none() | st.integers(30, 300)),
+    )
+    config = SimConfig(
+        metric_cadence=draw(st.integers(1, 3)),
+        top_n=draw(st.none() | st.integers(1, 3)),
+        download_policy=policy,
+    )
+    window = draw(st.integers(30, 400))
+    return config, contacts, contents, [None, window]
+
+
+@settings(max_examples=80, deadline=None)
+@given(replays())
+def test_event_set_replay_matches_merge_replay(replay):
+    config, contacts, contents, windows = replay
+    roster = AGENTS + ["s1", "s2"]
+    ref_encounters, ref_lkgs, ref_rows, ref_policies = merge_replay(
+        config, contacts, contents, windows, roster
+    )
+
+    sim = Simulation(config, roster)
+    encounters = []
+    real_encounter = sim.encounter
+
+    def recording_encounter(a, b, now):
+        encounters.append(real_encounter(a, b, now))
+        return encounters[-1]
+
+    sim.encounter = recording_encounter
+    rows = sim.run_windows(contacts, contents, windows)
+
+    assert encounters == ref_encounters
+    assert dict(sim.lkgs) == ref_lkgs
+    assert rows == ref_rows
+    assert {a: (p.observed, p.downloaded) for a, p in sim.policies.items()} == {
+        a: (p.observed, p.downloaded) for a, p in ref_policies.items()
+    }

@@ -210,6 +210,26 @@ class TestCliSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("rng_seed = x", "rng_seed must be an integer, got 'x'"),
+            ("lambda = 2", "affinity_weight must lie in [0, 1]"),
+        ],
+    )
+    def test_config_value_error_cites_file_and_line(
+        self, tmp_path, sim_fixture, capsys, line, message
+    ):
+        contacts, contents = sim_fixture
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"# settings\nstep_length_s = 30\n{line}\ntop_n = 5\n")
+        code = cli.main(
+            ["simulate", str(contacts), str(contents), "--config", str(cfg),
+             "--outdir", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+
 
 class TestCliRecommend:
     @pytest.fixture
