@@ -5,15 +5,20 @@ item in it (owned items included); :func:`rank` filters owned and
 zero-score items afterwards. A target with no items, or absent from the
 graph entirely, is a cold start and yields an all-zero vector.
 
-Summations iterate node sets in sorted key order so that score values are
-bit-reproducible across processes regardless of hash randomization.
+Scores are computed over a :class:`GraphIndex` of the graph (sorted keys
+and CSR adjacency arrays), built once per graph state. Every sum adds its
+terms in the order of a walk over sorted keys, one at a time, so score
+values are bit-reproducible across processes regardless of hash
+randomization, and equal to those of that walk written as a loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .graph import FolksonomyGraph
 
@@ -40,8 +45,107 @@ class RecommendationVector:
         return len(self.ranked)
 
 
-def _zero_scores(graph: FolksonomyGraph) -> dict[str, float]:
-    return {item: 0.0 for item in sorted(graph.items)}
+class Adjacency(NamedTuple):
+    """One direction of a bipartite edge set as CSR arrays.
+
+    Row ``r``'s neighbours are ``cols[ptr[r]:ptr[r + 1]]`` in ascending
+    index order; ``row_of[e]`` is the row of entry ``e`` and ``degree[r]``
+    the length of row ``r``.
+    """
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    row_of: np.ndarray
+    degree: np.ndarray
+
+    @classmethod
+    def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> "Adjacency":
+        order = np.lexsort((cols, rows))
+        degree = np.bincount(rows, minlength=n_rows)
+        ptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(degree, out=ptr[1:])
+        return cls(ptr, cols[order], rows[order], degree)
+
+    def row(self, r: int) -> np.ndarray:
+        return self.cols[self.ptr[r] : self.ptr[r + 1]]
+
+    def gather(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``which`` concatenated in the given order.
+
+        Also returns, for each entry, the position in ``which`` of its row.
+        """
+        lengths = self.degree[which]
+        source = np.repeat(np.arange(len(which)), lengths)
+        skip = self.ptr[which] - (np.cumsum(lengths) - lengths)
+        return self.cols[np.arange(len(source)) + skip[source]], source
+
+
+class GraphIndex:
+    """Sorted node keys and CSR adjacency of one graph state.
+
+    Node ``n`` of a kind is the ``n``-th key in sorted order, so ascending
+    indices walk keys in sorted order whatever the hash seed. Built by
+    ``graph.derived(GraphIndex)``: once per graph state, cleared by every
+    mutator. ``user_items.degree`` is the user degree, ``item_users.degree``
+    the item popularity, ``item_tags.degree`` an item's tag count and
+    ``tag_items.degree`` the tag degree.
+    """
+
+    __slots__ = (
+        "users", "items", "tags", "user_pos",
+        "user_items", "item_users", "item_tags", "tag_items",
+    )
+
+    def __init__(self, graph: FolksonomyGraph):
+        self.users = sorted(graph.users)
+        self.items = sorted(graph.items)
+        self.tags = sorted(graph.tags)
+        self.user_pos = {u: n for n, u in enumerate(self.users)}
+        item_pos = {i: n for n, i in enumerate(self.items)}
+        tag_pos = {t: n for n, t in enumerate(self.tags)}
+
+        ui = graph.user_item_edges
+        u = np.fromiter((self.user_pos[a] for a, _ in ui), np.intp, len(ui))
+        i = np.fromiter((item_pos[b] for _, b in ui), np.intp, len(ui))
+        self.user_items = Adjacency.from_edges(u, i, len(self.users))
+        self.item_users = Adjacency.from_edges(i, u, len(self.items))
+        it = graph.item_tag_edges
+        i = np.fromiter((item_pos[a] for a, _ in it), np.intp, len(it))
+        t = np.fromiter((tag_pos[b] for _, b in it), np.intp, len(it))
+        self.item_tags = Adjacency.from_edges(i, t, len(self.items))
+        self.tag_items = Adjacency.from_edges(t, i, len(self.tags))
+
+
+def _score(graph: FolksonomyGraph, target: str, fn: Callable, *args) -> ScoreVector:
+    """``fn(index, target's index, *args)`` as a ScoreVector; all zeros on a cold start.
+
+    A cold start builds no index: it is the common case in the gossip
+    metrics, where most agents created nothing.
+    """
+    if not graph.items_of_user(target):
+        return ScoreVector(target, dict.fromkeys(sorted(graph.items), 0.0))
+    index = graph.derived(GraphIndex)
+    scores = fn(index, index.user_pos[target], *args)
+    return ScoreVector(target, dict(zip(index.items, scores.tolist())))
+
+
+# Each array scorer below lays its terms out as (item, value) arrays in the
+# order of the walk it describes (sorted keys at every level) and sums them
+# with np.bincount, which adds in input order, one bin at a time: an item's
+# score is the same left-to-right float sum as that walk done in a loop.
+# Adding an exact 0.0 term leaves a sum unchanged. np.sum would add
+# pairwise, in another order, and can break exact ties in rank.
+
+
+def _probs(index: GraphIndex, t: int) -> np.ndarray:
+    owned = index.user_items.row(t)
+    users, source = index.item_users.gather(owned)
+    share = 1.0 / index.item_users.degree[owned]
+    mass = np.bincount(users, weights=share[source], minlength=len(index.users))
+    reached = np.flatnonzero(mass)
+    items, source = index.user_items.gather(reached)
+    share = mass[reached] / index.user_items.degree[reached]
+    return np.bincount(items, weights=share[source], minlength=len(index.items))
 
 
 def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -52,17 +156,17 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     equally among her items. Total mass is conserved, so the scores sum to
     the target's item degree.
     """
-    scores = _zero_scores(graph)
-    mass: dict[str, float] = {}
-    for item in sorted(graph.items_of_user(target)):
-        share = 1.0 / graph.item_popularity(item)
-        for user in sorted(graph.users_of_item(item)):
-            mass[user] = mass.get(user, 0.0) + share
-    for user in sorted(mass):
-        share = mass[user] / graph.user_degree(user)
-        for item in sorted(graph.items_of_user(user)):
-            scores[item] += share
-    return ScoreVector(target, scores)
+    return _score(graph, target, _probs)
+
+
+def _heats(index: GraphIndex, t: int) -> np.ndarray:
+    users, _ = index.item_users.gather(index.user_items.row(t))
+    heat = np.bincount(users, minlength=len(index.users)) / index.user_items.degree
+    item_users = index.item_users
+    total = np.bincount(
+        item_users.row_of, weights=heat[item_users.cols], minlength=len(index.items)
+    )
+    return total / item_users.degree
 
 
 def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -72,26 +176,19 @@ def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     degree; an item receives the sum of its users' heat divided by its own
     popularity. Mass is not conserved.
     """
-    scores = _zero_scores(graph)
-    owned = graph.items_of_user(target)
-    heat: dict[str, float] = {}
-    for user in sorted(graph.users):
-        hits = len(graph.items_of_user(user) & owned)
-        if hits:
-            heat[user] = hits / graph.user_degree(user)
-    for item in scores:
-        users = graph.users_of_item(item)
-        total = sum(heat[u] for u in sorted(users) if u in heat)
-        if total:
-            scores[item] = total / len(users)
-    return ScoreVector(target, scores)
+    return _score(graph, target, _heats)
 
 
-def _sum_normalized(scores: dict[str, float]) -> dict[str, float]:
-    total = sum(scores[i] for i in sorted(scores))
-    if total <= 0.0:
-        return dict(scores)
-    return {i: s / total for i, s in scores.items()}
+def _sum_normalized(scores: np.ndarray) -> np.ndarray:
+    # a left-to-right total over sorted items, not np.sum's pairwise one
+    total = np.cumsum(scores)[-1]
+    return scores / total if total > 0.0 else scores
+
+
+def _hybrid(index: GraphIndex, t: int, probs_weight: float) -> np.ndarray:
+    p = _sum_normalized(_probs(index, t))
+    h = _sum_normalized(_heats(index, t))
+    return probs_weight * p + (1.0 - probs_weight) * h
 
 
 def hybrid_scores(graph: FolksonomyGraph, target: str, probs_weight: float) -> ScoreVector:
@@ -103,20 +200,12 @@ def hybrid_scores(graph: FolksonomyGraph, target: str, probs_weight: float) -> S
     """
     if not 0.0 <= probs_weight <= 1.0:
         raise ValueError("probs_weight must lie in [0, 1]")
-    p = _sum_normalized(probs_scores(graph, target).scores)
-    h = _sum_normalized(heats_scores(graph, target).scores)
-    scores = {i: probs_weight * p[i] + (1.0 - probs_weight) * h[i] for i in p}
-    return ScoreVector(target, scores)
+    return _score(graph, target, _hybrid, probs_weight)
 
 
 def _overlap_diffusion(
-    target_items: set[str],
-    left_of: Callable[[str], set[str]],
-    right_of: Callable[[str], set[str]],
-    left_degree: Callable[[str], int],
-    item_degree: Callable[[str], int],
-    graph: FolksonomyGraph,
-) -> dict[str, float]:
+    owned: np.ndarray, item_side: Adjacency, bridge_side: Adjacency
+) -> np.ndarray:
     """Shared core of the popularity-matched diffusion scores.
 
     For every target item s, walk s -> bridge node l -> candidate item j and
@@ -124,23 +213,30 @@ def _overlap_diffusion(
     |N(s) & N(j)| / deg(j), the overlap of the two items' neighbour sets on
     the bridging side. The factor lies in [0, 1], so the result is bounded
     above by plain mass diffusion on the same projection.
+
+    ``item_side`` maps items to bridge nodes and ``bridge_side`` back. Each
+    term is ``(1 / deg(s) / deg(l)) * overlap / deg(j)``, evaluated in that
+    order, and the terms run over s, l and j in ascending order.
     """
-    scores = _zero_scores(graph)
-    overlap_cache: dict[tuple[str, str], int] = {}
-    for s in sorted(target_items):
-        s_neighbors = left_of(s)
-        s_share = 1.0 / len(s_neighbors)
-        for l in sorted(s_neighbors):
-            l_share = s_share / left_degree(l)
-            for j in sorted(right_of(l)):
-                key = (s, j)
-                ov = overlap_cache.get(key)
-                if ov is None:
-                    ov = len(s_neighbors & left_of(j))
-                    overlap_cache[key] = ov
-                if ov:
-                    scores[j] += l_share * ov / item_degree(j)
-    return scores
+    n_items = len(item_side.degree)
+    bridges, source = item_side.gather(owned)
+    share = (1.0 / item_side.degree[owned])[source] / bridge_side.degree[bridges]
+    items, via = bridge_side.gather(bridges)
+    # a (s, j) pair occurs once per bridge that s and j share, so its count
+    # is the overlap |N(s) & N(j)|, never 0
+    _, pair, overlap = np.unique(
+        source[via] * n_items + items, return_inverse=True, return_counts=True
+    )
+    terms = share[via] * overlap[pair] / item_side.degree[items]
+    return np.bincount(items, weights=terms, minlength=n_items)
+
+
+def _affinity(index: GraphIndex, t: int) -> np.ndarray:
+    return _overlap_diffusion(index.user_items.row(t), index.item_users, index.user_items)
+
+
+def _similarity(index: GraphIndex, t: int) -> np.ndarray:
+    return _overlap_diffusion(index.user_items.row(t), index.item_tags, index.tag_items)
 
 
 def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -150,15 +246,7 @@ def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     the shared-user fraction |U_s & U_j| / k_u(j); candidates whose audience
     overlaps the target's items score high without a popularity bias.
     """
-    scores = _overlap_diffusion(
-        graph.items_of_user(target),
-        graph.users_of_item,
-        graph.items_of_user,
-        graph.user_degree,
-        graph.item_popularity,
-        graph,
-    )
-    return ScoreVector(target, scores)
+    return _score(graph, target, _affinity)
 
 
 def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -168,15 +256,13 @@ def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     weight 1 / (k_i(z) * k_t(s)), scaled by the shared-tag fraction
     |T_s & T_j| / k_t(j). Measures how alike two items' labelings are.
     """
-    scores = _overlap_diffusion(
-        graph.items_of_user(target),
-        graph.tags_of_item,
-        graph.items_of_tag,
-        graph.tag_degree,
-        graph.item_tag_count,
-        graph,
-    )
-    return ScoreVector(target, scores)
+    return _score(graph, target, _similarity)
+
+
+def _tripartite(index: GraphIndex, t: int, affinity_weight: float) -> np.ndarray:
+    a = _affinity(index, t)
+    s = _similarity(index, t)
+    return affinity_weight * a + (1.0 - affinity_weight) * s
 
 
 def pliers_tripartite(
@@ -190,10 +276,7 @@ def pliers_tripartite(
     """
     if not 0.0 <= affinity_weight <= 1.0:
         raise ValueError("affinity_weight must lie in [0, 1]")
-    a = affinity_scores(graph, target).scores
-    s = similarity_scores(graph, target).scores
-    scores = {i: affinity_weight * a[i] + (1.0 - affinity_weight) * s[i] for i in a}
-    return ScoreVector(target, scores)
+    return _score(graph, target, _tripartite, affinity_weight)
 
 
 def cosine_user_similarity(graph: FolksonomyGraph, u: str, v: str) -> float:
@@ -204,6 +287,20 @@ def cosine_user_similarity(graph: FolksonomyGraph, u: str, v: str) -> float:
     return len(iu & iv) / math.sqrt(len(iu) * len(iv))
 
 
+def _cf(index: GraphIndex, t: int, k: int) -> np.ndarray:
+    users, _ = index.item_users.gather(index.user_items.row(t))
+    common = np.bincount(users, minlength=len(index.users))
+    common[t] = 0
+    # users sharing no item have cosine 0 and add nothing
+    neighbours = np.flatnonzero(common)
+    degree = index.user_items.degree
+    sims = common[neighbours] / np.sqrt(degree[t] * degree[neighbours])
+    # a stable sort keeps ascending user keys among equal similarities
+    top = np.argsort(-sims, kind="stable")[:k]
+    items, source = index.user_items.gather(neighbours[top])
+    return np.bincount(items, weights=sims[top][source], minlength=len(index.items))
+
+
 def cf_user_based(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     """User-based collaborative filtering with cosine neighbourhoods.
 
@@ -212,19 +309,7 @@ def cf_user_based(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = _zero_scores(graph)
-    sims = []
-    for user in sorted(graph.users):
-        if user == target:
-            continue
-        sims.append((-cosine_user_similarity(graph, target, user), user))
-    sims.sort()
-    for neg_sim, user in sims[:k]:
-        if neg_sim == 0.0:
-            continue
-        for item in sorted(graph.items_of_user(user)):
-            scores[item] += -neg_sim
-    return ScoreVector(target, scores)
+    return _score(graph, target, _cf, k)
 
 
 def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
@@ -242,34 +327,37 @@ def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
     return counts
 
 
+def _tag_expansion(index: GraphIndex, t: int, k: int) -> np.ndarray:
+    item_tags = index.item_tags
+    own = np.zeros(len(index.tags), dtype=bool)
+    own[item_tags.gather(index.user_items.row(t))[0]] = True
+    # a tag's co-occurrence total with the own tags, summed over the items
+    # carrying it: each such item counts once per own tag it carries
+    own_on_item = np.bincount(
+        item_tags.row_of, weights=own[item_tags.cols], minlength=len(index.items)
+    )
+    totals = np.bincount(
+        item_tags.cols, weights=own_on_item[item_tags.row_of], minlength=len(index.tags)
+    )
+    candidates = np.flatnonzero(~own)
+    expanded = own.copy()
+    expanded[candidates[np.argsort(-totals[candidates], kind="stable")[:k]]] = True
+    return np.bincount(
+        item_tags.row_of, weights=expanded[item_tags.cols], minlength=len(index.items)
+    )
+
+
 def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     """Tag co-occurrence expansion baseline.
 
     The target's own tags are expanded with the k tags having the highest
     total co-occurrence with them (ties by tag key); an item scores the
-    number of its tags inside the expanded set.
+    number of its tags inside the expanded set. The totals are the sums of
+    :func:`tag_cooccurrence` over the own tags, counted from the index.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = _zero_scores(graph)
-    own_tags = graph.tags_of_user(target)
-    if not own_tags:
-        return ScoreVector(target, scores)
-    counts = graph.derived(tag_cooccurrence)
-    totals: dict[str, int] = {t: 0 for t in graph.tags if t not in own_tags}
-    for own in own_tags:
-        for cand in totals:
-            pair = (own, cand) if own < cand else (cand, own)
-            c = counts.get(pair)
-            if c:
-                totals[cand] += c
-    expanded = set(own_tags)
-    expanded.update(t for _, t in sorted(((-c, t) for t, c in totals.items()))[:k])
-    for item in scores:
-        hits = len(graph.tags_of_item(item) & expanded)
-        if hits:
-            scores[item] = float(hits)
-    return ScoreVector(target, scores)
+    return _score(graph, target, _tag_expansion, k)
 
 
 def rank(

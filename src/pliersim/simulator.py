@@ -210,15 +210,22 @@ def compute_step_metrics(
         gview = gkg.prune_older_than(now, config.expiry_window)
     flat_global = gview.flatten()
 
+    # agents with equal knowledge may share one graph object; its view and
+    # Jaccard are computed once, keyed by id while the graph is held here
+    views: dict[int, tuple[FolksonomyGraph, FolksonomyGraph, float]] = {}
     graph_sims: list[float] = []
     rec_jaccards: list[float] = []
     rec_spear_corr: list[float] = []
     rec_spear_lit: list[float] = []
     for agent in sorted(lkgs):
-        lview = lkgs[agent]
-        if config.expiry_window is not None:
-            lview = lview.prune_older_than(now, config.expiry_window)
-        graph_sims.append(jaccard(lview.flatten(), flat_global))
+        lkg = lkgs[agent]
+        if id(lkg) not in views:
+            lview = lkg
+            if config.expiry_window is not None:
+                lview = lkg.prune_older_than(now, config.expiry_window)
+            views[id(lkg)] = (lkg, lview, jaccard(lview.flatten(), flat_global))
+        _, lview, graph_sim = views[id(lkg)]
+        graph_sims.append(graph_sim)
 
         local = rank(pliers_tripartite(lview, agent, config.affinity_weight), lview, config.top_n)
         glob = rank(pliers_tripartite(gview, agent, config.affinity_weight), gview, config.top_n)

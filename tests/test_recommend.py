@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_scorers
+from pliersim import recommend
+from pliersim.evaluation import prune_for_link_prediction
 from pliersim.graph import FolksonomyGraph
+from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
     affinity_scores,
     cf_user_based,
@@ -374,3 +378,103 @@ def test_score_vectors_cover_all_items_and_stay_finite(seed):
         scores = scorer(g, target).scores
         assert set(scores) == set(g.items)
         assert all(v >= 0.0 and math.isfinite(v) for v in scores.values())
+
+
+# every scorer with its extra arguments, from (weight, k for cf, k for tagexp)
+EXACT_SCORERS = {
+    "probs_scores": lambda w, k_cf, k_tag: (),
+    "heats_scores": lambda w, k_cf, k_tag: (),
+    "hybrid_scores": lambda w, k_cf, k_tag: (w,),
+    "affinity_scores": lambda w, k_cf, k_tag: (),
+    "similarity_scores": lambda w, k_cf, k_tag: (),
+    "pliers_tripartite": lambda w, k_cf, k_tag: (w,),
+    "cf_user_based": lambda w, k_cf, k_tag: (k_cf,),
+    "tag_expansion": lambda w, k_cf, k_tag: (k_tag,),
+}
+
+
+def assert_same_floats(graph, targets, w=0.5, k_cf=10, k_tag=10):
+    """Every scorer equals the dict-walking reference exactly, keys in order."""
+    for name, extra in EXACT_SCORERS.items():
+        args = extra(w, k_cf, k_tag)
+        for target in targets:
+            got = getattr(recommend, name)(graph, target, *args)
+            want = getattr(reference_scorers, name)(graph, target, *args)
+            assert list(got.scores.items()) == list(want.scores.items()), (name, target)
+            assert rank(got, graph).ranked == rank(want, graph).ranked, (name, target)
+
+
+def _graph_with_edge_cases(rng):
+    g = build_random_graph(rng, 10, 12, 6)
+    # structurally tied items: a clone of an item, same users and tags
+    original = rng.choice(sorted(g.items))
+    for user in sorted(g.users_of_item(original)):
+        g.add_content(user, "clone", sorted(g.tags_of_item(original)), 90)
+    # a newcomer sharing nothing: no CF neighbours, tag totals all 0
+    g.add_content("newcomer", "lonely", ["t_lonely"], 95)
+    # a user whose only link was removed, so the user left the graph
+    g.add_content("gone", "gone_item", [rng.choice(sorted(g.tags))], 99)
+    g.remove_user_item_edge("gone", "gone_item")
+    return g
+
+
+class TestExactReference:
+    """The numpy scorers against ``tests/reference_scorers.py``, with ``==``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from([0.0, 0.5, 1.0, 0.3]),
+        st.integers(1, 16),
+        st.integers(1, 12),
+    )
+    def test_random_graphs(self, seed, w, k_cf, k_tag):
+        g = _graph_with_edge_cases(random.Random(seed))
+        # k may exceed the number of users or candidate tags
+        assert_same_floats(g, [*sorted(g.users), "gone", "nobody"], w, k_cf, k_tag)
+
+    def test_edge_case_graph_has_ties_and_large_k(self):
+        g = _graph_with_edge_cases(random.Random(3))
+        scores = probs_scores(g, sorted(g.users_of_item("clone"))[0]).scores
+        original = [i for i in g.items if i != "clone" and g.users_of_item(i) == g.users_of_item("clone")]
+        assert original and scores["clone"] == scores[original[0]]
+        assert "gone" not in g.users and "gone_item" not in g.items
+        assert_same_floats(g, ["newcomer"], k_cf=len(g.users) + 5, k_tag=len(g.tags) + 5)
+
+    def test_criterion_4_graph(self):
+        pruned, removal = prune_for_link_prediction(generate_folksonomy(500, 800, 300, 0), 0)
+        users = random.Random(4).sample(sorted(removal.removals), 20)
+        assert_same_floats(pruned, users)
+
+
+def _merge_new_item(graph):
+    other = FolksonomyGraph()
+    other.add_content("u0", "i_new", ["t0", "t_new"], 50)
+    other.add_content("u_new", "i_new", ["t0", "t_new"], 51)
+    graph.merge(other)
+
+
+MUTATIONS = {
+    "add_content": lambda g: g.add_content("u0", "i_new", ["t0", "t_new"], 50),
+    # an item with one user, so that the item leaves the graph too
+    "remove_user_item_edge": lambda g: g.remove_user_item_edge(
+        *min((u, i) for u, i in g.user_item_edges if g.item_popularity(i) == 1)
+    ),
+    "merge": _merge_new_item,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", sorted(EXACT_SCORERS))
+def test_scores_follow_graph_mutation(name, mutation):
+    """A mutated graph is scored like a fresh copy: no stale index is served."""
+    scorer = getattr(recommend, name)
+    args = EXACT_SCORERS[name](0.5, 3, 3)
+    g = build_random_graph(random.Random(5), 10, 12, 6)
+    targets = sorted(g.users)
+    before = [scorer(g, u, *args).scores for u in targets]
+    MUTATIONS[mutation](g)
+    after = [scorer(g, u, *args).scores for u in targets]
+    fresh = g.copy()
+    assert after == [scorer(fresh, u, *args).scores for u in targets]
+    assert after != before

@@ -248,6 +248,28 @@ class TestStepMetrics:
         assert last.avg_rec_spearman_literal == pytest.approx(1.0)
         assert last.n_contacts == 1 and last.n_contents == 0
 
+    def test_views_computed_once_per_distinct_graph(self, monkeypatch):
+        flattened = []
+        real_flatten = FolksonomyGraph.flatten
+        monkeypatch.setattr(
+            FolksonomyGraph, "flatten", lambda g: flattened.append(g) or real_flatten(g)
+        )
+        steps = []
+        real_metrics = simulator.compute_step_metrics
+
+        def counted(lkgs, *args, **kwargs):
+            before = len(flattened)
+            row = real_metrics(lkgs, *args, **kwargs)
+            steps.append((len(flattened) - before, len({id(g) for g in lkgs.values()})))
+            return row
+
+        monkeypatch.setattr(simulator, "compute_step_metrics", counted)
+        contacts, contents = TestExpiryRuns._fixture()
+        Simulation(SimConfig()).run_windows(contacts, contents, [None, 300])
+        # one flatten per distinct local graph plus one for the global view
+        assert steps and all(calls == distinct + 1 for calls, distinct in steps)
+        assert min(distinct for _, distinct in steps) < 12
+
     def test_expiry_hides_old_items_from_metrics(self):
         gkg = FolksonomyGraph()
         gkg.add_content("a", "old", ["t1"], 0)

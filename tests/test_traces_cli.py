@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +322,39 @@ class TestCliLinkpred:
         assert out.exists()
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["command"] == "linkpred"
+
+
+class TestHashSeed:
+    """CLI output bytes do not depend on string hash randomization."""
+
+    @staticmethod
+    def _run(args, hash_seed):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "pliersim", *args],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        return done.stdout
+
+    def test_linkpred_and_recommend_ignore_hash_seed(self, tmp_path):
+        from pliersim.synth import generate_folksonomy
+
+        path = tmp_path / "graph.tsv"
+        graph = generate_folksonomy(40, 80, 25, 3)
+        save_graph_tsv(graph, path)
+        user = max(sorted(graph.users), key=graph.user_degree)
+        commands = [
+            ["linkpred", str(path), "--k", "3", "10", "--seed", "2"],
+            *(
+                ["recommend", str(path), user, "--algorithm", name, "--k", "3"]
+                for name in ("pliers", "hybrid", "tagexp")
+            ),
+        ]
+        for args in commands:
+            outputs = [self._run(args, seed) for seed in (0, 1)]
+            assert outputs[0].count(b"\n") > 2
+            assert outputs[0] == outputs[1], args
 
 
 class TestCliGenTraces:
