@@ -435,9 +435,10 @@ class TestExactReference:
 
     def test_edge_case_graph_has_ties_and_large_k(self):
         g = _graph_with_edge_cases(random.Random(3))
-        scores = probs_scores(g, sorted(g.users_of_item("clone"))[0]).scores
-        original = [i for i in g.items if i != "clone" and g.users_of_item(i) == g.users_of_item("clone")]
-        assert original and scores["clone"] == scores[original[0]]
+        owners = g.users_of_item("clone")
+        twins = [i for i in g.items if i != "clone" and g.users_of_item(i) == owners]
+        scores = probs_scores(g, min(owners)).scores
+        assert twins and scores["clone"] == scores[twins[0]]
         assert "gone" not in g.users and "gone_item" not in g.items
         assert_same_floats(g, ["newcomer"], k_cf=len(g.users) + 5, k_tag=len(g.tags) + 5)
 
