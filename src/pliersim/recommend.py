@@ -14,6 +14,7 @@ randomization, and equal to those of that walk written as a loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -23,12 +24,28 @@ import numpy as np
 from .graph import FolksonomyGraph
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreVector:
-    """Raw per-item scores for one target user; all values finite and >= 0."""
+    """Raw per-item scores for one target user; all values finite and >= 0.
+
+    ``values[n]`` is the score of ``items[n]``, and ``items`` is in ascending
+    key order. ``items`` may be shared with the graph's index: do not mutate
+    it. Two vectors are equal when their targets and their ``scores`` are.
+    """
 
     target: str
-    scores: dict[str, float]
+    items: list[str]
+    values: np.ndarray
+
+    @property
+    def scores(self) -> dict[str, float]:
+        """Item key to score, in ascending key order."""
+        return dict(zip(self.items, self.values.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreVector):
+            return NotImplemented
+        return self.target == other.target and self.scores == other.scores
 
 
 @dataclass
@@ -123,11 +140,16 @@ def _score(graph: FolksonomyGraph, target: str, fn: Callable, *args) -> ScoreVec
     metrics, where most agents created nothing.
     """
     if not graph.items_of_user(target):
-        return ScoreVector(target, dict.fromkeys(sorted(graph.items), 0.0))
+        items = sorted(graph.items)
+        return ScoreVector(target, items, np.zeros(len(items)))
     index = graph.derived(GraphIndex)
-    scores = fn(index, index.user_pos[target], *args)
-    return ScoreVector(target, dict(zip(index.items, scores.tolist())))
+    return ScoreVector(target, index.items, fn(index, index.user_pos[target], *args))
 
+
+# The most bins one count array of PLIERS (source item, candidate) pairs may
+# take, 8 MiB of counts: a user owning thousands of items on a large graph
+# is counted in blocks.
+_PAIR_BINS = 1 << 20
 
 # Each array scorer below lays its terms out as (item, value) arrays in the
 # order of the walk it describes (sorted keys at every level) and sums them
@@ -223,11 +245,17 @@ def _overlap_diffusion(
     share = (1.0 / item_side.degree[owned])[source] / bridge_side.degree[bridges]
     items, via = bridge_side.gather(bridges)
     # a (s, j) pair occurs once per bridge that s and j share, so its count
-    # is the overlap |N(s) & N(j)|, never 0
-    _, pair, overlap = np.unique(
-        source[via] * n_items + items, return_inverse=True, return_counts=True
-    )
-    terms = share[via] * overlap[pair] / item_side.degree[items]
+    # is the overlap |N(s) & N(j)|, never 0. The pairs are counted in bins
+    # s * n_items + j, a block of sources at a time (source[via] ascends) so
+    # that no count array exceeds max(_PAIR_BINS, n_items) bins.
+    s = source[via]
+    per_block = max(1, _PAIR_BINS // n_items)
+    cuts = np.searchsorted(s, np.arange(0, len(owned) + per_block, per_block))
+    overlap = np.empty_like(items)
+    for block, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
+        pair = (s[lo:hi] - block * per_block) * n_items + items[lo:hi]
+        overlap[lo:hi] = np.bincount(pair)[pair]
+    terms = share[via] * overlap / item_side.degree[items]
     return np.bincount(items, weights=terms, minlength=n_items)
 
 
@@ -369,11 +397,20 @@ def rank(
     the rest sort by score descending with item-key ties ascending, truncated
     to ``top_n`` when given.
     """
+    values = scores.values
+    pos = np.flatnonzero(values > 0.0)
+    if not pos.size:  # a cold start, as for most gossip agents: nothing to sort
+        return RecommendationVector(scores.target, [])
+    # items are in key order and pos ascends, so a stable sort on -score
+    # leaves equal scores in ascending key order
+    order = pos[np.argsort(-values[pos], kind="stable")]
     owned = graph.items_of_user(scores.target)
-    ranked = sorted(
-        ((item, s) for item, s in scores.scores.items() if s > 0.0 and item not in owned),
-        key=lambda pair: (-pair[1], pair[0]),
+    items = scores.items
+    kept = (
+        (items[n], s)
+        for n, s in zip(order.tolist(), values[order].tolist())
+        if items[n] not in owned
     )
     if top_n is not None:
-        ranked = ranked[: max(top_n, 0)]
-    return RecommendationVector(scores.target, ranked)
+        kept = itertools.islice(kept, max(top_n, 0))
+    return RecommendationVector(scores.target, list(kept))

@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from pliersim.graph import FolksonomyGraph
-from pliersim.recommend import ScoreVector
+from pliersim.recommend import RecommendationVector, ScoreVector
 
 
 def _left_sum(values) -> float:
@@ -26,6 +28,11 @@ def _left_sum(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def _vector(target: str, scores: dict[str, float]) -> ScoreVector:
+    """The ScoreVector of a dict whose keys are in ascending order."""
+    return ScoreVector(target, list(scores), np.array(list(scores.values()), dtype=float))
 
 
 def _zero_scores(graph: FolksonomyGraph) -> dict[str, float]:
@@ -50,7 +57,7 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         share = mass[user] / graph.user_degree(user)
         for item in sorted(graph.items_of_user(user)):
             scores[item] += share
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -72,7 +79,7 @@ def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         total = _left_sum(heat[u] for u in sorted(users) if u in heat)
         if total:
             scores[item] = total / len(users)
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def _sum_normalized(scores: dict[str, float]) -> dict[str, float]:
@@ -94,7 +101,7 @@ def hybrid_scores(graph: FolksonomyGraph, target: str, probs_weight: float) -> S
     p = _sum_normalized(probs_scores(graph, target).scores)
     h = _sum_normalized(heats_scores(graph, target).scores)
     scores = {i: probs_weight * p[i] + (1.0 - probs_weight) * h[i] for i in p}
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def _overlap_diffusion(
@@ -146,7 +153,7 @@ def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         graph.item_popularity,
         graph,
     )
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -164,7 +171,7 @@ def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         graph.item_tag_count,
         graph,
     )
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def pliers_tripartite(
@@ -181,7 +188,7 @@ def pliers_tripartite(
     a = affinity_scores(graph, target).scores
     s = similarity_scores(graph, target).scores
     scores = {i: affinity_weight * a[i] + (1.0 - affinity_weight) * s[i] for i in a}
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def cosine_user_similarity(graph: FolksonomyGraph, u: str, v: str) -> float:
@@ -212,7 +219,7 @@ def cf_user_based(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
             continue
         for item in sorted(graph.items_of_user(user)):
             scores[item] += -neg_sim
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
 
 def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
@@ -242,7 +249,7 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     scores = _zero_scores(graph)
     own_tags = graph.tags_of_user(target)
     if not own_tags:
-        return ScoreVector(target, scores)
+        return _vector(target, scores)
     counts = graph.derived(tag_cooccurrence)
     totals: dict[str, int] = {t: 0 for t in graph.tags if t not in own_tags}
     for own in own_tags:
@@ -257,5 +264,23 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
         hits = len(graph.tags_of_item(item) & expanded)
         if hits:
             scores[item] = float(hits)
-    return ScoreVector(target, scores)
+    return _vector(target, scores)
 
+
+def rank(
+    scores: ScoreVector, graph: FolksonomyGraph, top_n: int | None = None
+) -> RecommendationVector:
+    """Turn raw scores into a recommendation list.
+
+    Items already linked to the target and items with zero score are dropped;
+    the rest sort by score descending with item-key ties ascending, truncated
+    to ``top_n`` when given.
+    """
+    owned = graph.items_of_user(scores.target)
+    ranked = sorted(
+        ((item, s) for item, s in scores.scores.items() if s > 0.0 and item not in owned),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    if top_n is not None:
+        ranked = ranked[: max(top_n, 0)]
+    return RecommendationVector(scores.target, ranked)

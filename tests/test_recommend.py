@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from pliersim.evaluation import prune_for_link_prediction
 from pliersim.graph import FolksonomyGraph
 from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
+    ScoreVector,
     affinity_scores,
     cf_user_based,
     cosine_user_similarity,
@@ -311,6 +313,45 @@ class TestRank:
         assert not set(rec.item_keys()) & g.items_of_user(target)
 
 
+# keys whose string order differs from their numeric order; capitals sort first
+RANK_KEYS = sorted([f"i{n}" for n in range(24)] + ["i100", "B", "Z", "a", "b"])
+
+
+class TestRankReference:
+    """``rank`` on hand-built vectors against the dict-walking reference rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 0.25, 1 / 3, 0.5, 1.0, 2.0]),
+            min_size=len(RANK_KEYS),
+            max_size=len(RANK_KEYS),
+        ),
+        st.sets(st.sampled_from(RANK_KEYS)),
+    )
+    def test_hand_built_vectors(self, values, owned):
+        g = FolksonomyGraph()
+        g.add_content("u2", "other", ["t"], 0)
+        for item in sorted(owned):
+            g.add_content("u_t", item, ["t"], 1)
+        # owned items carry the top scores, often tied with each other
+        values = [v + 4.0 if k in owned else v for k, v in zip(RANK_KEYS, values)]
+        vec = ScoreVector("u_t", RANK_KEYS, np.array(values))
+        assert_same_ranks(vec, vec, g)
+
+
+class TestScoreVector:
+    def test_equal_when_target_and_scores_are(self):
+        g = eq1_hand_graph()
+        vec = probs_scores(g, "u_t")
+        same = ScoreVector("u_t", list(vec.items), vec.values.copy())
+        assert vec == same and vec == reference_scorers.probs_scores(g, "u_t")
+        assert vec != ScoreVector("u2", vec.items, vec.values)
+        assert vec != ScoreVector("u_t", ["i1", "i3"], vec.values)
+        assert vec != ScoreVector("u_t", vec.items, vec.values + 1.0)
+        assert vec != vec.scores
+
+
 class TestPermutationInvariance:
     @staticmethod
     def _relabel(graph, user_map, item_map, tag_map):
@@ -393,6 +434,18 @@ EXACT_SCORERS = {
 }
 
 
+# every kind of top_n: none, empty, one, a few, negative
+RANK_TOP_N = (None, 0, 1, 3, -1)
+
+
+def assert_same_ranks(got, want, graph, context=()):
+    """``rank`` equals the dict-walking reference rank for every kind of top_n."""
+    for n in RANK_TOP_N:
+        assert (
+            rank(got, graph, n).ranked == reference_scorers.rank(want, graph, n).ranked
+        ), (*context, n)
+
+
 def assert_same_floats(graph, targets, w=0.5, k_cf=10, k_tag=10):
     """Every scorer equals the dict-walking reference exactly, keys in order."""
     for name, extra in EXACT_SCORERS.items():
@@ -401,7 +454,7 @@ def assert_same_floats(graph, targets, w=0.5, k_cf=10, k_tag=10):
             got = getattr(recommend, name)(graph, target, *args)
             want = getattr(reference_scorers, name)(graph, target, *args)
             assert list(got.scores.items()) == list(want.scores.items()), (name, target)
-            assert rank(got, graph).ranked == rank(want, graph).ranked, (name, target)
+            assert_same_ranks(got, want, graph, (name, target))
 
 
 def _graph_with_edge_cases(rng):
@@ -446,6 +499,26 @@ class TestExactReference:
         pruned, removal = prune_for_link_prediction(generate_folksonomy(500, 800, 300, 0), 0)
         users = random.Random(4).sample(sorted(removal.removals), 20)
         assert_same_floats(pruned, users)
+
+    def test_pair_counts_over_several_blocks(self):
+        """PLIERS pair counts split into blocks neither drop nor repeat a pair."""
+        rng = random.Random(6)
+        n_items, n_owned = 1050, 1030
+        tags = [f"t{k}" for k in range(40)]
+        g = FolksonomyGraph()
+        for idx in range(n_items):
+            item_tags = rng.sample(tags, 2)
+            if idx < n_owned:
+                g.add_content("u_t", f"i{idx}", item_tags, idx)
+            for user in ("u0", "u1", "u2", "u3", "u4", "u5"):
+                if rng.random() < 0.1 or (idx >= n_owned and user == "u0"):
+                    g.add_content(user, f"i{idx}", item_tags, n_items + idx)
+        n_blocks = -(-n_owned // (recommend._PAIR_BINS // n_items))
+        assert n_blocks == 2 and len(g.items) == n_items
+        for name in ("affinity_scores", "similarity_scores", "pliers_tripartite"):
+            got = getattr(recommend, name)(g, "u_t")
+            want = getattr(reference_scorers, name)(g, "u_t")
+            assert list(got.scores.items()) == list(want.scores.items()), name
 
 
 def _merge_new_item(graph):
