@@ -1,6 +1,9 @@
 """Tag-based diffusion recommenders on folksonomy graphs, plus a
 trace-driven gossip simulator for opportunistic networks."""
 
+# the one version string: manifests and the package metadata read it from here
+__version__ = "0.1.0"
+
 from .evaluation import (
     CorrelationReport,
     EvalReport,
@@ -13,7 +16,7 @@ from .evaluation import (
     recall,
     spearman_similarity,
 )
-from .graph import EntityKind, FolksonomyGraph, load_graph_tsv, save_graph_tsv
+from .graph import FolksonomyGraph, load_graph_tsv, save_graph_tsv
 from .recommend import (
     RecommendationVector,
     ScoreVector,
@@ -41,5 +44,3 @@ from .simulator import (
     run,
 )
 from .synth import generate_folksonomy, generate_synthetic_contents
-
-__version__ = "0.1.0"

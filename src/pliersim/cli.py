@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from . import evaluation, recommend, simulator, synth, traces
-from .graph import EntityKind, GraphFormatError, load_graph_tsv
+from .graph import GraphFormatError, load_graph_tsv
 from .traces import ConfigError, TraceParseError
 
 ALGORITHMS = ("pliers", "cf", "tagexp", "probs", "heats", "hybrid")
@@ -152,7 +152,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             f"unknown algorithm {args.algorithm!r}; choose from {', '.join(ALGORITHMS)}"
         )
     graph = load_graph_tsv(args.graph)
-    if not graph.has_node(EntityKind.USER, args.user):
+    if args.user not in graph.users:
         print(f"user {args.user!r} not present in graph", file=sys.stderr)
         return EXIT_NO_USER
     scorer = make_scorer(args.algorithm, args.k, args.lambda_weight)

@@ -18,6 +18,18 @@ from .recommend import ScoreVector, rank
 Scorer = Callable[[FolksonomyGraph, str], ScoreVector]
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add ``values`` one at a time, first to last.
+
+    Builtin ``sum`` compensates float rounding from Python 3.12 on, so its
+    result would depend on the interpreter version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # ----------------------------------------------------------------------
 # link removal
 # ----------------------------------------------------------------------
@@ -91,7 +103,7 @@ def precision(
         if user not in recommendations:
             raise ValueError(f"user {user!r} has removals but no recommendation list")
         pos = {item: p for p, item in enumerate(recommendations[user], start=1)}
-        total += sum(1.0 / pos[t] for t in removed if t in pos) / len(removed)
+        total += sum_in_order(1.0 / pos[t] for t in removed if t in pos) / len(removed)
     return total / len(removals)
 
 

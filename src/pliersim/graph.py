@@ -9,19 +9,10 @@ namespaces, so the same string may name both a tag and an item.
 from __future__ import annotations
 
 import sys
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
-
-
-class EntityKind(Enum):
-    """The three node namespaces; the same key may exist in more than one."""
-
-    USER = "U"
-    ITEM = "I"
-    TAG = "T"
 
 
 class FolksonomyGraph:
@@ -98,38 +89,9 @@ class FolksonomyGraph:
     def items_of_tag(self, tag: str) -> set[str]:
         return self._tag_items.get(tag, set())
 
-    def tags_of_user(self, user: str) -> set[str]:
-        """Derived user-tag view: tags reached through the user's items."""
-        out: set[str] = set()
-        for item in self._user_items.get(user, ()):
-            out |= self._item_tags[item]
-        return out
-
-    def has_node(self, kind: EntityKind, key: str) -> bool:
-        if kind is EntityKind.USER:
-            return key in self._user_items
-        if kind is EntityKind.ITEM:
-            return key in self._item_users
-        return key in self._tag_items
-
-    # degree accessors; the scoring formulas divide by these
-    def user_degree(self, user: str) -> int:
-        """Number of items linked to ``user``."""
-        return len(self._user_items.get(user, ()))
-
     def item_popularity(self, item: str) -> int:
         """Number of users linked to ``item``."""
         return len(self._item_users.get(item, ()))
-
-    def item_tag_count(self, item: str) -> int:
-        return len(self._item_tags.get(item, ()))
-
-    def tag_degree(self, tag: str) -> int:
-        """Number of items carrying ``tag``."""
-        return len(self._tag_items.get(tag, ()))
-
-    def __len__(self) -> int:
-        return len(self._user_items) + len(self._item_users) + len(self._tag_items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FolksonomyGraph):
@@ -283,12 +245,6 @@ class FolksonomyGraph:
         out = {("UI", u, i) for (u, i) in self._ui_times}
         out |= {("IT", i, t) for (i, t) in self._it_times}
         return out
-
-    def is_subgraph_of(self, other: "FolksonomyGraph") -> bool:
-        return (
-            self._ui_times.keys() <= other._ui_times.keys()
-            and self._it_times.keys() <= other._it_times.keys()
-        )
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""

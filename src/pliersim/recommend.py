@@ -15,7 +15,6 @@ randomization, and equal to those of that walk written as a loop.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -305,14 +304,6 @@ def pliers_tripartite(
     if not 0.0 <= affinity_weight <= 1.0:
         raise ValueError("affinity_weight must lie in [0, 1]")
     return _score(graph, target, _tripartite, affinity_weight)
-
-
-def cosine_user_similarity(graph: FolksonomyGraph, u: str, v: str) -> float:
-    """Cosine of the two users' binary item vectors."""
-    iu, iv = graph.items_of_user(u), graph.items_of_user(v)
-    if not iu or not iv:
-        return 0.0
-    return len(iu & iv) / math.sqrt(len(iu) * len(iv))
 
 
 def _cf(index: GraphIndex, t: int, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import jaccard, spearman_similarity
+from .evaluation import jaccard, spearman_similarity, sum_in_order
 from .graph import FolksonomyGraph
 from .recommend import pliers_tripartite, rank
 
@@ -138,7 +138,7 @@ def apply_download_policy(
         if not values:
             decision = True
         elif spec.kind == "mean_threshold":
-            decision = score > sum(values) / len(values)
+            decision = score > sum_in_order(values) / len(values)
         else:
             decision = score > float(np.percentile(values, spec.percentile))
 
@@ -237,7 +237,7 @@ def compute_step_metrics(
         rec_spear_lit.append(spearman_similarity(lk, gk, "literal"))
 
     def mean(values: list[float], empty: float) -> float:
-        return sum(values) / len(values) if values else empty
+        return sum_in_order(values) / len(values) if values else empty
 
     return StepMetrics(
         step=step,

@@ -9,7 +9,6 @@ for a fixed seed.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .graph import FolksonomyGraph
 from .simulator import ContentEvent, agent_name
@@ -194,26 +193,3 @@ def generate_folksonomy(
                     break
     return graph
 
-
-def contents_from_graph(
-    graph: FolksonomyGraph, creators: Sequence[str] | None = None
-) -> list[ContentEvent]:
-    """Turn a static graph's creation records into a replayable content stream.
-
-    Each item becomes one event at its creation time, attributed to its
-    earliest-linked user.
-    """
-    events = []
-    for item in sorted(graph.items):
-        created = graph.item_created_at[item]
-        first = min(
-            graph.users_of_item(item),
-            key=lambda u: (graph.user_item_edges[(u, item)], u),
-        )
-        if creators is not None and first not in creators:
-            continue
-        events.append(
-            ContentEvent(created, first, item, tuple(sorted(graph.tags_of_item(item))))
-        )
-    events.sort(key=lambda e: (e.time, e.item))
-    return events

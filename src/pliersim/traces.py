@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
+from . import __version__
 from .evaluation import CorrelationReport, correlation_analysis
 from .simulator import (
     ContactEvent,
@@ -23,8 +23,6 @@ from .simulator import (
 )
 
 T = TypeVar("T")
-
-TOOL_VERSION = "0.1.0"
 
 CONTACT_HEADER = "time_s,agent_a,agent_b"
 CONTENT_HEADER = "time_s,agent,item_key,tags"
@@ -44,8 +42,6 @@ CORRELATION_COMMENT = (
     "x1: n_contents; x2: n_contacts"
 )
 LINKPRED_HEADER = "algorithm,k,precision,recall,removed_fraction"
-
-log = logging.getLogger("pliersim")
 
 
 class TraceParseError(ValueError):
@@ -151,9 +147,6 @@ def write_contents(path: str | Path, events: Iterable[ContentEvent]) -> None:
 # config file
 # ----------------------------------------------------------------------
 
-# accepted and validated so that old config files still load; ignored
-_DEPRECATED_KEYS = ("spearman_mode", "rng_seed")
-
 _CONFIG_KEYS = {
     "step_length_s",
     "lambda",
@@ -164,7 +157,6 @@ _CONFIG_KEYS = {
     "download_percentile",
     "download_buffer_capacity",
     "download_history_s",
-    *_DEPRECATED_KEYS,
 }
 
 
@@ -239,11 +231,6 @@ def build_config(raw: dict[str, str]) -> SimConfig:
         ):
             policy = _set(policy, field_name, value, key)
 
-    # the deprecated keys are validated as before, then ignored
-    if raw.get("spearman_mode", "") not in ("", "corrected", "literal"):
-        raise ConfigError(f"unknown spearman_mode {raw['spearman_mode']!r}", "spearman_mode")
-    get_int("rng_seed", 0)
-
     config = SimConfig(download_policy=policy)
     for field_name, key, value in (
         ("step_length", "step_length_s", get_int("step_length_s", 60)),
@@ -253,9 +240,6 @@ def build_config(raw: dict[str, str]) -> SimConfig:
         ("top_n", "top_n", get_int("top_n", None)),
     ):
         config = _set(config, field_name, value, key)
-    for key in _DEPRECATED_KEYS:
-        if key in raw:
-            log.warning("config key %r is deprecated and has no effect", key)
     return config
 
 
@@ -328,7 +312,7 @@ def write_manifest(
 ) -> None:
     manifest = {
         "tool": "pliersim",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "config": config,
         "inputs": inputs,

@@ -54,7 +54,7 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         for user in sorted(graph.users_of_item(item)):
             mass[user] = mass.get(user, 0.0) + share
     for user in sorted(mass):
-        share = mass[user] / graph.user_degree(user)
+        share = mass[user] / len(graph.items_of_user(user))
         for item in sorted(graph.items_of_user(user)):
             scores[item] += share
     return _vector(target, scores)
@@ -73,7 +73,7 @@ def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     for user in sorted(graph.users):
         hits = len(graph.items_of_user(user) & owned)
         if hits:
-            heat[user] = hits / graph.user_degree(user)
+            heat[user] = hits / len(graph.items_of_user(user))
     for item in scores:
         users = graph.users_of_item(item)
         total = _left_sum(heat[u] for u in sorted(users) if u in heat)
@@ -149,7 +149,7 @@ def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         graph.items_of_user(target),
         graph.users_of_item,
         graph.items_of_user,
-        graph.user_degree,
+        lambda user: len(graph.items_of_user(user)),
         graph.item_popularity,
         graph,
     )
@@ -167,8 +167,8 @@ def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         graph.items_of_user(target),
         graph.tags_of_item,
         graph.items_of_tag,
-        graph.tag_degree,
-        graph.item_tag_count,
+        lambda tag: len(graph.items_of_tag(tag)),
+        lambda item: len(graph.tags_of_item(item)),
         graph,
     )
     return _vector(target, scores)
@@ -247,7 +247,7 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = _zero_scores(graph)
-    own_tags = graph.tags_of_user(target)
+    own_tags = set().union(*(graph.tags_of_item(i) for i in graph.items_of_user(target)))
     if not own_tags:
         return _vector(target, scores)
     counts = graph.derived(tag_cooccurrence)

@@ -96,7 +96,7 @@ def test_criterion_2_conservation_and_bounds(corpus):
     for graph, target in corpus:
         probs = probs_scores(graph, target).scores
         mass = sum(probs.values())
-        assert abs(mass - graph.user_degree(target)) <= 1e-12
+        assert abs(mass - len(graph.items_of_user(target))) <= 1e-12
         pliers = affinity_scores(graph, target).scores
         for item, value in pliers.items():
             assert -1e-15 <= value <= probs[item] + 1e-12

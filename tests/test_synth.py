@@ -1,10 +1,6 @@
 from collections import Counter
 
-from pliersim.synth import (
-    contents_from_graph,
-    generate_folksonomy,
-    generate_synthetic_contents,
-)
+from pliersim.synth import generate_folksonomy, generate_synthetic_contents
 
 
 class TestContentStream:
@@ -45,7 +41,7 @@ class TestFolksonomy:
         g1.validate()
         for item in g1.items:
             assert g1.item_popularity(item) >= 1
-            assert g1.item_tag_count(item) >= 1
+            assert len(g1.tags_of_item(item)) >= 1
 
     def test_many_users_eligible_for_link_removal(self):
         g = generate_folksonomy(80, 150, 50, 6)
@@ -62,16 +58,3 @@ class TestFolksonomy:
         assert pops[0] >= 2.5 * pops[len(pops) // 2]
         # top decile concentrates far more than its uniform share
         assert sum(pops[: len(pops) // 10]) >= 0.18 * sum(pops)
-
-
-class TestContentsFromGraph:
-    def test_one_event_per_item_at_creation_time(self):
-        g = generate_folksonomy(20, 40, 15, 8)
-        events = contents_from_graph(g)
-        assert len(events) == len(g.items)
-        by_item = {e.item: e for e in events}
-        for item in g.items:
-            ev = by_item[item]
-            assert ev.time == g.item_created_at[item]
-            assert set(ev.tags) == g.tags_of_item(item)
-            assert item in g.items_of_user(ev.creator)

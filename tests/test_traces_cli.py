@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import pliersim
 from pliersim import cli
 from pliersim.graph import save_graph_tsv
 from pliersim.simulator import ContactEvent, ContentEvent
@@ -80,7 +81,7 @@ class TestTraceFiles:
 
 
 class TestConfigFile:
-    def test_full_config(self, tmp_path, caplog):
+    def test_full_config(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text(
             "# simulation settings\n"
@@ -89,8 +90,6 @@ class TestConfigFile:
             "expiry_window_s = 3600\n"
             "metric_cadence = 5\n"
             "top_n = 10\n"
-            "spearman_mode = literal\n"
-            "rng_seed = 99\n"
             "download_policy = bounded_buffer\n"
             "download_buffer_capacity = 4\n"
         )
@@ -100,11 +99,6 @@ class TestConfigFile:
         assert config.expiry_window == 3600
         assert config.metric_cadence == 5
         assert config.top_n == 10
-        deprecated = [r.getMessage() for r in caplog.records if r.name == "pliersim"]
-        assert deprecated == [
-            "config key 'spearman_mode' is deprecated and has no effect",
-            "config key 'rng_seed' is deprecated and has no effect",
-        ]
         assert config.download_policy.kind == "bounded_buffer"
         assert config.download_policy.capacity == 4
 
@@ -195,6 +189,7 @@ class TestCliSimulate:
         assert digest(out1 / "correlation.csv") == digest(out2 / "correlation.csv")
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
+        assert manifest["version"] == pliersim.__version__
         assert set(manifest["outputs"]) == {"metrics.csv", "correlation.csv"}
 
     def test_parse_error_exit_code(self, tmp_path, sim_fixture, capsys):
@@ -217,8 +212,9 @@ class TestCliSimulate:
     @pytest.mark.parametrize(
         "line,message",
         [
-            ("rng_seed = x", "rng_seed must be an integer, got 'x'"),
+            ("expiry_window_s = x", "expiry_window_s must be an integer, got 'x'"),
             ("lambda = 2", "affinity_weight must lie in [0, 1]"),
+            ("spearman_mode = literal", "unknown key 'spearman_mode'"),
         ],
     )
     def test_config_value_error_cites_file_and_line(
@@ -254,6 +250,14 @@ class TestCliRecommend:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ghost" in captured.err
+
+    def test_item_and_tag_key_is_not_a_user(self, tmp_path, capsys):
+        path = tmp_path / "graph.tsv"
+        g = eq1_hand_graph()
+        g.add_content("u2", "i3", ["i1"], 3)
+        save_graph_tsv(g, path)
+        assert cli.main(["recommend", str(path), "i1"]) == 4
+        assert capsys.readouterr().out == ""
 
     def test_top_n_zero_prints_header_only(self, graph_file, capsys):
         code = cli.main(["recommend", str(graph_file), "u_t", "--top-n", "0"])
@@ -343,7 +347,7 @@ class TestHashSeed:
         path = tmp_path / "graph.tsv"
         graph = generate_folksonomy(40, 80, 25, 3)
         save_graph_tsv(graph, path)
-        user = max(sorted(graph.users), key=graph.user_degree)
+        user = max(sorted(graph.users), key=lambda u: len(graph.items_of_user(u)))
         commands = [
             ["linkpred", str(path), "--k", "3", "10", "--seed", "2"],
             *(
