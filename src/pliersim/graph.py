@@ -16,7 +16,9 @@ T = TypeVar("T")
 
 
 class FolksonomyGraph:
-    """Simple (0/1) tripartite graph with per-edge and per-item creation times.
+    """Simple (0/1) tripartite graph with a creation time on every edge.
+
+    An item's creation time is the earliest time of any edge incident to it.
 
     Mutators (``add_content``, ``merge``) require exclusive access; all read
     accessors are safe to call concurrently on an un-mutated graph.
@@ -32,7 +34,6 @@ class FolksonomyGraph:
         "_tag_items",
         "_ui_times",
         "_it_times",
-        "_item_created",
         "_derived",
     )
 
@@ -43,7 +44,6 @@ class FolksonomyGraph:
         self._tag_items: dict[str, set[str]] = {}
         self._ui_times: dict[tuple[str, str], int] = {}
         self._it_times: dict[tuple[str, str], int] = {}
-        self._item_created: dict[str, int] = {}
         # results of derived(fn), keyed by fn; every mutator clears it
         self._derived: dict[Callable, object] = {}
 
@@ -74,8 +74,9 @@ class FolksonomyGraph:
         return self._it_times
 
     @property
-    def item_created_at(self):
-        return self._item_created
+    def item_created_at(self) -> dict[str, int]:
+        """Mapping item -> creation time in seconds; treat it as read-only."""
+        return self.derived(_creation_times)
 
     def items_of_user(self, user: str) -> set[str]:
         return self._user_items.get(user, set())
@@ -96,11 +97,7 @@ class FolksonomyGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FolksonomyGraph):
             return NotImplemented
-        return (
-            self._ui_times == other._ui_times
-            and self._it_times == other._it_times
-            and self._item_created == other._item_created
-        )
+        return self._ui_times == other._ui_times and self._it_times == other._it_times
 
     # ------------------------------------------------------------------
     # mutation
@@ -110,41 +107,37 @@ class FolksonomyGraph:
         """Insert one content: the creator-item link plus one item-tag link per tag.
 
         Idempotent: repeating a call changes nothing. On re-announcement the
-        earlier creation time wins for every edge and for the item itself
+        earlier creation time wins for every edge, and so for the item itself
         (first creation is the fact; later sightings add no information).
         """
         tags = list(tags)
         if not tags:
             raise ValueError(f"content {item!r} must carry at least one tag")
-        creator = sys.intern(creator)
         item = sys.intern(item)
         time = int(time)
-
-        self._user_items.setdefault(creator, set()).add(item)
-        self._item_users.setdefault(item, set()).add(creator)
-        item_tags = self._item_tags.setdefault(item, set())
-
-        ui = (creator, item)
-        prev = self._ui_times.get(ui)
-        self._ui_times[ui] = time if prev is None else min(prev, time)
-
+        self._link_user_item(sys.intern(creator), item, time)
         for tag in tags:
-            tag = sys.intern(tag)
-            item_tags.add(tag)
-            self._tag_items.setdefault(tag, set()).add(item)
-            it = (item, tag)
-            prev = self._it_times.get(it)
-            self._it_times[it] = time if prev is None else min(prev, time)
-
-        prev = self._item_created.get(item)
-        self._item_created[item] = time if prev is None else min(prev, time)
+            self._link_item_tag(item, sys.intern(tag), time)
         self._derived.clear()
+
+    def _link_user_item(self, user: str, item: str, time: int) -> None:
+        self._user_items.setdefault(user, set()).add(item)
+        self._item_users.setdefault(item, set()).add(user)
+        prev = self._ui_times.get((user, item))
+        self._ui_times[(user, item)] = time if prev is None else min(prev, time)
+
+    def _link_item_tag(self, item: str, tag: str, time: int) -> None:
+        self._item_tags.setdefault(item, set()).add(tag)
+        self._tag_items.setdefault(tag, set()).add(item)
+        prev = self._it_times.get((item, tag))
+        self._it_times[(item, tag)] = time if prev is None else min(prev, time)
 
     def remove_user_item_edge(self, user: str, item: str) -> None:
         """Drop one user-item link; endpoints stay while still connected.
 
         An item left with no user is removed together with its tag links, as
-        is a user left with no items.
+        is a user left with no items. A kept item's creation time becomes the
+        earliest time of its remaining edges.
         """
         if (user, item) not in self._ui_times:
             raise KeyError(f"no edge ({user!r}, {item!r})")
@@ -159,7 +152,6 @@ class FolksonomyGraph:
 
     def _drop_item(self, item: str) -> None:
         del self._item_users[item]
-        del self._item_created[item]
         for tag in self._item_tags.pop(item):
             del self._it_times[(item, tag)]
             self._tag_items[tag].discard(item)
@@ -169,19 +161,9 @@ class FolksonomyGraph:
     def merge(self, other: "FolksonomyGraph") -> None:
         """Component-wise set union with ``other``; earlier timestamps win."""
         for (user, item), time in other._ui_times.items():
-            self._user_items.setdefault(user, set()).add(item)
-            self._item_users.setdefault(item, set()).add(user)
-            self._item_tags.setdefault(item, set())
-            prev = self._ui_times.get((user, item))
-            self._ui_times[(user, item)] = time if prev is None else min(prev, time)
+            self._link_user_item(user, item, time)
         for (item, tag), time in other._it_times.items():
-            self._item_tags.setdefault(item, set()).add(tag)
-            self._tag_items.setdefault(tag, set()).add(item)
-            prev = self._it_times.get((item, tag))
-            self._it_times[(item, tag)] = time if prev is None else min(prev, time)
-        for item, time in other._item_created.items():
-            prev = self._item_created.get(item)
-            self._item_created[item] = time if prev is None else min(prev, time)
+            self._link_item_tag(item, tag, time)
         self._derived.clear()
 
     # ------------------------------------------------------------------
@@ -206,7 +188,6 @@ class FolksonomyGraph:
         g._tag_items = {t: set(s) for t, s in self._tag_items.items()}
         g._ui_times = dict(self._ui_times)
         g._it_times = dict(self._it_times)
-        g._item_created = dict(self._item_created)
         return g
 
     def prune_older_than(self, now: int, window: int) -> "FolksonomyGraph":
@@ -219,21 +200,14 @@ class FolksonomyGraph:
         if window <= 0:
             raise ValueError("window must be positive")
         cutoff = now - window
+        keep = {i for i, t in self.item_created_at.items() if t >= cutoff}
         g = FolksonomyGraph()
-        keep = {i for i, t in self._item_created.items() if t >= cutoff}
         for (user, item), time in self._ui_times.items():
             if item in keep:
-                g._user_items.setdefault(user, set()).add(item)
-                g._item_users.setdefault(item, set()).add(user)
-                g._ui_times[(user, item)] = time
+                g._link_user_item(user, item, time)
         for (item, tag), time in self._it_times.items():
             if item in keep:
-                g._item_tags.setdefault(item, set()).add(tag)
-                g._tag_items.setdefault(tag, set()).add(item)
-                g._it_times[(item, tag)] = time
-        for item in keep:
-            g._item_created[item] = self._item_created[item]
-            g._item_tags.setdefault(item, set())
+                g._link_item_tag(item, tag, time)
         return g
 
     def flatten(self) -> set[tuple[str, str, str]]:
@@ -253,11 +227,17 @@ class FolksonomyGraph:
         for (i, t) in self._it_times:
             assert t in self._item_tags[i] and i in self._tag_items[t]
         for i in self._item_users:
-            assert i in self._item_created, f"item {i!r} has no creation time"
-        for (u, i), ts in self._ui_times.items():
-            assert ts >= self._item_created[i]
-        for (i, t), ts in self._it_times.items():
-            assert ts >= self._item_created[i]
+            assert self._item_tags.get(i), f"item {i!r} has no tag"
+
+
+def _creation_times(graph: FolksonomyGraph) -> dict[str, int]:
+    """Item -> earliest time of any edge incident to it."""
+    created: dict[str, int] = {}
+    for (_, item), time in graph.user_item_edges.items():
+        created[item] = min(created.get(item, time), time)
+    for (item, _), time in graph.item_tag_edges.items():
+        created[item] = min(created.get(item, time), time)
+    return created
 
 
 # ----------------------------------------------------------------------
@@ -320,24 +300,10 @@ def load_graph_tsv(path: str | Path) -> FolksonomyGraph:
             path,
         )
 
-    created: dict[str, int] = {}
     for user, item, time in ui:
-        user, item = sys.intern(user), sys.intern(item)
-        g._user_items.setdefault(user, set()).add(item)
-        g._item_users.setdefault(item, set()).add(user)
-        prev = g._ui_times.get((user, item))
-        g._ui_times[(user, item)] = time if prev is None else min(prev, time)
-        created[item] = min(created.get(item, time), time)
+        g._link_user_item(sys.intern(user), sys.intern(item), time)
     for item, tag, time in it:
-        item, tag = sys.intern(item), sys.intern(tag)
-        g._item_tags.setdefault(item, set()).add(tag)
-        g._tag_items.setdefault(tag, set()).add(item)
-        prev = g._it_times.get((item, tag))
-        g._it_times[(item, tag)] = time if prev is None else min(prev, time)
-        created[item] = min(created.get(item, time), time)
-    # the snapshot format carries no separate item record; the earliest
-    # incident edge time is the item's creation time
-    g._item_created = created
+        g._link_item_tag(sys.intern(item), sys.intern(tag), time)
     g.validate()
     return g
 

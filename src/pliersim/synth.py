@@ -75,24 +75,22 @@ def generate_synthetic_contents(
     return events
 
 
-def generate_folksonomy(
-    n_users: int,
-    n_items: int,
-    n_tags: int,
-    rng_seed: int,
-    n_topics: int | None = None,
-    adoptions_per_user: tuple[int, int] = (11, 17),
-    user_exponent: float = 0.8,
-    tag_exponent: float = 0.9,
-    extra_tag_p: float = 0.5,
-    min_tags_per_item: int = 2,
-    max_tags_per_item: int = 13,
-    secondary_topic_p: float = 0.35,
-    off_topic_p: float = 0.01,
-    attachment_exponent: float = 1.2,
-    taste_size: tuple[int, int] = (2, 3),
-    taste_exponent: float = 3.0,
-) -> FolksonomyGraph:
+# shape of generate_folksonomy graphs
+_MAX_TOPICS = 20  # topics = min(this, n_tags // 2), at least 1
+_ADOPTIONS_PER_USER = (11, 17)  # inclusive range, drawn per user
+_CREATOR_EXPONENT = 0.8  # power law over user ranks for item creation
+_TAG_EXPONENT = 0.9  # power law over tag ranks
+_EXTRA_TAG_P = 0.5  # chance of one more tag per item past the minimum
+_MIN_TAGS_PER_ITEM = 2
+_MAX_TAGS_PER_ITEM = 13
+_SECONDARY_TOPIC_P = 0.35  # chance a user draws a second topic
+_OFF_TOPIC_P = 0.01  # chance an adoption draws from all items
+_ATTACHMENT_EXPONENT = 1.2  # adoption weight grows as popularity ** this
+_TASTE_SIZE = (2, 3)  # inclusive range of taste tags per user topic
+_TASTE_EXPONENT = 3.0  # adoption weight grows as (1 + taste matches) ** this
+
+
+def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) -> FolksonomyGraph:
     """Static folksonomy with topical communities and long-tailed popularity.
 
     Tags belong to topics (tag names are shuffled so key order carries no
@@ -104,15 +102,14 @@ def generate_folksonomy(
     while each user's links stay predictable from shared adopters *and*
     shared labels.
     """
-    if n_topics is None:
-        n_topics = max(1, min(20, n_tags // 2))
-    if n_topics < 1 or n_topics > n_tags:
-        raise ValueError("need 1 <= n_topics <= n_tags")
+    if n_tags < 1:
+        raise ValueError("need n_tags >= 1")
+    n_topics = max(1, min(_MAX_TOPICS, n_tags // 2))
     rng = random.Random(rng_seed)
     users = [f"u{i:04d}" for i in range(n_users)]
     tags = [tag_name(i) for i in range(n_tags)]
     rng.shuffle(tags)
-    tag_w = _power_weights(n_tags, tag_exponent)
+    tag_w = _power_weights(n_tags, _TAG_EXPONENT)
     topic_tags: dict[int, list[str]] = {t: [] for t in range(n_topics)}
     topic_tag_w: dict[int, list[float]] = {t: [] for t in range(n_topics)}
     for rank, tag in enumerate(tags):
@@ -124,7 +121,7 @@ def generate_folksonomy(
     user_taste: dict[str, set[str]] = {}
     for u in users:
         topics = [rng.randrange(n_topics)]
-        if rng.random() < secondary_topic_p:
+        if rng.random() < _SECONDARY_TOPIC_P:
             other = rng.randrange(n_topics)
             if other != topics[0]:
                 topics.append(other)
@@ -132,13 +129,13 @@ def generate_folksonomy(
         taste: set[str] = set()
         for topic in topics:
             pool, pool_w = topic_tags[topic], topic_tag_w[topic]
-            want = min(len(pool), rng.randint(*taste_size))
+            want = min(len(pool), rng.randint(*_TASTE_SIZE))
             while len(taste & set(pool)) < want:
                 taste.add(rng.choices(pool, weights=pool_w, k=1)[0])
         user_taste[u] = taste
 
     graph = FolksonomyGraph()
-    creator_w = _power_weights(n_users, user_exponent)
+    creator_w = _power_weights(n_users, _CREATOR_EXPONENT)
     item_topic: dict[str, int] = {}
     item_tags: dict[str, tuple[str, ...]] = {}
     clock = 0
@@ -147,9 +144,9 @@ def generate_folksonomy(
         topics = user_topics[creator]
         topic = topics[0] if (len(topics) == 1 or rng.random() < 0.7) else topics[1]
         pool, pool_w = topic_tags[topic], topic_tag_w[topic]
-        want = min(min_tags_per_item, len(pool))
-        limit = min(max_tags_per_item, len(pool))
-        while want < limit and rng.random() < extra_tag_p:
+        want = min(_MIN_TAGS_PER_ITEM, len(pool))
+        limit = min(_MAX_TAGS_PER_ITEM, len(pool))
+        while want < limit and rng.random() < _EXTRA_TAG_P:
             want += 1
         chosen = sorted(user_taste[creator] & set(pool))[:want]
         while len(chosen) < want:
@@ -167,7 +164,7 @@ def generate_folksonomy(
         by_topic[topic].append(item)
     popularity = {item: 1 for item in item_topic}
 
-    lo, hi = adoptions_per_user
+    lo, hi = _ADOPTIONS_PER_USER
     all_items = sorted(item_topic)
     for u in users:
         pool = []
@@ -178,10 +175,10 @@ def generate_folksonomy(
         owned = graph.items_of_user(u)
         taste = user_taste[u]
         for _ in range(rng.randint(lo, hi)):
-            source = all_items if rng.random() < off_topic_p else pool
+            source = all_items if rng.random() < _OFF_TOPIC_P else pool
             weights = [
-                popularity[i] ** attachment_exponent
-                * (1 + len(taste & set(item_tags[i]))) ** taste_exponent
+                popularity[i] ** _ATTACHMENT_EXPONENT
+                * (1 + len(taste & set(item_tags[i]))) ** _TASTE_EXPONENT
                 for i in source
             ]
             for _attempt in range(8):

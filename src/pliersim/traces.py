@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
 from .evaluation import CorrelationReport, correlation_analysis
@@ -147,17 +147,20 @@ def write_contents(path: str | Path, events: Iterable[ContentEvent]) -> None:
 # config file
 # ----------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "step_length_s",
-    "lambda",
-    "expiry_window_s",
-    "metric_cadence",
-    "top_n",
-    "download_policy",
-    "download_percentile",
-    "download_buffer_capacity",
-    "download_history_s",
+# config key -> (dataclass, field, parser); an absent key or "none" keeps the
+# dataclass default, and the DownloadPolicySpec keys count only with a policy
+_CONFIG_FIELDS: dict[str, tuple[type, str, Callable[[str], object]]] = {
+    "step_length_s": (SimConfig, "step_length", int),
+    "lambda": (SimConfig, "affinity_weight", float),
+    "expiry_window_s": (SimConfig, "expiry_window", int),
+    "metric_cadence": (SimConfig, "metric_cadence", int),
+    "top_n": (SimConfig, "top_n", int),
+    "download_policy": (SimConfig, "download_policy", DownloadPolicySpec),
+    "download_percentile": (DownloadPolicySpec, "percentile", float),
+    "download_buffer_capacity": (DownloadPolicySpec, "capacity", int),
+    "download_history_s": (DownloadPolicySpec, "history_span_s", int),
 }
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 def parse_config_file(path: str | Path) -> SimConfig:
@@ -177,7 +180,7 @@ def parse_config_file(path: str | Path) -> SimConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value
             lines[key] = lineno
@@ -188,58 +191,31 @@ def parse_config_file(path: str | Path) -> SimConfig:
         raise ConfigError(f"{where}: {exc}", exc.key) from None
 
 
-def _set(obj: T, field_name: str, value: object, key: str) -> T:
-    """``obj`` with one field replaced; its validation errors blame ``key``."""
-    try:
-        return replace(obj, **{field_name: value})
-    except ValueError as exc:
-        raise ConfigError(str(exc), key) from None
+def _with_fields(obj: T, raw: dict[str, str]) -> T:
+    """``obj`` with each field of its class that ``raw`` sets; errors blame the key."""
+    for key, (cls, field_name, parse) in _CONFIG_FIELDS.items():
+        text = raw.get(key, "")
+        if type(obj) is not cls or text in ("", "none"):
+            continue
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            if parse in _EXPECTED:
+                raise ConfigError(f"{key} must be {_EXPECTED[parse]}, got {text!r}", key) from None
+            raise ConfigError(str(exc), key) from None
+        try:
+            obj = replace(obj, **{field_name: value})
+        except ValueError as exc:
+            raise ConfigError(str(exc), key) from None
+    return obj
 
 
 def build_config(raw: dict[str, str]) -> SimConfig:
-    def get_int(key: str, default: int | None) -> int | None:
-        value = raw.get(key, "")
-        if value in ("", "none"):
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}", key) from None
-
-    def get_float(key: str, default: float) -> float:
-        value = raw.get(key, "")
-        if value in ("", "none"):
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}", key) from None
-
     # each check of SimConfig and DownloadPolicySpec is on one field, and the
     # defaults pass them all, so setting one field at a time finds the key at fault
-    policy = None
-    kind = raw.get("download_policy", "")
-    if kind not in ("", "none"):
-        try:
-            policy = DownloadPolicySpec(kind)
-        except ValueError as exc:
-            raise ConfigError(str(exc), "download_policy") from None
-        for field_name, key, value in (
-            ("percentile", "download_percentile", get_float("download_percentile", 50.0)),
-            ("capacity", "download_buffer_capacity", get_int("download_buffer_capacity", 16)),
-            ("history_span_s", "download_history_s", get_int("download_history_s", None)),
-        ):
-            policy = _set(policy, field_name, value, key)
-
-    config = SimConfig(download_policy=policy)
-    for field_name, key, value in (
-        ("step_length", "step_length_s", get_int("step_length_s", 60)),
-        ("affinity_weight", "lambda", get_float("lambda", 0.5)),
-        ("expiry_window", "expiry_window_s", get_int("expiry_window_s", None)),
-        ("metric_cadence", "metric_cadence", get_int("metric_cadence", 1)),
-        ("top_n", "top_n", get_int("top_n", None)),
-    ):
-        config = _set(config, field_name, value, key)
+    config = _with_fields(SimConfig(), raw)
+    if config.download_policy is not None:
+        config = replace(config, download_policy=_with_fields(config.download_policy, raw))
     return config
 
 

@@ -1,4 +1,6 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,17 @@ def graphs(draw):
     for u, i, tags, t in records:
         g.add_content(f"u{u}", f"i{i}", [f"t{x}" for x in tags], t)
     return g
+
+
+def earliest_edge_times(g: FolksonomyGraph) -> dict[str, int]:
+    """Item -> earliest time of any incident edge, read off the adjacency sets."""
+    return {
+        i: min(
+            [g.user_item_edges[(u, i)] for u in g.users_of_item(i)]
+            + [g.item_tag_edges[(i, t)] for t in g.tags_of_item(i)]
+        )
+        for i in g.items
+    }
 
 
 class TestAddContent:
@@ -221,6 +234,65 @@ class TestFlatten:
             if kind == "UI":
                 rebuilt.add_content(u, i, tags_by_item[i], created[i])
         assert rebuilt == single
+
+
+class TestCreationTimes:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), graphs(), st.data())
+    def test_earliest_incident_edge_after_every_operation(self, a, b, data):
+        def check(g):
+            g.validate()
+            assert g.item_created_at == earliest_edge_times(g)
+
+        check(a)
+        m = a.copy()
+        check(m)
+        m.merge(b)
+        check(m)
+        if m.user_item_edges:
+            m.remove_user_item_edge(*data.draw(st.sampled_from(sorted(m.user_item_edges))))
+            check(m)
+        u, i, tags, t = data.draw(
+            st.tuples(st.integers(0, 4), st.integers(0, 7),
+                      st.lists(st.integers(0, 4), min_size=1, max_size=3), st.integers(0, 100))
+        )
+        m.add_content(f"u{u}", f"i{i}", [f"t{x}" for x in tags], t)
+        check(m)
+        now, window = data.draw(st.integers(0, 120)), data.draw(st.integers(1, 120))
+        pruned = m.prune_older_than(now, window)
+        check(pruned)
+        assert pruned.item_created_at == {
+            i: t for i, t in m.item_created_at.items() if t >= now - window
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.tsv"
+            save_graph_tsv(m, path)
+            loaded = load_graph_tsv(path)
+        check(loaded)
+        assert loaded.item_created_at == m.item_created_at
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), st.data())
+    def test_never_stale(self, g, data):
+        if not g.items:
+            return
+        item = data.draw(st.sampled_from(sorted(g.items)))
+        created = g.item_created_at[item]
+        earlier = created - data.draw(st.integers(1, 50))
+        g.add_content("u9", item, ["t9"], earlier)
+        assert g.item_created_at[item] == earlier
+        # the cutoff earlier + 1 keeps an item created at ``created`` only
+        assert item not in g.prune_older_than(created + 1, created - earlier).items
+
+    def test_snapshot_removal_follows_remaining_edges(self, tmp_path):
+        # a snapshot may hold a user link older than every tag link; with that
+        # link gone, the item's creation time is its next-earliest edge time
+        path = tmp_path / "graph.tsv"
+        path.write_text("UI\tu1\ti1\t5\nUI\tu2\ti1\t20\nIT\ti1\tt1\t10\n")
+        g = load_graph_tsv(path)
+        assert g.item_created_at["i1"] == 5
+        g.remove_user_item_edge("u1", "i1")
+        assert g.item_created_at["i1"] == 10
 
 
 class TestDegrees:
