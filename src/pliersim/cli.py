@@ -165,9 +165,25 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
     started = _now_utc()
-    contacts = simulator.generate_synthetic_contacts(
-        args.agents, args.communities, args.rewiring_p, args.duration_s, args.seed
-    )
+    # every value is checked before the first file is written
+    try:
+        contacts = simulator.generate_synthetic_contacts(
+            args.agents, args.communities, args.rewiring_p, args.duration_s, args.seed
+        )
+        if args.contents_out:
+            contents = synth.generate_synthetic_contents(
+                args.agents,
+                args.items,
+                args.tags,
+                args.duration_s,
+                args.seed,
+                user_exponent=args.user_exponent,
+                tag_exponent=args.tag_exponent,
+                extra_tag_p=args.extra_tag_p,
+                max_tags_per_item=args.max_tags,
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     traces.write_contacts(args.contacts_out, contacts)
     outputs = {str(args.contacts_out): traces.file_digest(args.contacts_out)}
     config = {
@@ -177,17 +193,6 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
         "duration_s": args.duration_s,
     }
     if args.contents_out:
-        contents = synth.generate_synthetic_contents(
-            args.agents,
-            args.items,
-            args.tags,
-            args.duration_s,
-            args.seed,
-            user_exponent=args.user_exponent,
-            tag_exponent=args.tag_exponent,
-            extra_tag_p=args.extra_tag_p,
-            max_tags_per_item=args.max_tags,
-        )
         traces.write_contents(args.contents_out, contents)
         outputs[str(args.contents_out)] = traces.file_digest(args.contents_out)
         config.update(

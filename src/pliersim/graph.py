@@ -18,8 +18,6 @@ T = TypeVar("T")
 class FolksonomyGraph:
     """Simple (0/1) tripartite graph with a creation time on every edge.
 
-    An item's creation time is the earliest time of any edge incident to it.
-
     Mutators (``add_content``, ``merge``) require exclusive access; all read
     accessors are safe to call concurrently on an un-mutated graph.
     User-tag adjacency is never stored: it is derived from the two edge sets.
@@ -73,11 +71,6 @@ class FolksonomyGraph:
         """Mapping (item, tag) -> creation time in seconds."""
         return self._it_times
 
-    @property
-    def item_created_at(self) -> dict[str, int]:
-        """Mapping item -> creation time in seconds; treat it as read-only."""
-        return self.derived(_creation_times)
-
     def items_of_user(self, user: str) -> set[str]:
         return self._user_items.get(user, set())
 
@@ -107,8 +100,8 @@ class FolksonomyGraph:
         """Insert one content: the creator-item link plus one item-tag link per tag.
 
         Idempotent: repeating a call changes nothing. On re-announcement the
-        earlier creation time wins for every edge, and so for the item itself
-        (first creation is the fact; later sightings add no information).
+        earlier creation time wins for every edge (first creation is the
+        fact; later sightings add no information).
         """
         tags = list(tags)
         if not tags:
@@ -136,8 +129,7 @@ class FolksonomyGraph:
         """Drop one user-item link; endpoints stay while still connected.
 
         An item left with no user is removed together with its tag links, as
-        is a user left with no items. A kept item's creation time becomes the
-        earliest time of its remaining edges.
+        is a user left with no items.
         """
         if (user, item) not in self._ui_times:
             raise KeyError(f"no edge ({user!r}, {item!r})")
@@ -190,26 +182,6 @@ class FolksonomyGraph:
         g._it_times = dict(self._it_times)
         return g
 
-    def prune_older_than(self, now: int, window: int) -> "FolksonomyGraph":
-        """Copy containing only items created at or after ``now - window``.
-
-        An expired item takes all its incident edges with it; users and tags
-        left without any edge are dropped, so node counts reflect surviving
-        knowledge only.
-        """
-        if window <= 0:
-            raise ValueError("window must be positive")
-        cutoff = now - window
-        keep = {i for i, t in self.item_created_at.items() if t >= cutoff}
-        g = FolksonomyGraph()
-        for (user, item), time in self._ui_times.items():
-            if item in keep:
-                g._link_user_item(user, item, time)
-        for (item, tag), time in self._it_times.items():
-            if item in keep:
-                g._link_item_tag(item, tag, time)
-        return g
-
     def flatten(self) -> set[tuple[str, str, str]]:
         """Both edge sets as one set of typed tuples, ready for set algebra.
 
@@ -228,16 +200,6 @@ class FolksonomyGraph:
             assert t in self._item_tags[i] and i in self._tag_items[t]
         for i in self._item_users:
             assert self._item_tags.get(i), f"item {i!r} has no tag"
-
-
-def _creation_times(graph: FolksonomyGraph) -> dict[str, int]:
-    """Item -> earliest time of any edge incident to it."""
-    created: dict[str, int] = {}
-    for (_, item), time in graph.user_item_edges.items():
-        created[item] = min(created.get(item, time), time)
-    for (item, _), time in graph.item_tag_edges.items():
-        created[item] = min(created.get(item, time), time)
-    return created
 
 
 # ----------------------------------------------------------------------

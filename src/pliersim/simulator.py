@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -187,48 +188,38 @@ class StepMetrics:
 def compute_step_metrics(
     lkgs: Mapping[str, FolksonomyGraph],
     gkg: FolksonomyGraph,
-    config: SimConfig,
+    affinity_weight: float,
+    top_n: int | None,
     *,
+    now: int,
     step: int = 0,
-    now: int | None = None,
     n_contacts: int = 0,
     n_contents: int = 0,
 ) -> StepMetrics:
-    """Compare every agent's local view and recommendations with the global ones.
+    """Compare every agent's local view and recommendations with the global one.
 
-    Graph similarity averages over *all* agents (an empty local graph scores 0
-    against a non-empty global one). Recommendation similarities skip agents
-    whose local and global recommendation vectors are both empty; when that
-    skips everyone, the averages are 1.0 by convention (nothing to recommend,
-    local trivially agrees with global). With an expiry window configured,
-    all graphs are first pruned to contents created inside the window.
+    The views come as given, under whatever expiry window applies. Graph
+    similarity (edge-set Jaccard) averages over *all* agents (an empty local
+    graph scores 0 against a non-empty global one). Recommendation
+    similarities skip agents whose local and global recommendation vectors
+    are both empty; when that skips everyone, the averages are 1.0 by
+    convention (nothing to recommend, local trivially agrees with global).
     """
-    if now is None:
-        now = (step + 1) * config.step_length
-    gview = gkg
-    if config.expiry_window is not None:
-        gview = gkg.prune_older_than(now, config.expiry_window)
-    flat_global = gview.flatten()
-
-    # agents with equal knowledge may share one graph object; its view and
-    # Jaccard are computed once, keyed by id while the graph is held here
-    views: dict[int, tuple[FolksonomyGraph, FolksonomyGraph, float]] = {}
+    # agents with equal knowledge may share one graph object; its Jaccard
+    # is computed once, keyed by id while the graph is held here
+    graph_jaccards: dict[int, tuple[FolksonomyGraph, float]] = {}
     graph_sims: list[float] = []
     rec_jaccards: list[float] = []
     rec_spear_corr: list[float] = []
     rec_spear_lit: list[float] = []
     for agent in sorted(lkgs):
-        lkg = lkgs[agent]
-        if id(lkg) not in views:
-            lview = lkg
-            if config.expiry_window is not None:
-                lview = lkg.prune_older_than(now, config.expiry_window)
-            views[id(lkg)] = (lkg, lview, jaccard(lview.flatten(), flat_global))
-        _, lview, graph_sim = views[id(lkg)]
-        graph_sims.append(graph_sim)
+        lview = lkgs[agent]
+        if id(lview) not in graph_jaccards:
+            graph_jaccards[id(lview)] = (lview, _edge_jaccard(lview, gkg))
+        graph_sims.append(graph_jaccards[id(lview)][1])
 
-        local = rank(pliers_tripartite(lview, agent, config.affinity_weight), lview, config.top_n)
-        glob = rank(pliers_tripartite(gview, agent, config.affinity_weight), gview, config.top_n)
+        local = rank(pliers_tripartite(lview, agent, affinity_weight), lview, top_n)
+        glob = rank(pliers_tripartite(gkg, agent, affinity_weight), gkg, top_n)
         if not local.ranked and not glob.ranked:
             continue
         lk, gk = local.item_keys(), glob.item_keys()
@@ -251,34 +242,18 @@ def compute_step_metrics(
     )
 
 
+def _edge_jaccard(a: FolksonomyGraph, b: FolksonomyGraph) -> float:
+    """:func:`jaccard` of the two edge sets, user-item and item-tag kept apart."""
+    shared = len(a.user_item_edges.keys() & b.user_item_edges.keys())
+    shared += len(a.item_tag_edges.keys() & b.item_tag_edges.keys())
+    edges = len(a.user_item_edges) + len(a.item_tag_edges)
+    union = edges + len(b.user_item_edges) + len(b.item_tag_edges) - shared
+    return shared / union if union else 1.0
+
+
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
-
-class _LocalGraphs(Mapping[str, FolksonomyGraph]):
-    """Read-only view agent -> local knowledge graph of a :class:`Simulation`.
-
-    A graph is built from the agent's content events when first asked for
-    and shared by every agent holding the same events; treat it as read-only.
-    """
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: "Simulation"):
-        self._sim = sim
-
-    def __getitem__(self, agent: str) -> FolksonomyGraph:
-        return self._sim._graph_of(self._sim._knowledge[agent])
-
-    def __contains__(self, agent: object) -> bool:
-        return agent in self._sim._knowledge
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sim._knowledge)
-
-    def __len__(self) -> int:
-        return len(self._sim._knowledge)
-
 
 def _set_bits(bits: int) -> list[int]:
     """Indices of the set bits of ``bits``, lowest first, in time linear in its length."""
@@ -291,17 +266,19 @@ class Simulation:
     Every content event gets an integer id in replay order, and an agent's
     knowledge is the bitset (a Python ``int``) of the events it has seen, so
     a contact is one integer OR (a grow-only set, merged by union). A local
-    graph is a function of that set alone: ``lkgs[agent]`` builds it with
-    ``add_content`` over the agent's events, memoised by bitset while some
-    agent still holds that bitset.
+    graph is a function of that set alone, built with ``add_content`` over
+    the agent's events when first asked for and memoised by bitset while
+    some agent still holds that bitset. The metric views of an expiry window
+    are graphs of event sets too (:meth:`window_views`).
     """
 
     def __init__(self, config: SimConfig, agents: Iterable[str] = ()):
         self.config = config
         self.gkg = FolksonomyGraph()
-        self.lkgs: Mapping[str, FolksonomyGraph] = _LocalGraphs(self)
         self.policies: dict[str, DownloadPolicyState] = {}
         self._events: list[ContentEvent] = []
+        # item -> bitset of the events that announce it
+        self._item_events: dict[str, int] = {}
         self._knowledge: dict[str, int] = {}
         self._items: dict[str, set[str]] = {}
         # agents holding each bitset; a graph is kept only while its count is > 0
@@ -330,20 +307,62 @@ class Simulation:
             del self._holders[old]
             self._graphs.pop(old, None)
 
-    def _graph_of(self, bits: int) -> FolksonomyGraph:
-        graph = self._graphs.get(bits)
-        if graph is None:
-            graph = FolksonomyGraph()
+    @property
+    def lkgs(self) -> Mapping[str, FolksonomyGraph]:
+        """Read-only map agent -> local knowledge graph.
+
+        Agents that know the same events share one graph; do not mutate it.
+        """
+        graphs = {a: self._graph_of(bits, self._graphs) for a, bits in self._knowledge.items()}
+        return MappingProxyType(graphs)
+
+    def _graph_of(self, bits: int, memo: dict[int, FolksonomyGraph]) -> FolksonomyGraph:
+        """The graph of the events in ``bits``, built once per ``memo``."""
+        if bits not in memo:
+            memo[bits] = graph = FolksonomyGraph()
             for index in _set_bits(bits):
                 ev = self._events[index]
                 graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
-            self._graphs[bits] = graph
-        return graph
+        return memo[bits]
+
+    def window_views(
+        self, now: int, window: int | None
+    ) -> tuple[dict[str, FolksonomyGraph], FolksonomyGraph]:
+        """Every agent's view and the global view under an expiry window.
+
+        A holder's view is the graph of its events minus those of every item
+        it knows an event of from before ``now - window``: its graph pruned by
+        item creation time. A view whose events some agent holds is that
+        agent's graph, and the view of all events is ``gkg``; the others are
+        built here and not kept.
+        """
+        cutoff = 0 if window is None else now - window
+        # an item announced once expires by its one bit; an item announced
+        # more than once expires for the holders of any older announcement
+        stale, repeated = 0, {}
+        for index, ev in enumerate(self._events):
+            if ev.time < cutoff:
+                bit, events = 1 << index, self._item_events[ev.item]
+                if events == bit:
+                    stale |= bit
+                else:
+                    repeated[events] = repeated.get(events, 0) | bit
+        everything = (1 << len(self._events)) - 1
+        built, views = {everything: self.gkg}, {}
+        for bits in {everything, *self._knowledge.values()}:
+            live = bits & ~stale
+            for events, old in repeated.items():
+                if bits & old:
+                    live &= ~events
+            views[bits] = self._graph_of(live, self._graphs if live in self._holders else built)
+        return {a: views[bits] for a, bits in self._knowledge.items()}, views[everything]
 
     def apply_content(self, event: ContentEvent) -> None:
         if event.creator not in self._knowledge:
             raise SimulationError(f"content by unknown agent {event.creator!r}")
-        self._learn(event.creator, self._knowledge[event.creator] | 1 << len(self._events))
+        bit = 1 << len(self._events)
+        self._learn(event.creator, self._knowledge[event.creator] | bit)
+        self._item_events[event.item] = self._item_events.get(event.item, 0) | bit
         self._events.append(event)
         self._items[event.creator].add(event.item)
         self.gkg.add_content(event.creator, event.item, event.tags, event.time)
@@ -377,9 +396,8 @@ class Simulation:
         policy = self.policies.get(agent)
         if policy is None or not new_items:
             return
-        scores = pliers_tripartite(
-            self.lkgs[agent], agent, self.config.affinity_weight
-        ).scores
+        graph = self._graph_of(self._knowledge[agent], self._graphs)
+        scores = pliers_tripartite(graph, agent, self.config.affinity_weight).scores
         for item in sorted(new_items):
             apply_download_policy(policy, item, scores[item], now)
 
@@ -439,13 +457,16 @@ class Simulation:
             for ev in step_contacts:
                 self.encounter(ev.a, ev.b, ev.time)
             if (step + 1) % cadence == 0 or step == last_step:
+                now = (step + 1) * length
                 for window in windows:
-                    cfg = replace(self.config, expiry_window=window)
+                    lviews, gview = self.window_views(now, window)
                     out[window].append(
                         compute_step_metrics(
-                            self.lkgs,
-                            self.gkg,
-                            cfg,
+                            lviews,
+                            gview,
+                            self.config.affinity_weight,
+                            self.config.top_n,
+                            now=now,
                             step=step,
                             n_contacts=len(step_contacts),
                             n_contents=len(step_contents),

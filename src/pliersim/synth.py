@@ -55,6 +55,8 @@ def generate_synthetic_contents(
         raise ValueError("need n_agents >= 1, n_items >= 0, n_tags >= 1")
     if max_tags_per_item < 1:
         raise ValueError("max_tags_per_item must be >= 1")
+    if duration < 1:
+        raise ValueError("duration must be >= 1")
     rng = random.Random(rng_seed)
     agents = [agent_name(i) for i in range(n_agents)]
     tags = [tag_name(i) for i in range(n_tags)]
@@ -102,8 +104,8 @@ def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) 
     while each user's links stay predictable from shared adopters *and*
     shared labels.
     """
-    if n_tags < 1:
-        raise ValueError("need n_tags >= 1")
+    if n_users < 1 or n_items < 1 or n_tags < 1:
+        raise ValueError("need n_users >= 1, n_items >= 1, n_tags >= 1")
     n_topics = max(1, min(_MAX_TOPICS, n_tags // 2))
     rng = random.Random(rng_seed)
     users = [f"u{i:04d}" for i in range(n_users)]
@@ -174,18 +176,27 @@ def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) 
             pool = all_items
         owned = graph.items_of_user(u)
         taste = user_taste[u]
-        for _ in range(rng.randint(lo, hi)):
-            source = all_items if rng.random() < _OFF_TOPIC_P else pool
-            weights = [
+
+        def weight(i: str) -> float:
+            return (
                 popularity[i] ** _ATTACHMENT_EXPONENT
                 * (1 + len(taste & set(item_tags[i]))) ** _TASTE_EXPONENT
-                for i in source
-            ]
+            )
+
+        # only this user's adoptions change popularity while it adopts, so
+        # the pool weights are built once and refreshed one entry at a time
+        pool_w = [weight(i) for i in pool]
+        position = {item: n for n, item in enumerate(pool)}
+        for _ in range(rng.randint(lo, hi)):
+            source = all_items if rng.random() < _OFF_TOPIC_P else pool
+            weights = pool_w if source is pool else [weight(i) for i in source]
             for _attempt in range(8):
                 item = rng.choices(source, weights=weights, k=1)[0]
                 if item not in owned:
                     graph.add_content(u, item, item_tags[item], clock)
                     popularity[item] += 1
+                    if item in position:
+                        pool_w[position[item]] = weight(item)
                     clock += 1
                     break
     return graph

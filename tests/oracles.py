@@ -3,12 +3,12 @@
 The scorer oracles evaluate the defining sums literally over dense adjacency
 tables rebuilt from the graph's edge sets, sharing no code with the
 production scorers. :func:`merge_replay` is the gossip replay done the
-direct way, with one graph per agent merged on every contact.
+direct way, with one graph per agent merged on every contact and expiry
+windows applied by pruning each graph with :func:`prune_older_than`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from pliersim.graph import FolksonomyGraph
@@ -138,18 +138,39 @@ def tripartite_oracle_exact(graph: FolksonomyGraph, target: str) -> dict:
 
 
 def merged_components(a: FolksonomyGraph, b: FolksonomyGraph):
-    """Expected components of merge(a, b): set unions with min timestamps."""
+    """Expected edge maps of merge(a, b): set unions with min timestamps."""
     ui: dict[tuple[str, str], int] = {}
     it: dict[tuple[str, str], int] = {}
-    created: dict[str, int] = {}
     for g in (a, b):
         for edge, t in g.user_item_edges.items():
             ui[edge] = min(ui.get(edge, t), t)
         for edge, t in g.item_tag_edges.items():
             it[edge] = min(it.get(edge, t), t)
-        for item, t in g.item_created_at.items():
-            created[item] = min(created.get(item, t), t)
-    return ui, it, created
+    return ui, it
+
+
+def creation_times(graph: FolksonomyGraph) -> dict[str, int]:
+    """Item -> creation time: the earliest time of any edge incident to it."""
+    created: dict[str, int] = {}
+    for (_, item), t in graph.user_item_edges.items():
+        created[item] = min(created.get(item, t), t)
+    for (item, _), t in graph.item_tag_edges.items():
+        created[item] = min(created.get(item, t), t)
+    return created
+
+
+def prune_older_than(graph: FolksonomyGraph, now: int, window: int) -> FolksonomyGraph:
+    """Copy of ``graph`` holding only the items created at or after ``now - window``.
+
+    An expired item takes all its incident edges with it, and users and tags
+    left without any edge go too.
+    """
+    created = creation_times(graph)
+    pruned = graph.copy()
+    for user, item in list(graph.user_item_edges):
+        if created[item] < now - window:
+            pruned.remove_user_item_edge(user, item)
+    return pruned
 
 
 def merge_replay(config, contacts, contents, windows, agents=()):
@@ -191,12 +212,19 @@ def merge_replay(config, contacts, contents, windows, agents=()):
                         apply_download_policy(policies[agent], item, scores[item], ev.time)
             encounters.append((new_a, new_b))
         if (step + 1) % config.metric_cadence == 0 or step == last_step:
+            now = (step + 1) * length
             for window in windows:
+                lviews, gview = lkgs, gkg
+                if window is not None:
+                    lviews = {a: prune_older_than(g, now, window) for a, g in lkgs.items()}
+                    gview = prune_older_than(gkg, now, window)
                 rows[window].append(
                     compute_step_metrics(
-                        lkgs,
-                        gkg,
-                        replace(config, expiry_window=window),
+                        lviews,
+                        gview,
+                        config.affinity_weight,
+                        config.top_n,
+                        now=now,
                         step=step,
                         n_contacts=len(step_contacts),
                         n_contents=len(step_contents),

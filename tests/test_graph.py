@@ -13,9 +13,10 @@ from pliersim.graph import (
     save_graph_tsv,
 )
 from pliersim.evaluation import jaccard
+from pliersim.simulator import ContentEvent, SimConfig, Simulation
 
 from conftest import build_random_graph
-from oracles import merged_components
+from oracles import creation_times, merged_components, prune_older_than
 
 
 @st.composite
@@ -37,15 +38,22 @@ def graphs(draw):
     return g
 
 
-def earliest_edge_times(g: FolksonomyGraph) -> dict[str, int]:
-    """Item -> earliest time of any incident edge, read off the adjacency sets."""
-    return {
-        i: min(
-            [g.user_item_edges[(u, i)] for u in g.users_of_item(i)]
-            + [g.item_tag_edges[(i, t)] for t in g.tags_of_item(i)]
-        )
-        for i in g.items
-    }
+def random_replay(rng: random.Random) -> Simulation:
+    """Items announced by one or more users at random times, then random contacts.
+
+    Re-announcements may come earlier than the first one, and contacts leave
+    the agents knowing different subsets of the events.
+    """
+    users = [f"u{i}" for i in range(rng.randint(2, 8))]
+    tags = [f"t{i}" for i in range(rng.randint(1, 6))]
+    sim = Simulation(SimConfig(), users)
+    for idx in range(rng.randint(1, 15)):
+        item_tags = tuple(rng.sample(tags, rng.randint(1, min(3, len(tags)))))
+        for user in rng.sample(users, rng.randint(1, len(users))):
+            sim.apply_content(ContentEvent(rng.randint(0, 100), user, f"i{idx}", item_tags))
+    for _ in range(rng.randint(0, 10)):
+        sim.encounter(*rng.sample(users, 2), 100)
+    return sim
 
 
 class TestAddContent:
@@ -57,7 +65,6 @@ class TestAddContent:
         assert len(g.tags) == 2
         assert len(g.user_item_edges) == 1
         assert len(g.item_tag_edges) == 2
-        assert g.item_created_at["i1"] == 60
 
     def test_idempotent(self):
         g1 = FolksonomyGraph()
@@ -76,7 +83,7 @@ class TestAddContent:
         g = FolksonomyGraph()
         g.add_content("u1", "i1", ["t1"], 50)
         g.add_content("u2", "i1", ["t1"], 10)
-        assert g.item_created_at["i1"] == 10
+        assert g.item_tag_edges[("i1", "t1")] == 10
         assert g.user_item_edges[("u1", "i1")] == 50
         assert g.user_item_edges[("u2", "i1")] == 10
         g.validate()
@@ -111,7 +118,6 @@ class TestMerge:
         a.merge(b)
         assert a.user_item_edges[("u1", "i1")] == 10
         assert a.item_tag_edges[("i1", "t1")] == 10
-        assert a.item_created_at["i1"] == 10
 
     def test_associativity_against_oracle(self):
         rng = random.Random(7)
@@ -121,7 +127,7 @@ class TestMerge:
             c = build_random_graph(rng, 6, 6, 4)
             left = a.copy()
             left.merge(b)
-            ui, it, created = merged_components(left, c)
+            ui, it = merged_components(left, c)
             left.merge(c)
             right_bc = b.copy()
             right_bc.merge(c)
@@ -130,7 +136,6 @@ class TestMerge:
             assert left == right
             assert dict(left.user_item_edges) == ui
             assert dict(left.item_tag_edges) == it
-            assert dict(left.item_created_at) == created
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), graphs())
@@ -144,48 +149,59 @@ class TestMerge:
 
 
 class TestPrune:
+    """Expiry as the window views of a replay: the graphs of the live events."""
+
     def test_wide_window_changes_nothing(self, rng):
-        g = build_random_graph(rng)
-        assert g.prune_older_than(now=10**9, window=10**9) == g
+        for _ in range(20):
+            sim = random_replay(rng)
+            lviews, gview = sim.window_views(now=10**9, window=10**9)
+            assert all(lviews[a] is sim.lkgs[a] for a in lviews)
+            assert gview == sim.gkg
 
     def test_full_expiry(self):
-        g = FolksonomyGraph()
-        g.add_content("u1", "i1", ["t1"], 0)
-        pruned = g.prune_older_than(now=7200, window=3600)
-        assert len(pruned.items) == 0
-        assert len(pruned.users) == 0 and len(pruned.tags) == 0
+        sim = Simulation(SimConfig(), ["u1"])
+        sim.apply_content(ContentEvent(0, "u1", "i1", ("t1",)))
+        lviews, gview = sim.window_views(now=7200, window=3600)
+        for view in (lviews["u1"], gview):
+            assert len(view.items) == 0
+            assert len(view.users) == 0 and len(view.tags) == 0
 
     def test_against_brute_force_filter(self, rng):
-        g = build_random_graph(rng)
-        times = sorted(g.item_created_at.values())
-        now = times[-1]
-        window = now - times[len(times) // 2]
-        if window <= 0:
-            window = 1
-        pruned = g.prune_older_than(now, window)
-        keep = {i for i, t in g.item_created_at.items() if t >= now - window}
-        assert set(pruned.items) == keep
-        assert dict(pruned.user_item_edges) == {
-            e: t for e, t in g.user_item_edges.items() if e[1] in keep
-        }
-        assert dict(pruned.item_tag_edges) == {
-            e: t for e, t in g.item_tag_edges.items() if e[0] in keep
-        }
+        for _ in range(20):
+            sim = random_replay(rng)
+            times = sorted(creation_times(sim.gkg).values())
+            now = times[-1]
+            window = max(1, now - times[len(times) // 2])
+            lviews, gview = sim.window_views(now, window)
+            for view, graph in [(gview, sim.gkg), *((lviews[a], sim.lkgs[a]) for a in lviews)]:
+                keep = {i for i, t in creation_times(graph).items() if t >= now - window}
+                assert set(view.items) == keep
+                assert dict(view.user_item_edges) == {
+                    e: t for e, t in graph.user_item_edges.items() if e[1] in keep
+                }
+                assert dict(view.item_tag_edges) == {
+                    e: t for e, t in graph.item_tag_edges.items() if e[0] in keep
+                }
+                assert view == prune_older_than(graph, now, window)
 
     def test_idempotent_and_no_isolated_nodes(self, rng):
-        g = build_random_graph(rng)
-        pruned = g.prune_older_than(100, 40)
-        assert pruned.prune_older_than(100, 40) == pruned
-        for u in pruned.users:
-            assert pruned.items_of_user(u)
-        for t in pruned.tags:
-            assert pruned.items_of_tag(t)
-        pruned.validate()
+        for _ in range(20):
+            sim = random_replay(rng)
+            lviews, gview = sim.window_views(100, 40)
+            for view in [gview, *lviews.values()]:
+                assert prune_older_than(view, 100, 40) == view
+                for u in view.users:
+                    assert view.items_of_user(u)
+                for t in view.tags:
+                    assert view.items_of_tag(t)
+                view.validate()
 
     def test_age_bound(self, rng):
-        g = build_random_graph(rng)
-        pruned = g.prune_older_than(100, 30)
-        assert all(100 - t <= 30 for t in pruned.item_created_at.values())
+        for _ in range(20):
+            sim = random_replay(rng)
+            lviews, gview = sim.window_views(100, 30)
+            for view in [gview, *lviews.values()]:
+                assert all(100 - t <= 30 for t in creation_times(view).values())
 
 
 class TestFlatten:
@@ -220,12 +236,12 @@ class TestFlatten:
     @given(graphs())
     def test_flatten_with_creation_times_reconstructs_graph(self, g):
         # every edge of a gossip-built graph carries its item's creation time,
-        # so the flattened edge set plus item_created_at determines the graph
+        # so the flattened edge set plus the creation times determines the graph
         single = FolksonomyGraph()
+        created = creation_times(g)
         for (u, i) in g.user_item_edges:
-            single.add_content(u, i, sorted(g.tags_of_item(i)), g.item_created_at[i])
+            single.add_content(u, i, sorted(g.tags_of_item(i)), created[i])
         rebuilt = FolksonomyGraph()
-        created = dict(single.item_created_at)
         tags_by_item: dict[str, list[str]] = {}
         for kind, x, y in sorted(single.flatten()):
             if kind == "IT":
@@ -240,59 +256,58 @@ class TestCreationTimes:
     @settings(max_examples=80, deadline=None)
     @given(graphs(), graphs(), st.data())
     def test_earliest_incident_edge_after_every_operation(self, a, b, data):
+        # a model of the edge maps: the earliest time each edge was inserted with
+        ui, it = merged_components(a, FolksonomyGraph())
+
         def check(g):
             g.validate()
-            assert g.item_created_at == earliest_edge_times(g)
+            assert dict(g.user_item_edges) == ui and dict(g.item_tag_edges) == it
 
         check(a)
         m = a.copy()
         check(m)
         m.merge(b)
+        ui, it = merged_components(a, b)
         check(m)
         if m.user_item_edges:
-            m.remove_user_item_edge(*data.draw(st.sampled_from(sorted(m.user_item_edges))))
+            user, item = data.draw(st.sampled_from(sorted(m.user_item_edges)))
+            m.remove_user_item_edge(user, item)
+            del ui[(user, item)]
+            if item not in m.items:
+                it = {e: t for e, t in it.items() if e[0] != item}
             check(m)
         u, i, tags, t = data.draw(
             st.tuples(st.integers(0, 4), st.integers(0, 7),
                       st.lists(st.integers(0, 4), min_size=1, max_size=3), st.integers(0, 100))
         )
         m.add_content(f"u{u}", f"i{i}", [f"t{x}" for x in tags], t)
+        ui[(f"u{u}", f"i{i}")] = min(ui.get((f"u{u}", f"i{i}"), t), t)
+        for x in tags:
+            it[(f"i{i}", f"t{x}")] = min(it.get((f"i{i}", f"t{x}"), t), t)
         check(m)
-        now, window = data.draw(st.integers(0, 120)), data.draw(st.integers(1, 120))
-        pruned = m.prune_older_than(now, window)
-        check(pruned)
-        assert pruned.item_created_at == {
-            i: t for i, t in m.item_created_at.items() if t >= now - window
-        }
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.tsv"
             save_graph_tsv(m, path)
             loaded = load_graph_tsv(path)
         check(loaded)
-        assert loaded.item_created_at == m.item_created_at
 
     @settings(max_examples=60, deadline=None)
-    @given(graphs(), st.data())
-    def test_never_stale(self, g, data):
-        if not g.items:
+    @given(st.integers(0, 2**32), st.data())
+    def test_never_stale(self, seed, data):
+        # window views built before an earlier re-announcement of an item
+        # must not be served after it
+        sim = random_replay(random.Random(seed))
+        item = data.draw(st.sampled_from(sorted(sim.gkg.items)))
+        created = creation_times(sim.gkg)[item]
+        if created == 0:
             return
-        item = data.draw(st.sampled_from(sorted(g.items)))
-        created = g.item_created_at[item]
-        earlier = created - data.draw(st.integers(1, 50))
-        g.add_content("u9", item, ["t9"], earlier)
-        assert g.item_created_at[item] == earlier
+        sim.window_views(created + 1, 1)
+        earlier = created - data.draw(st.integers(1, created))
+        sim.apply_content(ContentEvent(earlier, "u0", item, ("t9",)))
         # the cutoff earlier + 1 keeps an item created at ``created`` only
-        assert item not in g.prune_older_than(created + 1, created - earlier).items
-
-    def test_snapshot_removal_follows_remaining_edges(self, tmp_path):
-        # a snapshot may hold a user link older than every tag link; with that
-        # link gone, the item's creation time is its next-earliest edge time
-        path = tmp_path / "graph.tsv"
-        path.write_text("UI\tu1\ti1\t5\nUI\tu2\ti1\t20\nIT\ti1\tt1\t10\n")
-        g = load_graph_tsv(path)
-        assert g.item_created_at["i1"] == 5
-        g.remove_user_item_edge("u1", "i1")
-        assert g.item_created_at["i1"] == 10
+        lviews, gview = sim.window_views(created + 1, created - earlier)
+        assert item not in gview.items and item not in lviews["u0"].items
+        assert gview == prune_older_than(sim.gkg, created + 1, created - earlier)
 
 
 class TestDegrees:
@@ -340,7 +355,7 @@ class TestSnapshotFile:
         path.write_text("# comment\n\nUI\tu1\ti1\t5\nIT\ti1\tt1\t5\n")
         g = load_graph_tsv(path)
         assert set(g.users) == {"u1"} and set(g.tags) == {"t1"}
-        assert g.item_created_at["i1"] == 5
+        assert dict(g.user_item_edges) == {("u1", "i1"): 5}
 
     def test_dangling_item_without_tags_rejected(self, tmp_path):
         path = tmp_path / "graph.tsv"

@@ -22,7 +22,7 @@ from pliersim.simulator import (
     run,
 )
 
-from oracles import merge_replay
+from oracles import merge_replay, prune_older_than
 
 
 class TestEvents:
@@ -201,7 +201,7 @@ class TestStepMetrics:
         gkg.add_content("a", "i1", ["t1"], 0)
         gkg.add_content("b", "i2", ["t1"], 1)
         lkgs = {"a": gkg.copy(), "b": gkg.copy()}
-        m = compute_step_metrics(lkgs, gkg, SimConfig())
+        m = compute_step_metrics(lkgs, gkg, 0.5, None, now=60)
         assert m.avg_graph_jaccard == 1.0
         assert m.avg_rec_jaccard == 1.0
         assert m.avg_rec_spearman_corrected == 1.0
@@ -211,14 +211,14 @@ class TestStepMetrics:
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         lkgs = {"a": gkg.copy(), "b": FolksonomyGraph()}
-        m = compute_step_metrics(lkgs, gkg, SimConfig())
+        m = compute_step_metrics(lkgs, gkg, 0.5, None, now=60)
         assert m.avg_graph_jaccard == 0.5
 
     def test_rec_similarity_ceiling_at_equality(self):
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         gkg.add_content("b", "i2", ["t1"], 1)
-        m = compute_step_metrics({"a": gkg.copy()}, gkg, SimConfig())
+        m = compute_step_metrics({"a": gkg.copy()}, gkg, 0.5, None, now=60)
         assert (
             m.avg_rec_jaccard
             == m.avg_rec_spearman_corrected
@@ -249,37 +249,63 @@ class TestStepMetrics:
         assert last.n_contacts == 1 and last.n_contents == 0
 
     def test_views_computed_once_per_distinct_graph(self, monkeypatch):
-        flattened = []
-        real_flatten = FolksonomyGraph.flatten
-        monkeypatch.setattr(
-            FolksonomyGraph, "flatten", lambda g: flattened.append(g) or real_flatten(g)
-        )
+        builds = []
+        real_graph_of = Simulation._graph_of
+
+        def counted_graph_of(sim, bits, memo):
+            if bits not in memo:
+                builds.append(bits)
+            return real_graph_of(sim, bits, memo)
+
+        monkeypatch.setattr(Simulation, "_graph_of", counted_graph_of)
         steps = []
-        real_metrics = simulator.compute_step_metrics
+        real_views = Simulation.window_views
 
-        def counted(lkgs, *args, **kwargs):
-            before = len(flattened)
-            row = real_metrics(lkgs, *args, **kwargs)
-            steps.append((len(flattened) - before, len({id(g) for g in lkgs.values()})))
-            return row
+        def counted(sim, now, window):
+            before = len(builds)
+            lviews, gview = real_views(sim, now, window)
+            distinct = {id(g) for g in [*lviews.values(), gview]}
+            steps.append((len(builds) - before, len(distinct)))
+            if window is None or window >= now:
+                lkgs = sim.lkgs
+                assert all(lviews[a] is lkgs[a] for a in lviews)
+            return lviews, gview
 
-        monkeypatch.setattr(simulator, "compute_step_metrics", counted)
+        monkeypatch.setattr(Simulation, "window_views", counted)
         contacts, contents = TestExpiryRuns._fixture()
-        Simulation(SimConfig()).run_windows(contacts, contents, [None, 300])
-        # one flatten per distinct local graph plus one for the global view
-        assert steps and all(calls == distinct + 1 for calls, distinct in steps)
+        Simulation(SimConfig()).run_windows(contacts, contents, [None, 20 * 60, 300])
+        # at most one graph per distinct masked set, shared by equal agents
+        assert steps and all(built <= distinct for built, distinct in steps)
         assert min(distinct for _, distinct in steps) < 12
+        # a covering window finds every graph already built for no window
+        assert all(built == 0 for built, _ in steps[1::3])
 
     def test_expiry_hides_old_items_from_metrics(self):
-        gkg = FolksonomyGraph()
-        gkg.add_content("a", "old", ["t1"], 0)
-        gkg.add_content("b", "new", ["t1"], 500)
-        lkgs = {"a": gkg.copy(), "b": FolksonomyGraph()}
-        lkgs["b"].add_content("b", "new", ["t1"], 500)
-        config = SimConfig(expiry_window=100)
-        m = compute_step_metrics(lkgs, gkg, config, now=560)
-        # only "new" remains anywhere, so both agents hold the whole view
-        assert m.avg_graph_jaccard == 1.0
+        # a knows "old" and "new", b only "new"; a 100 s window at t=540
+        # leaves only "new" anywhere, so every agent holds the whole view
+        contents = [ContentEvent(0, "a", "old", ("t1",)), ContentEvent(500, "b", "new", ("t1",))]
+        contacts = [ContactEvent(501, "b", "d"), ContactEvent(502, "d", "a")]
+        rows = Simulation(SimConfig()).run_windows(contacts, contents, [None, 100])
+        assert rows[100][-1].sim_time_s == 540
+        assert rows[100][-1].avg_graph_jaccard == 1.0
+        assert rows[None][-1].avg_graph_jaccard == (1.0 + 0.5 + 1.0) / 3
+
+    def test_expiry_follows_the_announcement_each_holder_knows(self):
+        # x is announced by a at t=0 and again by b at t=500; at t=540 a
+        # 100 s window expires x for a and for the global view, which know
+        # the older announcement, while b keeps its newer copy
+        sim = Simulation(SimConfig(), ["a", "b"])
+        sim.apply_content(ContentEvent(0, "a", "x", ("t1",)))
+        sim.apply_content(ContentEvent(500, "b", "x", ("t2",)))
+        lviews, gview = sim.window_views(540, 100)
+        assert not lviews["a"].items and not gview.items
+        assert dict(lviews["b"].user_item_edges) == {("b", "x"): 500}
+        assert dict(lviews["b"].item_tag_edges) == {("x", "t2"): 500}
+        for agent in ("a", "b"):
+            assert lviews[agent] == prune_older_than(sim.lkgs[agent], 540, 100)
+        assert gview == prune_older_than(sim.gkg, 540, 100)
+        row = compute_step_metrics(lviews, gview, 0.5, None, now=540)
+        assert row.avg_graph_jaccard == (1.0 + 0.0) / 2
 
 
 class TestExpiryRuns:

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from pliersim.synth import generate_folksonomy, generate_synthetic_contents
 
 
@@ -9,6 +11,10 @@ class TestContentStream:
         assert len(events) == 400
         assert all(1 <= len(e.tags) <= 13 for e in events)
         assert all(len(set(e.tags)) == len(e.tags) for e in events)
+
+    def test_empty_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration"):
+            generate_synthetic_contents(5, 10, 4, 0, 1)
 
     def test_deterministic_and_time_sorted(self):
         a = generate_synthetic_contents(10, 50, 20, 600, 4)
@@ -34,6 +40,11 @@ class TestContentStream:
 
 
 class TestFolksonomy:
+    @pytest.mark.parametrize("shape", [(5, 0, 4), (0, 5, 4)])
+    def test_empty_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="need n_users >= 1"):
+            generate_folksonomy(*shape, 1)
+
     def test_structurally_valid_and_deterministic(self):
         g1 = generate_folksonomy(60, 120, 40, 5)
         g2 = generate_folksonomy(60, 120, 40, 5)

@@ -397,6 +397,22 @@ class TestCliGenTraces:
         assert all(len(e.tags) >= 1 for e in content_events)
         assert (tmp_path / "contacts.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--agents", "0"], "need 1 <= n_communities <= n_agents"),
+            (["--agents", "4", "--duration-s", "0"], "duration must be >= 1"),
+            (["--agents", "4", "--items", "-1"], "need n_agents >= 1, n_items >= 0, n_tags >= 1"),
+        ],
+    )
+    def test_bad_values_exit_3(self, tmp_path, capsys, flags, message):
+        contacts_out = tmp_path / "c.csv"
+        args = ["gen-traces", "--communities", "2", "--duration-s", "600", *flags]
+        args += ["--contacts-out", str(contacts_out), "--contents-out", str(tmp_path / "m.csv")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not contacts_out.exists()
+
     def test_generated_traces_feed_simulate(self, tmp_path):
         contacts_out = tmp_path / "c.csv"
         contents_out = tmp_path / "m.csv"
