@@ -35,6 +35,17 @@ def _now_utc() -> str:
 
 
 def make_scorer(name: str, k: int, affinity_weight: float) -> evaluation.Scorer:
+    """The scorer ``name`` with its ``k`` or lambda.
+
+    Raises ConfigError for an unknown name or for a value the scorer would
+    reject, so the commands can check their options before reading a graph.
+    """
+    if name not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
+    if name in K_ALGORITHMS and k < 1:
+        raise ConfigError(f"--k must be >= 1, got {k}")
+    if name in ("pliers", "hybrid") and not 0.0 <= affinity_weight <= 1.0:
+        raise ConfigError(f"--lambda must lie in [0, 1], got {affinity_weight}")
     if name == "pliers":
         return partial(recommend.pliers_tripartite, affinity_weight=affinity_weight)
     if name == "probs":
@@ -45,9 +56,7 @@ def make_scorer(name: str, k: int, affinity_weight: float) -> evaluation.Scorer:
         return lambda g, u: recommend.hybrid_scores(g, u, affinity_weight)
     if name == "cf":
         return lambda g, u: recommend.cf_user_based(g, u, k)
-    if name == "tagexp":
-        return lambda g, u: recommend.tag_expansion(g, u, k)
-    raise ConfigError(f"unknown algorithm {name!r}")
+    return lambda g, u: recommend.tag_expansion(g, u, k)
 
 
 # ----------------------------------------------------------------------
@@ -98,31 +107,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_linkpred(args: argparse.Namespace) -> int:
     started = _now_utc()
-    for name in args.algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}"
-            )
+    scorers = [
+        (name, k, make_scorer(name, 1 if k is None else k, args.lambda_weight))
+        for name in args.algorithms
+        for k in (args.k if name in K_ALGORITHMS else [None])
+    ]
     graph = load_graph_tsv(args.graph)
     pruned, removal = evaluation.prune_for_link_prediction(graph, args.seed)
 
     rows = [traces.LINKPRED_HEADER]
-    for name in args.algorithms:
-        ks = args.k if name in K_ALGORITHMS else [None]
-        for k in ks:
-            scorer = make_scorer(name, k if k is not None else 1, args.lambda_weight)
-            report = evaluation.evaluate_on_pruned(pruned, removal, scorer, args.top_n)
-            rows.append(
-                ",".join(
-                    (
-                        name,
-                        "" if k is None else str(k),
-                        traces.fmt(report.precision),
-                        traces.fmt(report.recall),
-                        traces.fmt(removal.removed_fraction),
-                    )
+    for name, k, scorer in scorers:
+        report = evaluation.evaluate_on_pruned(pruned, removal, scorer, args.top_n)
+        rows.append(
+            ",".join(
+                (
+                    name,
+                    "" if k is None else str(k),
+                    traces.fmt(report.precision),
+                    traces.fmt(report.recall),
+                    traces.fmt(removal.removed_fraction),
                 )
             )
+        )
     text = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -147,15 +153,11 @@ def cmd_linkpred(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    if args.algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {args.algorithm!r}; choose from {', '.join(ALGORITHMS)}"
-        )
+    scorer = make_scorer(args.algorithm, args.k, args.lambda_weight)
     graph = load_graph_tsv(args.graph)
     if args.user not in graph.users:
         print(f"user {args.user!r} not present in graph", file=sys.stderr)
         return EXIT_NO_USER
-    scorer = make_scorer(args.algorithm, args.k, args.lambda_weight)
     rec = recommend.rank(scorer(graph, args.user), graph, args.top_n)
     sys.stdout.write("rank,item,score\n")
     for position, (item, score) in enumerate(rec.ranked, start=1):

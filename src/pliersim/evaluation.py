@@ -131,22 +131,30 @@ def evaluate_on_pruned(
     scorer: Scorer,
     top_n: int | None = None,
 ) -> EvalReport:
-    """Score every user with removals on the pruned graph and grade recovery."""
-    lists: dict[str, list[str]] = {}
+    """Score every user with removals on the pruned graph and grade recovery.
+
+    Gives what :func:`precision` and :func:`recall` give on every user's
+    ranked list, bit for bit, grading each list as it is ranked. Each user
+    has one removed item, listed at position ``p`` or not at all, so the
+    user's precision term is ``1.0 / p`` or 0 and the recall term 1 or 0,
+    added in sorted user order.
+    """
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
+    total_precision = total_recall = 0.0
     for user in sorted(removal.removals):
-        rec = rank(scorer(pruned, user), pruned, top_n)
-        keys = rec.item_keys()
-        lists[user] = keys
-        removed = removal.removals[user]
-        positions = tuple(
-            p for p, item in enumerate(keys, start=1) if item == removed
-        )
-        per_user[user] = (positions, len(keys), 1)
-    removed_sets = {u: [i] for u, i in removal.removals.items()}
+        keys = rank(scorer(pruned, user), pruned, top_n).item_keys()
+        try:
+            position = keys.index(removal.removals[user]) + 1
+        except ValueError:
+            per_user[user] = ((), len(keys), 1)
+            continue
+        per_user[user] = ((position,), len(keys), 1)
+        total_precision += 1.0 / position
+        total_recall += 1.0
+    n = len(removal.removals)
     return EvalReport(
-        precision=precision(lists, removed_sets),
-        recall=recall(lists, removed_sets),
+        precision=total_precision / n if n else 0.0,
+        recall=total_recall / n if n else 0.0,
         per_user=per_user,
     )
 

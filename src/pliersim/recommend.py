@@ -14,7 +14,7 @@ randomization, and equal to those of that walk written as a loop.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -388,20 +388,20 @@ def rank(
     the rest sort by score descending with item-key ties ascending, truncated
     to ``top_n`` when given.
     """
-    values = scores.values
-    pos = np.flatnonzero(values > 0.0)
+    values, items = scores.values, scores.items
+    keep = values > 0.0
+    # items ascend, so bisection finds an owned item if the vector lists it
+    for item in graph.items_of_user(scores.target):
+        n = bisect_left(items, item)
+        if n < len(items) and items[n] == item:
+            keep[n] = False
+    (pos,) = keep.nonzero()
     if not pos.size:  # a cold start, as for most gossip agents: nothing to sort
         return RecommendationVector(scores.target, [])
     # items are in key order and pos ascends, so a stable sort on -score
     # leaves equal scores in ascending key order
-    order = pos[np.argsort(-values[pos], kind="stable")]
-    owned = graph.items_of_user(scores.target)
-    items = scores.items
-    kept = (
-        (items[n], s)
-        for n, s in zip(order.tolist(), values[order].tolist())
-        if items[n] not in owned
-    )
+    order = pos[(-values[pos]).argsort(kind="stable")]
     if top_n is not None:
-        kept = itertools.islice(kept, max(top_n, 0))
-    return RecommendationVector(scores.target, list(kept))
+        order = order[: max(top_n, 0)]
+    ranked = zip(map(items.__getitem__, order.tolist()), values[order].tolist())
+    return RecommendationVector(scores.target, list(ranked))

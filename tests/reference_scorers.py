@@ -10,6 +10,12 @@ total and the hybrid normaliser) are spelt out as :func:`_left_sum`. On
 Python 3.11 and earlier ``sum`` of floats is exactly that loop; from 3.12
 on it is compensated, which would make this reference depend on the
 interpreter.
+
+:func:`evaluate_on_pruned` is the reference for
+``pliersim.evaluation.evaluate_on_pruned``: it keeps every user's ranked
+list (from this module's :func:`rank`) and grades them all with the public
+``precision`` and ``recall``. The production version must return an equal
+``EvalReport``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from pliersim.evaluation import EvalReport, LinkRemovalSet, Scorer, precision, recall
 from pliersim.graph import FolksonomyGraph
 from pliersim.recommend import RecommendationVector, ScoreVector
 
@@ -284,3 +291,29 @@ def rank(
     if top_n is not None:
         ranked = ranked[: max(top_n, 0)]
     return RecommendationVector(scores.target, ranked)
+
+
+def evaluate_on_pruned(
+    pruned: FolksonomyGraph,
+    removal: LinkRemovalSet,
+    scorer: Scorer,
+    top_n: int | None = None,
+) -> EvalReport:
+    """Score every user with removals on the pruned graph and grade recovery."""
+    lists: dict[str, list[str]] = {}
+    per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
+    for user in sorted(removal.removals):
+        rec = rank(scorer(pruned, user), pruned, top_n)
+        keys = rec.item_keys()
+        lists[user] = keys
+        removed = removal.removals[user]
+        positions = tuple(
+            p for p, item in enumerate(keys, start=1) if item == removed
+        )
+        per_user[user] = (positions, len(keys), 1)
+    removed_sets = {u: [i] for u, i in removal.removals.items()}
+    return EvalReport(
+        precision=precision(lists, removed_sets),
+        recall=recall(lists, removed_sets),
+        per_user=per_user,
+    )

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_scorers
+from pliersim import cli, evaluation
 from pliersim.evaluation import (
+    LinkRemovalSet,
     correlation_analysis,
     evaluate_on_pruned,
     jaccard,
@@ -15,7 +18,8 @@ from pliersim.evaluation import (
     spearman_similarity,
 )
 from pliersim.graph import FolksonomyGraph
-from pliersim.recommend import cf_user_based, pliers_tripartite
+from pliersim.recommend import RecommendationVector, cf_user_based, pliers_tripartite
+from pliersim.synth import generate_folksonomy
 
 from conftest import build_random_graph
 from oracles import tripartite_oracle_exact
@@ -245,6 +249,123 @@ class TestEndToEndPipeline:
         for user, (positions, list_len, n_removed) in report.per_user.items():
             assert n_removed == 1
             assert all(1 <= p <= list_len for p in positions)
+
+
+def _linkpred_case(seed, adopt_p, n_tags):
+    """A small graph pruned for link prediction; few tags give exact score ties."""
+    rng = random.Random(seed)
+    g = build_random_graph(
+        rng, 9, 14, n_tags, adopt_p, min_users=3, min_items=8, min_tags=n_tags
+    )
+    return prune_for_link_prediction(g, seed)
+
+
+# every kind of top_n: none, empty, one, a few, more than any list, negative
+EVAL_TOP_N = (None, 0, 1, 3, 10, -1)
+
+
+class TestEvaluateReference:
+    """``evaluate_on_pruned`` against the reference that keeps and grades every list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from([0.3, 0.55, 0.8]),
+        st.sampled_from([1, 2, 6]),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_equal_reports_for_every_cli_scorer(self, seed, adopt_p, n_tags, k, w):
+        pruned, removal = _linkpred_case(seed, adopt_p, n_tags)
+        removed = {u: [i] for u, i in removal.removals.items()}
+        for name in cli.ALGORITHMS:
+            scorer = cli.make_scorer(name, k, w)
+            for top_n in EVAL_TOP_N:
+                got = evaluate_on_pruned(pruned, removal, scorer, top_n)
+                want = reference_scorers.evaluate_on_pruned(pruned, removal, scorer, top_n)
+                assert got == want, (name, top_n)
+                # precision and recall stay the public definitions of the fields
+                lists = {
+                    u: reference_scorers.rank(scorer(pruned, u), pruned, top_n).item_keys()
+                    for u in removal.removals
+                }
+                assert got.precision == precision(lists, removed), (name, top_n)
+                assert got.recall == recall(lists, removed), (name, top_n)
+
+    def test_cases_hold_ties_owned_top_scores_and_unscored_removals(self):
+        seen = set()
+        for seed in range(10):
+            for adopt_p, n_tags in ((0.3, 1), (0.55, 2), (0.8, 6)):
+                pruned, removal = _linkpred_case(seed, adopt_p, n_tags)
+                for name in cli.ALGORITHMS:
+                    scorer = cli.make_scorer(name, 1, 0.5)
+                    for user, item in removal.removals.items():
+                        scores = scorer(pruned, user).scores
+                        owned = pruned.items_of_user(user)
+                        listed = [s for i, s in scores.items() if s > 0.0 and i not in owned]
+                        top = max(scores.values())
+                        if len(set(listed)) < len(listed):
+                            seen.add("tie")
+                        if top > 0.0 and any(scores[i] == top for i in owned):
+                            seen.add("owned top")
+                        if scores[item] == 0.0:
+                            seen.add("unscored removal")
+        assert seen == {"tie", "owned top", "unscored removal"}
+
+
+class TestRankContract:
+    """``evaluate_on_pruned`` ranks through the module global ``evaluation.rank``.
+
+    Observers such as a benchmark replace that global to see every ranked
+    list, so it is called once per user, in user order, and what it returns
+    is exactly what gets graded.
+    """
+
+    @staticmethod
+    def _case():
+        pruned, removal = prune_for_link_prediction(generate_folksonomy(40, 80, 25, 3), 1)
+        return pruned, removal, cli.make_scorer("probs", 1, 0.5)
+
+    def test_one_rank_call_per_user_in_sorted_order(self, monkeypatch):
+        pruned, removal, scorer = self._case()
+        real, targets = evaluation.rank, []
+
+        def counting(scores, graph, top_n=None):
+            targets.append(scores.target)
+            return real(scores, graph, top_n)
+
+        monkeypatch.setattr(evaluation, "rank", counting)
+        # users are ranked in key order whatever the order of the mapping
+        backwards = LinkRemovalSet(
+            dict(reversed(removal.removals.items())), removal.removed_fraction
+        )
+        evaluate_on_pruned(pruned, backwards, scorer)
+        assert len(removal.removals) > 5
+        assert targets == sorted(removal.removals)
+
+    def test_grades_the_list_rank_returns(self, monkeypatch):
+        pruned, removal, scorer = self._case()
+        before = evaluate_on_pruned(pruned, removal, scorer)
+        # reversing moves the removed item unless it sits mid-list
+        user = next(
+            u
+            for u, (positions, length, _) in before.per_user.items()
+            if positions and 2 * positions[0] != length + 1
+        )
+        real = evaluation.rank
+
+        def one_list_reversed(scores, graph, top_n=None):
+            rec = real(scores, graph, top_n)
+            if rec.target == user:
+                return RecommendationVector(rec.target, rec.ranked[::-1])
+            return rec
+
+        monkeypatch.setattr(evaluation, "rank", one_list_reversed)
+        after = evaluate_on_pruned(pruned, removal, scorer)
+        changed = {u for u in before.per_user if before.per_user[u] != after.per_user[u]}
+        assert changed == {user}
+        (position,), length, _ = before.per_user[user]
+        assert after.per_user[user] == ((length + 1 - position,), length, 1)
 
 
 class TestCorrelation:

@@ -267,6 +267,24 @@ class TestCliRecommend:
     def test_unknown_algorithm_exits_3(self, graph_file):
         assert cli.main(["recommend", str(graph_file), "u_t", "--algorithm", "x"]) == 3
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lambda", "-1"], "--lambda must lie in [0, 1], got -1.0"),
+            (["--algorithm", "hybrid", "--lambda", "1.5"], "--lambda must lie in [0, 1], got 1.5"),
+            (["--algorithm", "cf", "--k", "0"], "--k must be >= 1, got 0"),
+            (["--algorithm", "tagexp", "--k", "-2"], "--k must be >= 1, got -2"),
+        ],
+    )
+    def test_bad_values_exit_3_before_the_graph_is_read(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "missing.tsv"
+        assert cli.main(["recommend", str(missing), "u_t", *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_values_a_scorer_does_not_use_are_not_checked(self, graph_file):
+        args = ["recommend", str(graph_file), "u_t", "--algorithm", "probs"]
+        assert cli.main([*args, "--k", "0", "--lambda", "5"]) == cli.EXIT_OK
+
 
 class TestCliLinkpred:
     @pytest.fixture
@@ -316,6 +334,20 @@ class TestCliLinkpred:
 
     def test_unknown_algorithm_exits_3(self, graph_file):
         assert cli.main(["linkpred", str(graph_file), "--algorithms", "magic"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "0"], "--k must be >= 1, got 0"),
+            (["--algorithms", "tagexp", "--k", "5", "0"], "--k must be >= 1, got 0"),
+            (["--lambda", "2"], "--lambda must lie in [0, 1], got 2.0"),
+            (["--algorithms", "hybrid", "--lambda", "-0.5"], "--lambda must lie in [0, 1], got -0.5"),
+        ],
+    )
+    def test_bad_values_exit_3_before_the_graph_is_read(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "missing.tsv"
+        assert cli.main(["linkpred", str(missing), *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_report_file_and_manifest(self, graph_file, tmp_path):
         out = tmp_path / "report.csv"
