@@ -13,6 +13,7 @@ import time
 from pliersim.cli import ALGORITHMS, K_ALGORITHMS, make_scorer
 from pliersim.evaluation import evaluate_on_pruned, prune_for_link_prediction
 from pliersim.synth import generate_folksonomy
+from pliersim.traces import ConfigError
 
 
 def main():
@@ -26,12 +27,15 @@ def main():
     args = parser.parse_args()
 
     scorers = {}
-    for name in ALGORITHMS:
-        if name in K_ALGORITHMS:
-            for k in args.k:
-                scorers[f"{name}(k={k})"] = make_scorer(name, k, args.lambda_weight)
-        else:
-            scorers[name] = make_scorer(name, 1, args.lambda_weight)
+    try:
+        for name in ALGORITHMS:
+            if name in K_ALGORITHMS:
+                for k in args.k:
+                    scorers[f"{name}(k={k})"] = make_scorer(name, k, args.lambda_weight)
+            else:
+                scorers[name] = make_scorer(name, 1, args.lambda_weight)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     totals = {name: [0.0, 0.0] for name in scorers}
     started = time.time()

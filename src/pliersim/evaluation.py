@@ -7,6 +7,7 @@ is deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -51,25 +52,29 @@ def prune_for_link_prediction(
     is linked to at least 5 items that still have popularity above 1, and the
     removed link is drawn uniformly among exactly those items. Checking
     popularity against the partially pruned graph guarantees that no item is
-    ever orphaned.
+    ever orphaned, so the pruned graph keeps every item-tag link.
     """
     rng = random.Random(rng_seed)
-    pruned = graph.copy()
     original_edges = len(graph.user_item_edges)
+    # item popularity in the partially pruned graph; ``graph`` is only read
+    popularity = Counter(item for _, item in graph.user_item_edges)
     removals: dict[str, str] = {}
     for user in sorted(graph.users):
         candidates = sorted(
-            item
-            for item in pruned.items_of_user(user)
-            if pruned.item_popularity(item) > 1
+            item for item in graph.items_of_user(user) if popularity[item] > 1
         )
         if len(candidates) < 5:
             continue
         chosen = candidates[rng.randrange(len(candidates))]
-        pruned.remove_user_item_edge(user, chosen)
+        popularity[chosen] -= 1
         removals[user] = chosen
+    kept = {
+        (user, item): time
+        for (user, item), time in graph.user_item_edges.items()
+        if removals.get(user) != item
+    }
     fraction = len(removals) / original_edges if original_edges else 0.0
-    return pruned, LinkRemovalSet(removals, fraction)
+    return FolksonomyGraph(kept, graph.item_tag_edges), LinkRemovalSet(removals, fraction)
 
 
 # ----------------------------------------------------------------------

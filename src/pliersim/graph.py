@@ -9,8 +9,9 @@ namespaces, so the same string may name both a tag and an item.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -18,32 +19,28 @@ T = TypeVar("T")
 class FolksonomyGraph:
     """Simple (0/1) tripartite graph with a creation time on every edge.
 
-    Mutators (``add_content``, ``merge``) require exclusive access; all read
-    accessors are safe to call concurrently on an un-mutated graph.
-    User-tag adjacency is never stored: it is derived from the two edge sets.
-    Set-valued accessors return live internal sets for speed; treat them as
-    read-only views.
+    The two edge maps are the whole state. Node sets, adjacency sets and
+    degrees are derived from them on first read, once per graph state, and
+    dropped by every mutator (``add_content``, ``merge``). Set-valued
+    accessors return sets of the current state, not live sets; treat them
+    as read-only. Mutators require exclusive access.
     """
 
-    __slots__ = (
-        "_user_items",
-        "_item_users",
-        "_item_tags",
-        "_tag_items",
-        "_ui_times",
-        "_it_times",
-        "_derived",
-    )
+    __slots__ = ("_ui_times", "_it_times", "_derived")
 
-    def __init__(self) -> None:
-        self._user_items: dict[str, set[str]] = {}
-        self._item_users: dict[str, set[str]] = {}
-        self._item_tags: dict[str, set[str]] = {}
-        self._tag_items: dict[str, set[str]] = {}
-        self._ui_times: dict[tuple[str, str], int] = {}
-        self._it_times: dict[tuple[str, str], int] = {}
-        # results of derived(fn), keyed by fn; every mutator clears it
-        self._derived: dict[Callable, object] = {}
+    def __init__(
+        self,
+        user_item_edges: Mapping[tuple[str, str], int] = {},
+        item_tag_edges: Mapping[tuple[str, str], int] = {},
+    ) -> None:
+        """A graph holding copies of the two edge maps, edge -> creation time."""
+        self._ui_times = dict(user_item_edges)
+        self._it_times = dict(item_tag_edges)
+        self._derived: _Derived | None = None
+
+    def _derive(self) -> "_Derived":
+        self._derived = _Derived(*_both_ways(self._ui_times), *_both_ways(self._it_times), {})
+        return self._derived
 
     # ------------------------------------------------------------------
     # node / edge views
@@ -51,15 +48,15 @@ class FolksonomyGraph:
 
     @property
     def users(self):
-        return self._user_items.keys()
+        return (self._derived or self._derive()).user_items.keys()
 
     @property
     def items(self):
-        return self._item_users.keys()
+        return (self._derived or self._derive()).item_users.keys()
 
     @property
     def tags(self):
-        return self._tag_items.keys()
+        return (self._derived or self._derive()).tag_items.keys()
 
     @property
     def user_item_edges(self):
@@ -71,21 +68,21 @@ class FolksonomyGraph:
         """Mapping (item, tag) -> creation time in seconds."""
         return self._it_times
 
-    def items_of_user(self, user: str) -> set[str]:
-        return self._user_items.get(user, set())
+    def items_of_user(self, user: str) -> AbstractSet[str]:
+        return (self._derived or self._derive()).user_items.get(user, _EMPTY)
 
-    def users_of_item(self, item: str) -> set[str]:
-        return self._item_users.get(item, set())
+    def users_of_item(self, item: str) -> AbstractSet[str]:
+        return (self._derived or self._derive()).item_users.get(item, _EMPTY)
 
-    def tags_of_item(self, item: str) -> set[str]:
-        return self._item_tags.get(item, set())
+    def tags_of_item(self, item: str) -> AbstractSet[str]:
+        return (self._derived or self._derive()).item_tags.get(item, _EMPTY)
 
-    def items_of_tag(self, tag: str) -> set[str]:
-        return self._tag_items.get(tag, set())
+    def items_of_tag(self, tag: str) -> AbstractSet[str]:
+        return (self._derived or self._derive()).tag_items.get(tag, _EMPTY)
 
     def item_popularity(self, item: str) -> int:
         """Number of users linked to ``item``."""
-        return len(self._item_users.get(item, ()))
+        return len((self._derived or self._derive()).item_users.get(item, _EMPTY))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FolksonomyGraph):
@@ -108,55 +105,18 @@ class FolksonomyGraph:
             raise ValueError(f"content {item!r} must carry at least one tag")
         item = sys.intern(item)
         time = int(time)
-        self._link_user_item(sys.intern(creator), item, time)
+        _link(self._ui_times, (sys.intern(creator), item), time)
         for tag in tags:
-            self._link_item_tag(item, sys.intern(tag), time)
-        self._derived.clear()
-
-    def _link_user_item(self, user: str, item: str, time: int) -> None:
-        self._user_items.setdefault(user, set()).add(item)
-        self._item_users.setdefault(item, set()).add(user)
-        prev = self._ui_times.get((user, item))
-        self._ui_times[(user, item)] = time if prev is None else min(prev, time)
-
-    def _link_item_tag(self, item: str, tag: str, time: int) -> None:
-        self._item_tags.setdefault(item, set()).add(tag)
-        self._tag_items.setdefault(tag, set()).add(item)
-        prev = self._it_times.get((item, tag))
-        self._it_times[(item, tag)] = time if prev is None else min(prev, time)
-
-    def remove_user_item_edge(self, user: str, item: str) -> None:
-        """Drop one user-item link; endpoints stay while still connected.
-
-        An item left with no user is removed together with its tag links, as
-        is a user left with no items.
-        """
-        if (user, item) not in self._ui_times:
-            raise KeyError(f"no edge ({user!r}, {item!r})")
-        del self._ui_times[(user, item)]
-        self._user_items[user].discard(item)
-        self._item_users[item].discard(user)
-        if not self._user_items[user]:
-            del self._user_items[user]
-        if not self._item_users[item]:
-            self._drop_item(item)
-        self._derived.clear()
-
-    def _drop_item(self, item: str) -> None:
-        del self._item_users[item]
-        for tag in self._item_tags.pop(item):
-            del self._it_times[(item, tag)]
-            self._tag_items[tag].discard(item)
-            if not self._tag_items[tag]:
-                del self._tag_items[tag]
+            _link(self._it_times, (item, sys.intern(tag)), time)
+        self._derived = None
 
     def merge(self, other: "FolksonomyGraph") -> None:
         """Component-wise set union with ``other``; earlier timestamps win."""
-        for (user, item), time in other._ui_times.items():
-            self._link_user_item(user, item, time)
-        for (item, tag), time in other._it_times.items():
-            self._link_item_tag(item, tag, time)
-        self._derived.clear()
+        for edge, time in other._ui_times.items():
+            _link(self._ui_times, edge, time)
+        for edge, time in other._it_times.items():
+            _link(self._it_times, edge, time)
+        self._derived = None
 
     # ------------------------------------------------------------------
     # derived graphs
@@ -168,19 +128,13 @@ class FolksonomyGraph:
         The result is kept until the next mutation; ``fn`` must be a pure
         read of the graph, and callers must not mutate what it returns.
         """
-        if fn not in self._derived:
-            self._derived[fn] = fn(self)
-        return self._derived[fn]
+        results = (self._derived or self._derive()).results
+        if fn not in results:
+            results[fn] = fn(self)
+        return results[fn]
 
     def copy(self) -> "FolksonomyGraph":
-        g = FolksonomyGraph()
-        g._user_items = {u: set(s) for u, s in self._user_items.items()}
-        g._item_users = {i: set(s) for i, s in self._item_users.items()}
-        g._item_tags = {i: set(s) for i, s in self._item_tags.items()}
-        g._tag_items = {t: set(s) for t, s in self._tag_items.items()}
-        g._ui_times = dict(self._ui_times)
-        g._it_times = dict(self._it_times)
-        return g
+        return FolksonomyGraph(self._ui_times, self._it_times)
 
     def flatten(self) -> set[tuple[str, str, str]]:
         """Both edge sets as one set of typed tuples, ready for set algebra.
@@ -193,13 +147,39 @@ class FolksonomyGraph:
         return out
 
     def validate(self) -> None:
-        """Check structural invariants; raises AssertionError on violation."""
-        for (u, i) in self._ui_times:
-            assert i in self._user_items[u] and u in self._item_users[i]
-        for (i, t) in self._it_times:
-            assert t in self._item_tags[i] and i in self._tag_items[t]
-        for i in self._item_users:
-            assert self._item_tags.get(i), f"item {i!r} has no tag"
+        """Check that every item has a user link and a tag link (AssertionError if not)."""
+        owned = {i for _, i in self._ui_times}
+        tagged = {i for i, _ in self._it_times}
+        assert owned == tagged, f"items without a tag or a user: {sorted(owned ^ tagged)}"
+
+
+_EMPTY: frozenset = frozenset()
+
+
+def _link(edges: dict[tuple[str, str], int], edge: tuple[str, str], time: int) -> None:
+    """Insert ``edge`` at ``time``; an edge already present keeps the earlier time."""
+    prev = edges.get(edge)
+    edges[edge] = time if prev is None else min(prev, time)
+
+
+def _both_ways(edges: Iterable[tuple[str, str]]) -> tuple[dict, dict]:
+    """Adjacency sets of a bipartite edge set, both ways, filled in edge order."""
+    forward: defaultdict[str, set[str]] = defaultdict(set)
+    backward: defaultdict[str, set[str]] = defaultdict(set)
+    for a, b in edges:
+        forward[a].add(b)
+        backward[b].add(a)
+    return forward, backward
+
+
+class _Derived(NamedTuple):
+    """What one graph state determines: adjacency sets and ``derived(fn)`` results."""
+
+    user_items: dict[str, set[str]]
+    item_users: dict[str, set[str]]
+    item_tags: dict[str, set[str]]
+    tag_items: dict[str, set[str]]
+    results: dict[Callable, object]
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +211,8 @@ def load_graph_tsv(path: str | Path) -> FolksonomyGraph:
     ``IT<TAB>item<TAB>tag<TAB>time``. The load fails on dangling records:
     every item must end up with at least one user link and one tag link.
     """
-    g = FolksonomyGraph()
-    ui: list[tuple[str, str, int]] = []
-    it: list[tuple[str, str, int]] = []
+    ui: dict[tuple[str, str], int] = {}
+    it: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, fields in _records(fh):
             if len(fields) != 4:
@@ -246,28 +225,22 @@ def load_graph_tsv(path: str | Path) -> FolksonomyGraph:
             except ValueError:
                 raise GraphFormatError(f"bad time {time_s!r}", path, lineno) from None
             if kind == "UI":
-                ui.append((a, b, time))
+                _link(ui, (sys.intern(a), sys.intern(b)), time)
             elif kind == "IT":
-                it.append((a, b, time))
+                _link(it, (sys.intern(a), sys.intern(b)), time)
             else:
                 raise GraphFormatError(f"unknown record kind {kind!r}", path, lineno)
 
-    tagged = {item for item, _, _ in it}
-    owned = {item for _, item, _ in ui}
-    dangling = sorted((tagged - owned) | (owned - tagged))
+    owned = {item for _, item in ui}
+    tagged = {item for item, _ in it}
+    dangling = sorted(owned ^ tagged)
     if dangling:
         raise GraphFormatError(
             "dangling items (need both a user link and a tag link): "
             + ", ".join(dangling),
             path,
         )
-
-    for user, item, time in ui:
-        g._link_user_item(sys.intern(user), sys.intern(item), time)
-    for item, tag, time in it:
-        g._link_item_tag(sys.intern(item), sys.intern(tag), time)
-    g.validate()
-    return g
+    return FolksonomyGraph(ui, it)
 
 
 def save_graph_tsv(graph: FolksonomyGraph, path: str | Path) -> None:

@@ -136,7 +136,7 @@ def _score(graph: FolksonomyGraph, target: str, fn: Callable, *args) -> ScoreVec
     """``fn(index, target's index, *args)`` as a ScoreVector; all zeros on a cold start.
 
     A cold start builds no index: it is the common case in the gossip
-    metrics, where most agents created nothing.
+    replay's discovery scoring, where most agents created nothing.
     """
     if not graph.items_of_user(target):
         items = sorted(graph.items)

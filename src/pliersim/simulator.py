@@ -218,6 +218,9 @@ def compute_step_metrics(
             graph_jaccards[id(lview)] = (lview, _edge_jaccard(lview, gkg))
         graph_sims.append(graph_jaccards[id(lview)][1])
 
+        # a cold start on both views: both lists would be empty
+        if agent not in gkg.users and agent not in lview.users:
+            continue
         local = rank(pliers_tripartite(lview, agent, affinity_weight), lview, top_n)
         glob = rank(pliers_tripartite(gkg, agent, affinity_weight), gkg, top_n)
         if not local.ranked and not glob.ranked:

@@ -140,6 +140,7 @@ def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) 
     creator_w = _power_weights(n_users, _CREATOR_EXPONENT)
     item_topic: dict[str, int] = {}
     item_tags: dict[str, tuple[str, ...]] = {}
+    created: dict[str, set[str]] = {}
     clock = 0
     for idx in range(n_items):
         creator = rng.choices(users, weights=creator_w, k=1)[0]
@@ -157,6 +158,7 @@ def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) 
                 chosen.append(tag)
         item = item_name(idx)
         graph.add_content(creator, item, chosen, clock)
+        created.setdefault(creator, set()).add(item)
         item_topic[item] = topic
         item_tags[item] = tuple(chosen)
         clock += 1
@@ -174,7 +176,11 @@ def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) 
             pool.extend(by_topic[topic])
         if not pool:
             pool = all_items
-        owned = graph.items_of_user(u)
+        # A user who created nothing is checked against an empty set that
+        # never grows, so a repeat draw re-adds an adopted edge (a no-op),
+        # raises popularity and uses up an adoption. Kept: mending it would
+        # change every generated graph, the bench's linkpred inputs included.
+        owned = created.get(u, set())
         taste = user_taste[u]
 
         def weight(i: str) -> float:
@@ -194,6 +200,8 @@ def generate_folksonomy(n_users: int, n_items: int, n_tags: int, rng_seed: int) 
                 item = rng.choices(source, weights=weights, k=1)[0]
                 if item not in owned:
                     graph.add_content(u, item, item_tags[item], clock)
+                    if u in created:
+                        owned.add(item)
                     popularity[item] += 1
                     if item in position:
                         pool_w[position[item]] = weight(item)

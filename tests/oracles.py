@@ -166,11 +166,10 @@ def prune_older_than(graph: FolksonomyGraph, now: int, window: int) -> Folksonom
     left without any edge go too.
     """
     created = creation_times(graph)
-    pruned = graph.copy()
-    for user, item in list(graph.user_item_edges):
-        if created[item] < now - window:
-            pruned.remove_user_item_edge(user, item)
-    return pruned
+    return FolksonomyGraph(
+        {e: t for e, t in graph.user_item_edges.items() if created[e[1]] >= now - window},
+        {e: t for e, t in graph.item_tag_edges.items() if created[e[0]] >= now - window},
+    )
 
 
 def merge_replay(config, contacts, contents, windows, agents=()):

@@ -269,13 +269,6 @@ class TestCreationTimes:
         m.merge(b)
         ui, it = merged_components(a, b)
         check(m)
-        if m.user_item_edges:
-            user, item = data.draw(st.sampled_from(sorted(m.user_item_edges)))
-            m.remove_user_item_edge(user, item)
-            del ui[(user, item)]
-            if item not in m.items:
-                it = {e: t for e, t in it.items() if e[0] != item}
-            check(m)
         u, i, tags, t = data.draw(
             st.tuples(st.integers(0, 4), st.integers(0, 7),
                       st.lists(st.integers(0, 4), min_size=1, max_size=3), st.integers(0, 100))
@@ -334,13 +327,76 @@ class TestDerived:
         for mutate, edges in (
             (lambda: g.add_content("u1", "i3", ["t2"], 1), 4),
             (lambda: g.merge(other), 6),
-            (lambda: g.remove_user_item_edge("u1", "i3"), 4),
         ):
             mutate()
             assert g.derived(edge_count) == edges
+        assert len(calls) == 3
+        assert g.copy().derived(edge_count) == 6
         assert len(calls) == 4
-        assert g.copy().derived(edge_count) == 4
-        assert len(calls) == 5
+
+
+def assert_views_match_edge_maps(g: FolksonomyGraph) -> None:
+    """Every adjacency accessor equals sets built by brute force from the edge maps."""
+    ui, it = list(g.user_item_edges), list(g.item_tag_edges)
+    users = {u for u, _ in ui}
+    items = {i for _, i in ui}
+    tags = {t for _, t in it}
+    assert set(g.users) == users and set(g.items) == items and set(g.tags) == tags
+    for u in users | {"nobody"}:
+        assert g.items_of_user(u) == {i for v, i in ui if v == u}
+    for i in items | {"nothing"}:
+        assert g.users_of_item(i) == {u for u, j in ui if j == i}
+        assert g.item_popularity(i) == len(g.users_of_item(i))
+        assert g.tags_of_item(i) == {t for j, t in it if j == i}
+    for t in tags | {"nothing"}:
+        assert g.items_of_tag(t) == {i for i, s in it if s == t}
+    g.validate()
+
+
+class TestReadsFollowMutations:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graphs(),
+        graphs(),
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 7),
+                      st.lists(st.integers(0, 5), min_size=1, max_size=3), st.integers(0, 100)),
+            max_size=4,
+        ),
+    )
+    def test_accessors_after_every_mutation(self, a, b, contents):
+        # each check fills the derived views, so a view left stale by the next
+        # mutation would fail the check after it
+        assert_views_match_edge_maps(a)
+        for u, i, tags, t in contents:
+            a.add_content(f"u{u}", f"i{i}", [f"t{x}" for x in tags], t)
+            assert_views_match_edge_maps(a)
+        a.merge(b)
+        assert_views_match_edge_maps(a)
+        ui, it = dict(a.user_item_edges), dict(a.item_tag_edges)
+        built = FolksonomyGraph(ui, it)
+        assert_views_match_edge_maps(built)
+        assert built == a
+        # the graph holds copies of the maps it was built from
+        ui[("u_new", "i_new")] = it[("i_new", "t_new")] = 0
+        assert built == a
+        a.add_content("u_new", "i_new", ["t_new"], 0)
+        assert "i_new" in a.items and "i_new" not in built.items
+        assert_views_match_edge_maps(a)
+        assert_views_match_edge_maps(built)
+
+    def test_sets_read_before_a_mutation_do_not_follow_it(self):
+        g = FolksonomyGraph({("u1", "i1"): 0}, {("i1", "t1"): 0})
+        held = g.items_of_user("u1")
+        g.add_content("u1", "i2", ["t1"], 5)
+        assert held == {"i1"} and g.items_of_user("u1") == {"i1", "i2"}
+
+    def test_validate_needs_a_user_and_a_tag_on_every_item(self):
+        FolksonomyGraph().validate()
+        with pytest.raises(AssertionError):
+            FolksonomyGraph({("u1", "i1"): 0}, {}).validate()
+        with pytest.raises(AssertionError):
+            FolksonomyGraph({}, {("i1", "t1"): 0}).validate()
 
 
 class TestSnapshotFile:

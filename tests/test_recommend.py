@@ -466,8 +466,10 @@ def _graph_with_edge_cases(rng):
     g.add_content("newcomer", "lonely", ["t_lonely"], 95)
     # a user whose only link was removed, so the user left the graph
     g.add_content("gone", "gone_item", [rng.choice(sorted(g.tags))], 99)
-    g.remove_user_item_edge("gone", "gone_item")
-    return g
+    return FolksonomyGraph(
+        {e: t for e, t in g.user_item_edges.items() if e != ("gone", "gone_item")},
+        {e: t for e, t in g.item_tag_edges.items() if e[0] != "gone_item"},
+    )
 
 
 class TestExactReference:
@@ -527,12 +529,21 @@ def _merge_new_item(graph):
     graph.merge(other)
 
 
+def _link_existing_nodes(graph):
+    """Link a user to an item it lacks, with a tag the item lacks; add no node."""
+    user, item, tag = min(
+        (u, i, t)
+        for u in graph.users
+        for i in graph.items
+        for t in graph.tags
+        if (u, i) not in graph.user_item_edges and (i, t) not in graph.item_tag_edges
+    )
+    graph.add_content(user, item, [tag], 50)
+
+
 MUTATIONS = {
     "add_content": lambda g: g.add_content("u0", "i_new", ["t0", "t_new"], 50),
-    # an item with one user, so that the item leaves the graph too
-    "remove_user_item_edge": lambda g: g.remove_user_item_edge(
-        *min((u, i) for u, i in g.user_item_edges if g.item_popularity(i) == 1)
-    ),
+    "link_existing_nodes": _link_existing_nodes,
     "merge": _merge_new_item,
 }
 

@@ -559,3 +559,37 @@ def test_event_set_replay_matches_merge_replay(replay):
     assert {a: (p.observed, p.downloaded) for a, p in sim.policies.items()} == {
         a: (p.observed, p.downloaded) for a, p in ref_policies.items()
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(replays())
+def test_agents_outside_both_views_are_not_scored(replay):
+    """An agent that is a user of neither view is not scored; rows stay the same."""
+    config, contacts, contents, windows = replay
+    roster = AGENTS + ["s1", "s2"]
+    _, _, ref_rows, _ = merge_replay(config, contacts, contents, windows, roster)
+    real_metrics, real_score = simulator.compute_step_metrics, simulator.pliers_tripartite
+    scored, skipped = [], []
+
+    def counted_score(graph, agent, *args):
+        scored.append(agent)
+        return real_score(graph, agent, *args)
+
+    def checked_metrics(lviews, gview, weight, top_n, **kwargs):
+        scored.clear()  # discovery scoring in the contacts before
+        row = real_metrics(lviews, gview, weight, top_n, **kwargs)
+        outside = [a for a, v in lviews.items() if a not in v.users and a not in gview.users]
+        assert not set(outside) & set(scored)
+        # scored, both of their lists would be empty, and the row skips those
+        for agent in outside:
+            for view in (lviews[agent], gview):
+                assert not simulator.rank(real_score(view, agent, weight), view, top_n).ranked
+        skipped.extend(outside)
+        return row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "pliers_tripartite", counted_score)
+        patch.setattr(simulator, "compute_step_metrics", checked_metrics)
+        rows = Simulation(config, roster).run_windows(contacts, contents, windows)
+    assert rows == ref_rows
+    assert {"s1", "s2"} <= set(skipped)

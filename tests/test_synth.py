@@ -1,7 +1,9 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
+from pliersim.graph import save_graph_tsv
 from pliersim.synth import generate_folksonomy, generate_synthetic_contents
 
 
@@ -53,6 +55,13 @@ class TestFolksonomy:
         for item in g1.items:
             assert g1.item_popularity(item) >= 1
             assert len(g1.tags_of_item(item)) >= 1
+
+    def test_output_pinned(self, tmp_path):
+        # the bench's link-prediction inputs come from this generator, so any
+        # change to what it draws or keeps must show here first
+        save_graph_tsv(generate_folksonomy(60, 120, 40, 0), tmp_path / "graph.tsv")
+        digest = hashlib.sha256((tmp_path / "graph.tsv").read_bytes()).hexdigest()
+        assert digest == "4a8bc89bf544e8e800b8ca2cc1da76a8e8f0d302f743f2730f0e573e9e229854"
 
     def test_many_users_eligible_for_link_removal(self):
         g = generate_folksonomy(80, 150, 50, 6)
