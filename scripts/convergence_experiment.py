@@ -49,10 +49,6 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     duration = int(args.hours * 3600)
-    try:
-        config = SimConfig(metric_cadence=args.cadence)
-    except ValueError as exc:
-        parser.error(f"--cadence: {exc}")
     for n in args.agents:
         try:
             contacts = generate_synthetic_contacts(
@@ -63,7 +59,7 @@ def main():
         contents = poisson_contents(
             random.Random(args.seed), n, duration / 2, args.content_gap_s, 40
         )
-        metrics = run(config, contacts, contents)
+        metrics = run(SimConfig(metric_cadence=args.cadence), contacts, contents)
         path = outdir / f"metrics_{n}_agents.csv"
         path.write_text(metrics_csv_text(metrics), encoding="utf-8")
         final = metrics[-1].avg_graph_jaccard

@@ -68,13 +68,12 @@ def prune_for_link_prediction(
         chosen = candidates[rng.randrange(len(candidates))]
         popularity[chosen] -= 1
         removals[user] = chosen
-    kept = {
-        (user, item): time
-        for (user, item), time in graph.user_item_edges.items()
-        if removals.get(user) != item
-    }
+    # nothing has read the fresh copy yet, so it holds no derived state to drop
+    pruned = graph.copy()
+    for edge in removals.items():
+        del pruned._ui_times[edge]
     fraction = len(removals) / original_edges if original_edges else 0.0
-    return FolksonomyGraph(kept, graph.item_tag_edges), LinkRemovalSet(removals, fraction)
+    return pruned, LinkRemovalSet(removals, fraction)
 
 
 # ----------------------------------------------------------------------

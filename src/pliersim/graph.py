@@ -30,12 +30,12 @@ class FolksonomyGraph:
 
     def __init__(
         self,
-        user_item_edges: Mapping[tuple[str, str], int] = {},
-        item_tag_edges: Mapping[tuple[str, str], int] = {},
+        user_item_edges: Mapping[tuple[str, str], int] | None = None,
+        item_tag_edges: Mapping[tuple[str, str], int] | None = None,
     ) -> None:
         """A graph holding copies of the two edge maps, edge -> creation time."""
-        self._ui_times = dict(user_item_edges)
-        self._it_times = dict(item_tag_edges)
+        self._ui_times = dict(user_item_edges or ())
+        self._it_times = dict(item_tag_edges or ())
         self._derived: _Derived | None = None
 
     def _derive(self) -> "_Derived":
