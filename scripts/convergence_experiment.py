@@ -59,6 +59,8 @@ def main():
         contents = poisson_contents(
             random.Random(args.seed), n, duration / 2, args.content_gap_s, 40
         )
+        if not contacts and not contents:
+            parser.error(f"with {n} agents: nothing to replay in {args.hours} h")
         metrics = run(SimConfig(metric_cadence=args.cadence), contacts, contents)
         path = outdir / f"metrics_{n}_agents.csv"
         path.write_text(metrics_csv_text(metrics), encoding="utf-8")

@@ -19,6 +19,7 @@ from .evaluation import (
 from .graph import FolksonomyGraph, load_graph_tsv, save_graph_tsv
 from .recommend import (
     RecommendationVector,
+    Scorer,
     ScoreVector,
     affinity_scores,
     cf_user_based,

@@ -34,11 +34,13 @@ def _now_utc() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def make_scorer(name: str, k: int, affinity_weight: float) -> evaluation.Scorer:
+def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
     """The scorer ``name`` with its ``k`` or lambda.
 
-    Raises ConfigError for an unknown name or for a value the scorer would
-    reject, so the commands can check their options before reading a graph.
+    The Scorer scores one target when called, and many targets of one
+    graph, block by block, with ``many``. Raises ConfigError for an
+    unknown name or for a value the scorer would reject, so the commands
+    can check their options before reading a graph.
     """
     if name not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
@@ -46,17 +48,15 @@ def make_scorer(name: str, k: int, affinity_weight: float) -> evaluation.Scorer:
         raise ConfigError(f"--k must be >= 1, got {k}")
     if name in ("pliers", "hybrid") and not 0.0 <= affinity_weight <= 1.0:
         raise ConfigError(f"--lambda must lie in [0, 1], got {affinity_weight}")
-    if name == "pliers":
-        return partial(recommend.pliers_tripartite, affinity_weight=affinity_weight)
-    if name == "probs":
-        return recommend.probs_scores
-    if name == "heats":
-        return recommend.heats_scores
-    if name == "hybrid":
-        return lambda g, u: recommend.hybrid_scores(g, u, affinity_weight)
-    if name == "cf":
-        return lambda g, u: recommend.cf_user_based(g, u, k)
-    return lambda g, u: recommend.tag_expansion(g, u, k)
+    kernels = {
+        "pliers": partial(recommend._tripartite, affinity_weight=affinity_weight),
+        "cf": partial(recommend._cf, k=k),
+        "tagexp": partial(recommend._tag_expansion, k=k),
+        "probs": recommend._probs,
+        "heats": recommend._heats,
+        "hybrid": partial(recommend._hybrid, probs_weight=affinity_weight),
+    }
+    return recommend.Scorer(kernels[name])
 
 
 # ----------------------------------------------------------------------

@@ -9,14 +9,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graph import FolksonomyGraph
-from .recommend import ScoreVector, rank
-
-Scorer = Callable[[FolksonomyGraph, str], ScoreVector]
+from .recommend import Scorer, rank
 
 
 def sum_in_order(values: Iterable[float]) -> float:
@@ -138,15 +136,18 @@ def evaluate_on_pruned(
     """Score every user with removals on the pruned graph and grade recovery.
 
     Gives what :func:`precision` and :func:`recall` give on every user's
-    ranked list, bit for bit, grading each list as it is ranked. Each user
-    has one removed item, listed at position ``p`` or not at all, so the
-    user's precision term is ``1.0 / p`` or 0 and the recall term 1 or 0,
-    added in sorted user order.
+    ranked list, bit for bit, grading each list as it is ranked. The users
+    are scored together with ``scorer.many``, block by block, and each
+    user's scores go through the module global ``rank`` once, in sorted
+    user order. Each user has one removed item, listed at position ``p`` or
+    not at all, so the user's precision term is ``1.0 / p`` or 0 and the
+    recall term 1 or 0, added in sorted user order.
     """
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
     total_precision = total_recall = 0.0
-    for user in sorted(removal.removals):
-        keys = rank(scorer(pruned, user), pruned, top_n).item_keys()
+    users = sorted(removal.removals)
+    for user, scores in zip(users, scorer.many(pruned, users)):
+        keys = rank(scores, pruned, top_n).item_keys()
         try:
             position = keys.index(removal.removals[user]) + 1
         except ValueError:

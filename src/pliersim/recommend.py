@@ -3,20 +3,28 @@
 Every scorer is a pure read of the graph and returns a score for *every*
 item in it (owned items included); :func:`rank` filters owned and
 zero-score items afterwards. A target with no items, or absent from the
-graph entirely, is a cold start and yields an all-zero vector.
+graph entirely, is a cold start and yields an all-zero vector; cold starts
+never reach the array kernels, and a graph whose targets are all cold gets
+no index.
 
 Scores are computed over a :class:`GraphIndex` of the graph (sorted keys
-and CSR adjacency arrays), built once per graph state. Every sum adds its
-terms in the order of a walk over sorted keys, one at a time, so score
-values are bit-reproducible across processes regardless of hash
-randomization, and equal to those of that walk written as a loop.
+and CSR adjacency arrays), built once per graph state. Each scorer is one
+array kernel that scores a block of targets at once, one row per target;
+a :class:`Scorer` feeds it the targets of one graph in blocks of at most
+``_BLOCK_SCORES`` scores, and the public single-target functions are a
+block of one. Every sum adds its terms in the order of a walk over sorted
+keys, one at a time, so score values are bit-reproducible across
+processes regardless of hash randomization, equal to those of that walk
+written as a loop, and the same whether a target is scored alone or in a
+block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,13 +73,11 @@ class Adjacency(NamedTuple):
     """One direction of a bipartite edge set as CSR arrays.
 
     Row ``r``'s neighbours are ``cols[ptr[r]:ptr[r + 1]]`` in ascending
-    index order; ``row_of[e]`` is the row of entry ``e`` and ``degree[r]``
-    the length of row ``r``.
+    index order, and ``degree[r]`` is the length of row ``r``.
     """
 
     ptr: np.ndarray
     cols: np.ndarray
-    row_of: np.ndarray
     degree: np.ndarray
 
     @classmethod
@@ -80,10 +86,7 @@ class Adjacency(NamedTuple):
         degree = np.bincount(rows, minlength=n_rows)
         ptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(degree, out=ptr[1:])
-        return cls(ptr, cols[order], rows[order], degree)
-
-    def row(self, r: int) -> np.ndarray:
-        return self.cols[self.ptr[r] : self.ptr[r + 1]]
+        return cls(ptr, cols[order], degree)
 
     def gather(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``which`` concatenated in the given order.
@@ -132,41 +135,112 @@ class GraphIndex:
         self.tag_items = Adjacency.from_edges(t, i, len(self.tags))
 
 
-def _score(graph: FolksonomyGraph, target: str, fn: Callable, *args) -> ScoreVector:
-    """``fn(index, target's index, *args)`` as a ScoreVector; all zeros on a cold start.
+# The most scores (targets x items) one block of targets may take. Larger
+# blocks call numpy less often but hold larger temporaries, which grow with
+# the walks of all the block's targets: on the half-size criterion-4 graph
+# (400 items, so 5 targets a block) peak memory stays within 0.5% of
+# scoring one target at a time.
+_BLOCK_SCORES = 1 << 11
 
-    A cold start builds no index: it is the common case in the gossip
-    replay's discovery scoring, where most agents created nothing.
+
+@dataclass(frozen=True)
+class Scorer:
+    """One array kernel with its parameters bound, applied to targets of a graph.
+
+    ``kernel(index, rows)`` returns one score row per user index in
+    ``rows``, every row owning at least one item. Calling a Scorer scores
+    one target; :meth:`many` scores many targets of one graph with the
+    same floats.
     """
-    if not graph.items_of_user(target):
-        items = sorted(graph.items)
-        return ScoreVector(target, items, np.zeros(len(items)))
-    index = graph.derived(GraphIndex)
-    return ScoreVector(target, index.items, fn(index, index.user_pos[target], *args))
+
+    kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
+
+    def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
+        return next(self.many(graph, [target]))
+
+    def many(self, graph: FolksonomyGraph, targets: Iterable[str]) -> Iterator[ScoreVector]:
+        """One ScoreVector per target, in the given order.
+
+        Targets that own items are scored in blocks of at most
+        ``_BLOCK_SCORES`` scores, so only one block's temporaries are held
+        while the vectors are consumed; a vector's values are a row of its
+        block. Cold starts get all-zero vectors without the kernel. When
+        every target is cold no index is built: that is the common case in
+        the gossip replay's discovery scoring, where most agents created
+        nothing.
+        """
+        targets = list(targets)
+        warm = [bool(graph.items_of_user(t)) for t in targets]
+        if not any(warm):
+            items = sorted(graph.items)
+            for target in targets:
+                yield ScoreVector(target, items, np.zeros(len(items)))
+            return
+        index = graph.derived(GraphIndex)
+        rows = np.array([index.user_pos[t] for t, w in zip(targets, warm) if w], np.intp)
+        per_block = max(1, _BLOCK_SCORES // len(index.items))
+        scores = (
+            row
+            for lo in range(0, len(rows), per_block)
+            for row in self.kernel(index, rows[lo : lo + per_block])
+        )
+        for target, is_warm in zip(targets, warm):
+            values = next(scores) if is_warm else np.zeros(len(index.items))
+            yield ScoreVector(target, index.items, values)
 
 
 # The most bins one count array of PLIERS (source item, candidate) pairs may
-# take, 8 MiB of counts: a user owning thousands of items on a large graph
-# is counted in blocks.
+# take, 8 MiB of counts: a block of targets owning thousands of items on a
+# large graph is counted in blocks of sources.
 _PAIR_BINS = 1 << 20
 
-# Each array scorer below lays its terms out as (item, value) arrays in the
-# order of the walk it describes (sorted keys at every level) and sums them
-# with np.bincount, which adds in input order, one bin at a time: an item's
-# score is the same left-to-right float sum as that walk done in a loop.
-# Adding an exact 0.0 term leaves a sum unchanged. np.sum would add
+# Each array kernel below lays its terms out as (target, item, value)
+# arrays, for each target in the order of the walk it describes (sorted
+# keys at every level), and sums them with np.bincount over bins
+# target * n + item. np.bincount adds in input order, one bin at a time, so
+# each score is the same left-to-right float sum as that walk done in a
+# loop for that target alone. Adding an exact 0.0 term leaves a sum
+# unchanged, so terms that are 0 may be left out. np.sum would add
 # pairwise, in another order, and can break exact ties in rank.
 
 
-def _probs(index: GraphIndex, t: int) -> np.ndarray:
-    owned = index.user_items.row(t)
+def _per_target(target: np.ndarray, cols: np.ndarray, weights, n_targets: int, n_cols: int):
+    """``out[t, c]``: the ``weights`` of the entries of (target, col) ``(t, c)``, summed in order."""
+    sums = np.bincount(target * n_cols + cols, weights=weights, minlength=n_targets * n_cols)
+    return sums.reshape(n_targets, n_cols)
+
+
+def _top_per_row(rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Entries with one of the ``k`` highest scores of their row, row by row.
+
+    The stable sort keeps input order among equal scores of a row, which is
+    ascending key order for entries listed row by row, keys ascending.
+    """
+    order = np.lexsort((-scores, rows))
+    ranked = rows[order]
+    return order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < k]
+
+
+def _to_items(index: GraphIndex, mass: np.ndarray) -> np.ndarray:
+    """Each target's user mass, every user's split equally among her items.
+
+    ``out[t, j]`` adds ``mass[t, u] / deg(u)`` over the users ``u`` of item
+    ``j`` in ascending order; users without mass add 0 and are skipped.
+    """
+    n_targets, n_users = mass.shape
+    reached = np.flatnonzero(mass)
+    target, user = np.divmod(reached, n_users)
+    items, source = index.user_items.gather(user)
+    share = mass.ravel()[reached] / index.user_items.degree[user]
+    return _per_target(target[source], items, share[source], n_targets, len(index.items))
+
+
+def _probs(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
+    owned, of = index.user_items.gather(targets)
     users, source = index.item_users.gather(owned)
     share = 1.0 / index.item_users.degree[owned]
-    mass = np.bincount(users, weights=share[source], minlength=len(index.users))
-    reached = np.flatnonzero(mass)
-    items, source = index.user_items.gather(reached)
-    share = mass[reached] / index.user_items.degree[reached]
-    return np.bincount(items, weights=share[source], minlength=len(index.items))
+    mass = _per_target(of[source], users, share[source], len(targets), len(index.users))
+    return _to_items(index, mass)
 
 
 def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -177,17 +251,14 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     equally among her items. Total mass is conserved, so the scores sum to
     the target's item degree.
     """
-    return _score(graph, target, _probs)
+    return Scorer(_probs)(graph, target)
 
 
-def _heats(index: GraphIndex, t: int) -> np.ndarray:
-    users, _ = index.item_users.gather(index.user_items.row(t))
-    heat = np.bincount(users, minlength=len(index.users)) / index.user_items.degree
-    item_users = index.item_users
-    total = np.bincount(
-        item_users.row_of, weights=heat[item_users.cols], minlength=len(index.items)
-    )
-    return total / item_users.degree
+def _heats(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
+    owned, of = index.user_items.gather(targets)
+    users, source = index.item_users.gather(owned)
+    counts = _per_target(of[source], users, None, len(targets), len(index.users))
+    return _to_items(index, counts) / index.item_users.degree
 
 
 def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -197,18 +268,18 @@ def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     degree; an item receives the sum of its users' heat divided by its own
     popularity. Mass is not conserved.
     """
-    return _score(graph, target, _heats)
+    return Scorer(_heats)(graph, target)
 
 
 def _sum_normalized(scores: np.ndarray) -> np.ndarray:
-    # a left-to-right total over sorted items, not np.sum's pairwise one
-    total = np.cumsum(scores)[-1]
-    return scores / total if total > 0.0 else scores
+    # left-to-right totals over sorted items, not np.sum's pairwise ones
+    total = np.cumsum(scores, axis=1)[:, -1:]
+    return np.divide(scores, total, out=scores, where=total > 0.0)
 
 
-def _hybrid(index: GraphIndex, t: int, probs_weight: float) -> np.ndarray:
-    p = _sum_normalized(_probs(index, t))
-    h = _sum_normalized(_heats(index, t))
+def _hybrid(index: GraphIndex, targets: np.ndarray, probs_weight: float) -> np.ndarray:
+    p = _sum_normalized(_probs(index, targets))
+    h = _sum_normalized(_heats(index, targets))
     return probs_weight * p + (1.0 - probs_weight) * h
 
 
@@ -221,16 +292,16 @@ def hybrid_scores(graph: FolksonomyGraph, target: str, probs_weight: float) -> S
     """
     if not 0.0 <= probs_weight <= 1.0:
         raise ValueError("probs_weight must lie in [0, 1]")
-    return _score(graph, target, _hybrid, probs_weight)
+    return Scorer(partial(_hybrid, probs_weight=probs_weight))(graph, target)
 
 
 def _overlap_diffusion(
-    owned: np.ndarray, item_side: Adjacency, bridge_side: Adjacency
+    index: GraphIndex, targets: np.ndarray, item_side: Adjacency, bridge_side: Adjacency
 ) -> np.ndarray:
     """Shared core of the popularity-matched diffusion scores.
 
-    For every target item s, walk s -> bridge node l -> candidate item j and
-    add 1 / (deg(l) * deg(s)), then scale each (s, j) path bundle by
+    For every item s of a target, walk s -> bridge node l -> candidate item
+    j and add 1 / (deg(l) * deg(s)), then scale each (s, j) path bundle by
     |N(s) & N(j)| / deg(j), the overlap of the two items' neighbour sets on
     the bridging side. The factor lies in [0, 1], so the result is bounded
     above by plain mass diffusion on the same projection.
@@ -239,14 +310,16 @@ def _overlap_diffusion(
     term is ``(1 / deg(s) / deg(l)) * overlap / deg(j)``, evaluated in that
     order, and the terms run over s, l and j in ascending order.
     """
-    n_items = len(item_side.degree)
+    n_items = len(index.items)
+    owned, of = index.user_items.gather(targets)
     bridges, source = item_side.gather(owned)
     share = (1.0 / item_side.degree[owned])[source] / bridge_side.degree[bridges]
     items, via = bridge_side.gather(bridges)
     # a (s, j) pair occurs once per bridge that s and j share, so its count
     # is the overlap |N(s) & N(j)|, never 0. The pairs are counted in bins
-    # s * n_items + j, a block of sources at a time (source[via] ascends) so
-    # that no count array exceeds max(_PAIR_BINS, n_items) bins.
+    # s * n_items + j, s running over the block's (target, owned item)
+    # entries, a block of sources at a time (source[via] ascends) so that no
+    # count array exceeds max(_PAIR_BINS, n_items) bins.
     s = source[via]
     per_block = max(1, _PAIR_BINS // n_items)
     cuts = np.searchsorted(s, np.arange(0, len(owned) + per_block, per_block))
@@ -255,15 +328,15 @@ def _overlap_diffusion(
         pair = (s[lo:hi] - block * per_block) * n_items + items[lo:hi]
         overlap[lo:hi] = np.bincount(pair)[pair]
     terms = share[via] * overlap / item_side.degree[items]
-    return np.bincount(items, weights=terms, minlength=n_items)
+    return _per_target(of[s], items, terms, len(targets), n_items)
 
 
-def _affinity(index: GraphIndex, t: int) -> np.ndarray:
-    return _overlap_diffusion(index.user_items.row(t), index.item_users, index.user_items)
+def _affinity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
+    return _overlap_diffusion(index, targets, index.item_users, index.user_items)
 
 
-def _similarity(index: GraphIndex, t: int) -> np.ndarray:
-    return _overlap_diffusion(index.user_items.row(t), index.item_tags, index.tag_items)
+def _similarity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
+    return _overlap_diffusion(index, targets, index.item_tags, index.tag_items)
 
 
 def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -273,7 +346,7 @@ def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     the shared-user fraction |U_s & U_j| / k_u(j); candidates whose audience
     overlaps the target's items score high without a popularity bias.
     """
-    return _score(graph, target, _affinity)
+    return Scorer(_affinity)(graph, target)
 
 
 def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -283,12 +356,12 @@ def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     weight 1 / (k_i(z) * k_t(s)), scaled by the shared-tag fraction
     |T_s & T_j| / k_t(j). Measures how alike two items' labelings are.
     """
-    return _score(graph, target, _similarity)
+    return Scorer(_similarity)(graph, target)
 
 
-def _tripartite(index: GraphIndex, t: int, affinity_weight: float) -> np.ndarray:
-    a = _affinity(index, t)
-    s = _similarity(index, t)
+def _tripartite(index: GraphIndex, targets: np.ndarray, affinity_weight: float) -> np.ndarray:
+    a = _affinity(index, targets)
+    s = _similarity(index, targets)
     return affinity_weight * a + (1.0 - affinity_weight) * s
 
 
@@ -303,21 +376,25 @@ def pliers_tripartite(
     """
     if not 0.0 <= affinity_weight <= 1.0:
         raise ValueError("affinity_weight must lie in [0, 1]")
-    return _score(graph, target, _tripartite, affinity_weight)
+    return Scorer(partial(_tripartite, affinity_weight=affinity_weight))(graph, target)
 
 
-def _cf(index: GraphIndex, t: int, k: int) -> np.ndarray:
-    users, _ = index.item_users.gather(index.user_items.row(t))
-    common = np.bincount(users, minlength=len(index.users))
-    common[t] = 0
+def _cf(index: GraphIndex, targets: np.ndarray, k: int) -> np.ndarray:
+    n_users = len(index.users)
+    owned, of = index.user_items.gather(targets)
+    users, source = index.item_users.gather(owned)
+    common = _per_target(of[source], users, None, len(targets), n_users)
+    common[np.arange(len(targets)), targets] = 0
     # users sharing no item have cosine 0 and add nothing
-    neighbours = np.flatnonzero(common)
+    pairs = np.flatnonzero(common)
+    target, neighbour = np.divmod(pairs, n_users)
     degree = index.user_items.degree
-    sims = common[neighbours] / np.sqrt(degree[t] * degree[neighbours])
-    # a stable sort keeps ascending user keys among equal similarities
-    top = np.argsort(-sims, kind="stable")[:k]
-    items, source = index.user_items.gather(neighbours[top])
-    return np.bincount(items, weights=sims[top][source], minlength=len(index.items))
+    sims = common.ravel()[pairs] / np.sqrt(degree[targets[target]] * degree[neighbour])
+    top = _top_per_row(target, sims, k)
+    items, source = index.user_items.gather(neighbour[top])
+    return _per_target(
+        target[top][source], items, sims[top][source], len(targets), len(index.items)
+    )
 
 
 def cf_user_based(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
@@ -328,7 +405,7 @@ def cf_user_based(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _score(graph, target, _cf, k)
+    return Scorer(partial(_cf, k=k))(graph, target)
 
 
 def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
@@ -346,24 +423,35 @@ def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
     return counts
 
 
-def _tag_expansion(index: GraphIndex, t: int, k: int) -> np.ndarray:
-    item_tags = index.item_tags
-    own = np.zeros(len(index.tags), dtype=bool)
-    own[item_tags.gather(index.user_items.row(t))[0]] = True
+def _tag_expansion(index: GraphIndex, targets: np.ndarray, k: int) -> np.ndarray:
+    # every sum here counts whole numbers, exact in any order
+    n_targets, n_items, n_tags = len(targets), len(index.items), len(index.tags)
+    item_tags, tag_items = index.item_tags, index.tag_items
+
+    def carriers(tagged: np.ndarray) -> np.ndarray:
+        """``out[t, j]``: how many tags of item ``j`` have ``tagged[t]`` set."""
+        target, tag = np.nonzero(tagged)
+        items, source = tag_items.gather(tag)
+        return _per_target(target[source], items, None, n_targets, n_items)
+
+    owned, of = index.user_items.gather(targets)
+    tags, source = item_tags.gather(owned)
+    own = np.zeros((n_targets, n_tags), dtype=bool)
+    own[of[source], tags] = True
     # a tag's co-occurrence total with the own tags, summed over the items
     # carrying it: each such item counts once per own tag it carries
-    own_on_item = np.bincount(
-        item_tags.row_of, weights=own[item_tags.cols], minlength=len(index.items)
+    own_on_item = carriers(own)
+    reached = np.flatnonzero(own_on_item)
+    target, item = np.divmod(reached, n_items)
+    tags, source = item_tags.gather(item)
+    totals = _per_target(
+        target[source], tags, own_on_item.ravel()[reached][source], n_targets, n_tags
     )
-    totals = np.bincount(
-        item_tags.cols, weights=own_on_item[item_tags.row_of], minlength=len(index.tags)
-    )
-    candidates = np.flatnonzero(~own)
+    target, tag = np.nonzero(~own)
+    chosen = _top_per_row(target, totals[target, tag], k)
     expanded = own.copy()
-    expanded[candidates[np.argsort(-totals[candidates], kind="stable")[:k]]] = True
-    return np.bincount(
-        item_tags.row_of, weights=expanded[item_tags.cols], minlength=len(index.items)
-    )
+    expanded[target[chosen], tag[chosen]] = True
+    return carriers(expanded).astype(float)
 
 
 def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
@@ -376,7 +464,7 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _score(graph, target, _tag_expansion, k)
+    return Scorer(partial(_tag_expansion, k=k))(graph, target)
 
 
 def rank(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .evaluation import jaccard, spearman_similarity, sum_in_order
 from .graph import FolksonomyGraph
-from .recommend import pliers_tripartite, rank
+from .recommend import Scorer, _tripartite, pliers_tripartite, rank
 
 
 class SimulationError(ValueError):
@@ -204,25 +205,28 @@ def compute_step_metrics(
     similarities skip agents whose local and global recommendation vectors
     are both empty; when that skips everyone, the averages are 1.0 by
     convention (nothing to recommend, local trivially agrees with global).
+    The global view is scored for all those agents in one batched call.
     """
     # agents with equal knowledge may share one graph object; its Jaccard
     # is computed once, keyed by id while the graph is held here
     graph_jaccards: dict[int, tuple[FolksonomyGraph, float]] = {}
     graph_sims: list[float] = []
-    rec_jaccards: list[float] = []
-    rec_spear_corr: list[float] = []
-    rec_spear_lit: list[float] = []
     for agent in sorted(lkgs):
         lview = lkgs[agent]
         if id(lview) not in graph_jaccards:
             graph_jaccards[id(lview)] = (lview, _edge_jaccard(lview, gkg))
         graph_sims.append(graph_jaccards[id(lview)][1])
 
-        # a cold start on both views: both lists would be empty
-        if agent not in gkg.users and agent not in lview.users:
-            continue
+    rec_jaccards: list[float] = []
+    rec_spear_corr: list[float] = []
+    rec_spear_lit: list[float] = []
+    # a cold start on both views: both lists would be empty
+    scored = [a for a in sorted(lkgs) if a in gkg.users or a in lkgs[a].users]
+    pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
+    for agent, global_scores in zip(scored, pliers.many(gkg, scored)):
+        lview = lkgs[agent]
         local = rank(pliers_tripartite(lview, agent, affinity_weight), lview, top_n)
-        glob = rank(pliers_tripartite(gkg, agent, affinity_weight), gkg, top_n)
+        glob = rank(global_scores, gkg, top_n)
         if not local.ranked and not glob.ranked:
             continue
         lk, gk = local.item_keys(), glob.item_keys()

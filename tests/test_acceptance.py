@@ -22,14 +22,12 @@ from pliersim.evaluation import (
 )
 from pliersim.recommend import (
     affinity_scores,
-    cf_user_based,
     heats_scores,
     hybrid_scores,
     pliers_tripartite,
     probs_scores,
     rank,
     similarity_scores,
-    tag_expansion,
 )
 from pliersim.simulator import (
     ContactEvent,
@@ -138,10 +136,10 @@ def test_criterion_4_static_scenario_ordering():
         graph = generate_folksonomy(500, 800, 300, seed)
         pruned, removal = prune_for_link_prediction(graph, seed)
         assert len(removal.removals) >= 200
-        scorers = {"pliers": lambda g, u: pliers_tripartite(g, u, 0.5)}
+        scorers = {"pliers": cli.make_scorer("pliers", 1, 0.5)}
         for k in (5, 10, 20):
-            scorers[f"cf{k}"] = lambda g, u, k=k: cf_user_based(g, u, k)
-            scorers[f"tagexp{k}"] = lambda g, u, k=k: tag_expansion(g, u, k)
+            scorers[f"cf{k}"] = cli.make_scorer("cf", k, 0.5)
+            scorers[f"tagexp{k}"] = cli.make_scorer("tagexp", k, 0.5)
         for name, scorer in scorers.items():
             rep = evaluate_on_pruned(pruned, removal, scorer)
             totals[name][0] += rep.precision / 10

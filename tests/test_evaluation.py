@@ -18,7 +18,7 @@ from pliersim.evaluation import (
     spearman_similarity,
 )
 from pliersim.graph import FolksonomyGraph
-from pliersim.recommend import RecommendationVector, cf_user_based, pliers_tripartite
+from pliersim.recommend import RecommendationVector
 from pliersim.synth import generate_folksonomy
 
 from conftest import build_random_graph
@@ -235,9 +235,7 @@ class TestEndToEndPipeline:
         pruned, removal = prune_for_link_prediction(g, 5)
         assert removal.removals
 
-        report = evaluate_on_pruned(
-            pruned, removal, lambda gr, u: pliers_tripartite(gr, u, 0.5)
-        )
+        report = evaluate_on_pruned(pruned, removal, cli.make_scorer("pliers", 1, 0.5))
         oracle_p, oracle_r = self._oracle_eval(pruned, removal, tripartite_oracle_exact)
         assert report.precision == pytest.approx(float(oracle_p), abs=1e-12)
         assert report.recall == float(oracle_r)
@@ -245,7 +243,7 @@ class TestEndToEndPipeline:
     def test_report_positions_consistent(self):
         g = build_random_graph(random.Random(5), 10, 12, 5, adopt_p=0.5)
         pruned, removal = prune_for_link_prediction(g, 1)
-        report = evaluate_on_pruned(pruned, removal, lambda gr, u: cf_user_based(gr, u, 5))
+        report = evaluate_on_pruned(pruned, removal, cli.make_scorer("cf", 5, 0.5))
         for user, (positions, list_len, n_removed) in report.per_user.items():
             assert n_removed == 1
             assert all(1 <= p <= list_len for p in positions)

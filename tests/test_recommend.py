@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scorers
-from pliersim import recommend
+from pliersim import cli, recommend
 from pliersim.evaluation import prune_for_link_prediction
 from pliersim.graph import FolksonomyGraph
 from pliersim.synth import generate_folksonomy
@@ -520,6 +520,75 @@ class TestExactReference:
             got = getattr(recommend, name)(g, "u_t")
             want = getattr(reference_scorers, name)(g, "u_t")
             assert list(got.scores.items()) == list(want.scores.items()), name
+
+
+# every scorer's many-target path, with the single-target function it batches,
+# from (weight, k): the six CLI scorers and the two PLIERS components
+MANY_TARGET_SCORERS = {
+    **{
+        name: lambda w, k, name=name: cli.make_scorer(name, k, w)
+        for name in cli.ALGORITHMS
+    },
+    "affinity": lambda w, k: recommend.Scorer(recommend._affinity),
+    "similarity": lambda w, k: recommend.Scorer(recommend._similarity),
+}
+SINGLE_TARGET = {
+    "pliers": lambda g, u, w, k: pliers_tripartite(g, u, w),
+    "cf": lambda g, u, w, k: cf_user_based(g, u, k),
+    "tagexp": lambda g, u, w, k: tag_expansion(g, u, k),
+    "probs": lambda g, u, w, k: probs_scores(g, u),
+    "heats": lambda g, u, w, k: heats_scores(g, u),
+    "hybrid": lambda g, u, w, k: hybrid_scores(g, u, w),
+    "affinity": lambda g, u, w, k: affinity_scores(g, u),
+    "similarity": lambda g, u, w, k: similarity_scores(g, u),
+}
+
+
+class TestManyTargets:
+    """Scoring many targets of a graph gives each target's single-target floats."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.integers(1, 12),
+        st.sampled_from([1, 2, 3, None]),
+    )
+    def test_bit_equal_to_single_targets(self, seed, w, k, targets_per_block):
+        rng = random.Random(seed)
+        g = _graph_with_edge_cases(rng)
+        # a target owning every item; "gone" left the graph, "nobody" never joined
+        for item in sorted(g.items):
+            g.add_content("hoarder", item, sorted(g.tags_of_item(item)), 100)
+        targets = [*sorted(g.users), "gone", "nobody"]
+        rng.shuffle(targets)
+        targets += targets[:3]
+        budget = (
+            recommend._BLOCK_SCORES
+            if targets_per_block is None
+            else targets_per_block * len(g.items)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recommend, "_BLOCK_SCORES", budget)
+            for name, make in MANY_TARGET_SCORERS.items():
+                got = list(make(w, k).many(g, targets))
+                assert [v.target for v in got] == targets
+                for vector, target in zip(got, targets):
+                    want = SINGLE_TARGET[name](g, target, w, k)
+                    assert vector.items == want.items, (name, target)
+                    assert vector.values.tobytes() == want.values.tobytes(), (name, target)
+
+    def test_all_cold_targets_build_no_index(self, monkeypatch):
+        g = build_random_graph(random.Random(2), 6, 8, 4)
+
+        def no_index(graph):
+            raise AssertionError("an index was built for cold starts only")
+
+        monkeypatch.setattr(recommend, "GraphIndex", no_index)
+        for make in MANY_TARGET_SCORERS.values():
+            got = list(make(0.5, 3).many(g, ["gone", "nobody"]))
+            assert [v.target for v in got] == ["gone", "nobody"]
+            assert all(v.items == sorted(g.items) and not v.values.any() for v in got)
 
 
 def _merge_new_item(graph):

@@ -575,6 +575,14 @@ def test_agents_outside_both_views_are_not_scored(replay):
         scored.append(agent)
         return real_score(graph, agent, *args)
 
+    class CountedScorer(simulator.Scorer):
+        """The batched scorer of the global view, recording its targets."""
+
+        def many(self, graph, targets):
+            targets = list(targets)
+            scored.extend(targets)
+            return super().many(graph, targets)
+
     def checked_metrics(lviews, gview, weight, top_n, **kwargs):
         scored.clear()  # discovery scoring in the contacts before
         row = real_metrics(lviews, gview, weight, top_n, **kwargs)
@@ -589,6 +597,7 @@ def test_agents_outside_both_views_are_not_scored(replay):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "pliers_tripartite", counted_score)
+        patch.setattr(simulator, "Scorer", CountedScorer)
         patch.setattr(simulator, "compute_step_metrics", checked_metrics)
         rows = Simulation(config, roster).run_windows(contacts, contents, windows)
     assert rows == ref_rows
