@@ -205,7 +205,10 @@ _PAIR_BINS = 1 << 20
 
 
 def _per_target(target: np.ndarray, cols: np.ndarray, weights, n_targets: int, n_cols: int):
-    """``out[t, c]``: the ``weights`` of the entries of (target, col) ``(t, c)``, summed in order."""
+    """``out[t, c]``: the weights of the entries with target ``t`` and column ``c``.
+
+    They are added in input order; with no ``weights`` each entry counts 1.
+    """
     sums = np.bincount(target * n_cols + cols, weights=weights, minlength=n_targets * n_cols)
     return sums.reshape(n_targets, n_cols)
 
@@ -429,7 +432,7 @@ def _tag_expansion(index: GraphIndex, targets: np.ndarray, k: int) -> np.ndarray
     item_tags, tag_items = index.item_tags, index.tag_items
 
     def carriers(tagged: np.ndarray) -> np.ndarray:
-        """``out[t, j]``: how many tags of item ``j`` have ``tagged[t]`` set."""
+        """``out[t, j]``: how many of item ``j``'s tags are set in row ``t`` of ``tagged``."""
         target, tag = np.nonzero(tagged)
         items, source = tag_items.gather(tag)
         return _per_target(target[source], items, None, n_targets, n_items)
