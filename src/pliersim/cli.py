@@ -37,8 +37,8 @@ def _now_utc() -> str:
 def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
     """The scorer ``name`` with its ``k`` or lambda.
 
-    The Scorer scores one target when called, and many targets of one
-    graph, block by block, with ``many``. Raises ConfigError for an
+    The Scorer scores one target of a graph when called, and many targets
+    of one index, block by block, with ``many``. Raises ConfigError for an
     unknown name or for a value the scorer would reject, so the commands
     can check their options before reading a graph.
     """

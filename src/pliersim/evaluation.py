@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import FolksonomyGraph
-from .recommend import Scorer, rank
+from .recommend import GraphIndex, Scorer, rank
 
 
 def sum_in_order(values: Iterable[float]) -> float:
@@ -146,7 +146,7 @@ def evaluate_on_pruned(
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
     total_precision = total_recall = 0.0
     users = sorted(removal.removals)
-    for user, scores in zip(users, scorer.many(pruned, users)):
+    for user, scores in zip(users, scorer.many(pruned.derived(GraphIndex), users)):
         keys = rank(scores, pruned, top_n).item_keys()
         try:
             position = keys.index(removal.removals[user]) + 1

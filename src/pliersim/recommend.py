@@ -4,19 +4,18 @@ Every scorer is a pure read of the graph and returns a score for *every*
 item in it (owned items included); :func:`rank` filters owned and
 zero-score items afterwards. A target with no items, or absent from the
 graph entirely, is a cold start and yields an all-zero vector; cold starts
-never reach the array kernels, and a graph whose targets are all cold gets
-no index.
+never reach the array kernels.
 
 Scores are computed over a :class:`GraphIndex` of the graph (sorted keys
 and CSR adjacency arrays), built once per graph state. Each scorer is one
 array kernel that scores a block of targets at once, one row per target;
-a :class:`Scorer` feeds it the targets of one graph in blocks of at most
+a :class:`Scorer` feeds it the targets of one index in blocks of at most
 ``_BLOCK_SCORES`` scores, and the public single-target functions are a
 block of one. Every sum adds its terms in the order of a walk over sorted
 keys, one at a time, so score values are bit-reproducible across
 processes regardless of hash randomization, equal to those of that walk
 written as a loop, and the same whether a target is scored alone or in a
-block.
+block, on the graph's own index or on a larger graph's index masked to it.
 """
 
 from __future__ import annotations
@@ -73,12 +72,14 @@ class Adjacency(NamedTuple):
     """One direction of a bipartite edge set as CSR arrays.
 
     Row ``r``'s neighbours are ``cols[ptr[r]:ptr[r + 1]]`` in ascending
-    index order, and ``degree[r]`` is the length of row ``r``.
+    index order, and ``degree[r]`` is the length of row ``r``. ``edge``
+    gives each entry's edge id: the position of its edge in the input.
     """
 
     ptr: np.ndarray
     cols: np.ndarray
     degree: np.ndarray
+    edge: np.ndarray
 
     @classmethod
     def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> "Adjacency":
@@ -86,7 +87,18 @@ class Adjacency(NamedTuple):
         degree = np.bincount(rows, minlength=n_rows)
         ptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(degree, out=ptr[1:])
-        return cls(ptr, cols[order], degree)
+        return cls(ptr, cols[order], degree, order)
+
+    def masked(self, keep: np.ndarray) -> "Adjacency":
+        """The entries whose edge id is set in the boolean array ``keep``.
+
+        Every row stays, in the same order, so a row may be left empty.
+        """
+        kept = keep[self.edge]
+        before = np.zeros(len(kept) + 1, dtype=np.intp)
+        np.cumsum(kept, out=before[1:])
+        ptr = before[self.ptr]
+        return Adjacency(ptr, self.cols[kept], ptr[1:] - ptr[:-1], self.edge[kept])
 
     def gather(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``which`` concatenated in the given order.
@@ -107,7 +119,8 @@ class GraphIndex:
     ``graph.derived(GraphIndex)``: once per graph state, cleared by every
     mutator. ``user_items.degree`` is the user degree, ``item_users.degree``
     the item popularity, ``item_tags.degree`` an item's tag count and
-    ``tag_items.degree`` the tag degree.
+    ``tag_items.degree`` the tag degree. Edge ids are positions in
+    ``graph.user_item_edges`` and ``graph.item_tag_edges``.
     """
 
     __slots__ = (
@@ -134,6 +147,22 @@ class GraphIndex:
         self.item_tags = Adjacency.from_edges(i, t, len(self.items))
         self.tag_items = Adjacency.from_edges(t, i, len(self.tags))
 
+    def masked(self, ui: np.ndarray, it: np.ndarray) -> "GraphIndex":
+        """The index of the subgraph of the edges whose ids are set in ``ui`` and ``it``.
+
+        Every key stays, so a node outside the subgraph has degree 0:
+        ``_tripartite`` scores the subgraph's items with the floats of its
+        own index and every other item exactly 0. ``_heats`` (and so
+        ``_hybrid``) divides by every item's degree, 0 / 0 outside the
+        subgraph, so only ``_tripartite`` may run on a masked index.
+        """
+        view = object.__new__(GraphIndex)
+        view.users, view.items, view.tags = self.users, self.items, self.tags
+        view.user_pos = self.user_pos
+        view.user_items, view.item_users = self.user_items.masked(ui), self.item_users.masked(ui)
+        view.item_tags, view.tag_items = self.item_tags.masked(it), self.tag_items.masked(it)
+        return view
+
 
 # The most scores (targets x items) one block of targets may take. Larger
 # blocks call numpy less often but hold larger temporaries, which grow with
@@ -145,46 +174,39 @@ _BLOCK_SCORES = 1 << 11
 
 @dataclass(frozen=True)
 class Scorer:
-    """One array kernel with its parameters bound, applied to targets of a graph.
+    """One array kernel with its parameters bound, applied to targets of an index.
 
     ``kernel(index, rows)`` returns one score row per user index in
     ``rows``, every row owning at least one item. Calling a Scorer scores
-    one target; :meth:`many` scores many targets of one graph with the
-    same floats.
+    one target of a graph; :meth:`many` scores many targets of one index
+    with the same floats.
     """
 
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
-        return next(self.many(graph, [target]))
+        return next(self.many(graph.derived(GraphIndex), [target]))
 
-    def many(self, graph: FolksonomyGraph, targets: Iterable[str]) -> Iterator[ScoreVector]:
+    def many(self, index: GraphIndex, targets: Iterable[str]) -> Iterator[ScoreVector]:
         """One ScoreVector per target, in the given order.
 
         Targets that own items are scored in blocks of at most
         ``_BLOCK_SCORES`` scores, so only one block's temporaries are held
         while the vectors are consumed; a vector's values are a row of its
-        block. Cold starts get all-zero vectors without the kernel. When
-        every target is cold no index is built: that is the common case in
-        the gossip replay's discovery scoring, where most agents created
-        nothing.
+        block. Cold starts get all-zero vectors without the kernel.
         """
         targets = list(targets)
-        warm = [bool(graph.items_of_user(t)) for t in targets]
-        if not any(warm):
-            items = sorted(graph.items)
-            for target in targets:
-                yield ScoreVector(target, items, np.zeros(len(items)))
-            return
-        index = graph.derived(GraphIndex)
-        rows = np.array([index.user_pos[t] for t, w in zip(targets, warm) if w], np.intp)
-        per_block = max(1, _BLOCK_SCORES // len(index.items))
+        pos = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
+        # an absent target's -1 reads the appended degree 0
+        warm = np.append(index.user_items.degree, 0)[pos] > 0
+        rows = pos[warm]
+        per_block = max(1, _BLOCK_SCORES // max(1, len(index.items)))
         scores = (
             row
             for lo in range(0, len(rows), per_block)
             for row in self.kernel(index, rows[lo : lo + per_block])
         )
-        for target, is_warm in zip(targets, warm):
+        for target, is_warm in zip(targets, warm.tolist()):
             values = next(scores) if is_warm else np.zeros(len(index.items))
             yield ScoreVector(target, index.items, values)
 

@@ -3,8 +3,10 @@
 Each agent knows a set of content events that grows when the agent creates
 content and when it meets other agents; its local knowledge graph (LKG) is
 the graph of those events. A global knowledge graph (GKG) accumulates
-everything ever created. Per-step metrics compare every agent's local view
-(and locally computed recommendations) against the global ones.
+everything ever created, and every view of it (an agent's knowledge, an
+expiry window) is a mask over its edges. Per-step metrics compare every
+agent's local view (and locally computed recommendations) against the
+global ones.
 
 Time is integer seconds; step s covers [s*step_length, (s+1)*step_length)
 and its metrics are stamped with the step's end time. Within a step all
@@ -15,7 +17,7 @@ so knowledge can travel several hops in a single step.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
@@ -25,7 +27,10 @@ import numpy as np
 
 from .evaluation import jaccard, spearman_similarity, sum_in_order
 from .graph import FolksonomyGraph
-from .recommend import Scorer, _tripartite, pliers_tripartite, rank
+from .recommend import GraphIndex, Scorer, _tripartite, rank
+
+# not called here; bench/tracing.py wraps this module's name, so it stays
+from .recommend import pliers_tripartite  # noqa: F401
 
 
 class SimulationError(ValueError):
@@ -91,6 +96,8 @@ class DownloadPolicySpec:
             raise ValueError("buffer capacity must be >= 1")
         if not 0.0 <= self.percentile <= 100.0:
             raise ValueError("percentile must lie in [0, 100]")
+        if self.history_span_s is not None and self.history_span_s < 0:
+            raise ValueError("history span must be >= 0")
 
 
 @dataclass
@@ -186,9 +193,15 @@ class StepMetrics:
 # metric computation
 # ----------------------------------------------------------------------
 
+# A view as boolean masks over the user-item and item-tag edge ids of the
+# global graph: the positions of its edges in gkg's two edge maps.
+Masks = tuple[np.ndarray, np.ndarray]
+
+
 def compute_step_metrics(
-    lkgs: Mapping[str, FolksonomyGraph],
     gkg: FolksonomyGraph,
+    global_view: Masks,
+    views: Iterable[tuple[Masks, Sequence[str]]],
     affinity_weight: float,
     top_n: int | None,
     *,
@@ -199,37 +212,44 @@ def compute_step_metrics(
 ) -> StepMetrics:
     """Compare every agent's local view and recommendations with the global one.
 
-    The views come as given, under whatever expiry window applies. Graph
-    similarity (edge-set Jaccard) averages over *all* agents (an empty local
-    graph scores 0 against a non-empty global one). Recommendation
-    similarities skip agents whose local and global recommendation vectors
-    are both empty; when that skips everyone, the averages are 1.0 by
-    convention (nothing to recommend, local trivially agrees with global).
-    The global view is scored for all those agents in one batched call.
+    ``views`` pairs each distinct local view with the agents that hold it,
+    under whatever expiry window applies. Graph similarity (edge-set
+    Jaccard) averages over *all* agents (an empty local view scores 0
+    against a non-empty global one). Recommendation similarities skip
+    agents whose local and global recommendation vectors are both empty;
+    when that skips everyone, the averages are 1.0 by convention (nothing
+    to recommend, local trivially agrees with global).
+
+    Each view is scored on ``gkg``'s index masked to it, for all its
+    holders in one batched call. Both lists are ranked against ``gkg``: a
+    replay's view keeps an item only with every event of it that its
+    holders know, their own included, so an item that an agent owns in
+    ``gkg`` and that scores above 0 in a view is owned in that view too.
     """
-    # agents with equal knowledge may share one graph object; its Jaccard
-    # is computed once, keyed by id while the graph is held here
-    graph_jaccards: dict[int, tuple[FolksonomyGraph, float]] = {}
-    graph_sims: list[float] = []
-    for agent in sorted(lkgs):
-        lview = lkgs[agent]
-        if id(lview) not in graph_jaccards:
-            graph_jaccards[id(lview)] = (lview, _edge_jaccard(lview, gkg))
-        graph_sims.append(graph_jaccards[id(lview)][1])
+    index = gkg.derived(GraphIndex)
+    pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
+    global_index = index.masked(*global_view)
+    graph_sims: dict[str, float] = {}
+    local = {}
+    for view, holders in views:
+        graph_sims.update(dict.fromkeys(holders, _mask_jaccard(view, global_view)))
+        view_index = index.masked(*view)
+        # a cold start on both views: both lists would be empty; an agent
+        # absent from gkg reads the appended degree 0
+        degree = view_index.user_items.degree + global_index.user_items.degree
+        degree = np.append(degree, 0)
+        scored = [a for a in holders if degree[index.user_pos.get(a, -1)]]
+        for agent, scores in zip(scored, pliers.many(view_index, scored)):
+            local[agent] = rank(scores, gkg, top_n)
 
     rec_jaccards: list[float] = []
     rec_spear_corr: list[float] = []
     rec_spear_lit: list[float] = []
-    # a cold start on both views: both lists would be empty
-    scored = [a for a in sorted(lkgs) if a in gkg.users or a in lkgs[a].users]
-    pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
-    for agent, global_scores in zip(scored, pliers.many(gkg, scored)):
-        lview = lkgs[agent]
-        local = rank(pliers_tripartite(lview, agent, affinity_weight), lview, top_n)
-        glob = rank(global_scores, gkg, top_n)
-        if not local.ranked and not glob.ranked:
+    scored = sorted(local)
+    for agent, global_scores in zip(scored, pliers.many(global_index, scored)):
+        lk, gk = local[agent].item_keys(), rank(global_scores, gkg, top_n).item_keys()
+        if not lk and not gk:
             continue
-        lk, gk = local.item_keys(), glob.item_keys()
         rec_jaccards.append(jaccard(set(lk), set(gk)))
         rec_spear_corr.append(spearman_similarity(lk, gk, "corrected"))
         rec_spear_lit.append(spearman_similarity(lk, gk, "literal"))
@@ -240,7 +260,7 @@ def compute_step_metrics(
     return StepMetrics(
         step=step,
         sim_time_s=now,
-        avg_graph_jaccard=mean(graph_sims, 1.0),
+        avg_graph_jaccard=mean([graph_sims[a] for a in sorted(graph_sims)], 1.0),
         avg_rec_jaccard=mean(rec_jaccards, 1.0),
         avg_rec_spearman_corrected=mean(rec_spear_corr, 1.0),
         avg_rec_spearman_literal=mean(rec_spear_lit, 1.0),
@@ -249,12 +269,10 @@ def compute_step_metrics(
     )
 
 
-def _edge_jaccard(a: FolksonomyGraph, b: FolksonomyGraph) -> float:
-    """:func:`jaccard` of the two edge sets, user-item and item-tag kept apart."""
-    shared = len(a.user_item_edges.keys() & b.user_item_edges.keys())
-    shared += len(a.item_tag_edges.keys() & b.item_tag_edges.keys())
-    edges = len(a.user_item_edges) + len(a.item_tag_edges)
-    union = edges + len(b.user_item_edges) + len(b.item_tag_edges) - shared
+def _mask_jaccard(a: Masks, b: Masks) -> float:
+    """:func:`jaccard` of the edge sets of two views, user-item and item-tag kept apart."""
+    shared = np.count_nonzero(a[0] & b[0]) + np.count_nonzero(a[1] & b[1])
+    union = np.count_nonzero(a[0] | b[0]) + np.count_nonzero(a[1] | b[1])
     return shared / union if union else 1.0
 
 
@@ -272,11 +290,12 @@ class Simulation:
 
     Every content event gets an integer id in replay order, and an agent's
     knowledge is the bitset (a Python ``int``) of the events it has seen, so
-    a contact is one integer OR (a grow-only set, merged by union). A local
-    graph is a function of that set alone, built with ``add_content`` over
-    the agent's events when first asked for and memoised by bitset while
-    some agent still holds that bitset. The metric views of an expiry window
-    are graphs of event sets too (:meth:`window_views`).
+    a contact is one integer OR (a grow-only set, merged by union). Every
+    edge of ``gkg`` has an id, its position in ``gkg``'s edge maps, which
+    only grow; :meth:`masks` turns a set of events into the edges it holds.
+    Local knowledge and the metric views of an expiry window
+    (:meth:`window_views`) are scored on ``gkg``'s index masked to those
+    edges, so no graph is built for them.
     """
 
     def __init__(self, config: SimConfig, agents: Iterable[str] = ()):
@@ -286,11 +305,15 @@ class Simulation:
         self._events: list[ContentEvent] = []
         # item -> bitset of the events that announce it
         self._item_events: dict[str, int] = {}
+        # gkg's user-item and item-tag edges -> edge id; the user-item edge
+        # id of each event, and for each tag of each event its event and
+        # item-tag edge id
+        self._edge_ids: tuple[dict, dict] = ({}, {})
+        self._event_edge: list[int] = []
+        self._tag_event: list[int] = []
+        self._tag_edge: list[int] = []
         self._knowledge: dict[str, int] = {}
         self._items: dict[str, set[str]] = {}
-        # agents holding each bitset; a graph is kept only while its count is > 0
-        self._holders: Counter[int] = Counter()
-        self._graphs: dict[int, FolksonomyGraph] = {}
         for agent in agents:
             self.register(agent)
         # with an explicit roster, trace events naming outsiders are an error;
@@ -300,48 +323,52 @@ class Simulation:
     def register(self, agent: str) -> None:
         if agent not in self._knowledge:
             self._knowledge[agent] = 0
-            self._holders[0] += 1
             self._items[agent] = set()
             if self.config.download_policy is not None:
                 self.policies[agent] = DownloadPolicyState(self.config.download_policy)
 
-    def _learn(self, agent: str, bits: int) -> None:
-        old = self._knowledge[agent]
-        self._knowledge[agent] = bits
-        self._holders[bits] += 1
-        self._holders[old] -= 1
-        if not self._holders[old]:
-            del self._holders[old]
-            self._graphs.pop(old, None)
-
     @property
     def lkgs(self) -> Mapping[str, FolksonomyGraph]:
-        """Read-only map agent -> local knowledge graph.
+        """Read-only map agent -> local knowledge graph, built on every read.
 
         Agents that know the same events share one graph; do not mutate it.
         """
-        graphs = {a: self._graph_of(bits, self._graphs) for a, bits in self._knowledge.items()}
-        return MappingProxyType(graphs)
+        graphs: dict[int, FolksonomyGraph] = {}
+        for bits in self._knowledge.values():
+            if bits not in graphs:
+                graphs[bits] = graph = FolksonomyGraph()
+                for index in _set_bits(bits):
+                    ev = self._events[index]
+                    graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
+        return MappingProxyType({a: graphs[bits] for a, bits in self._knowledge.items()})
 
-    def _graph_of(self, bits: int, memo: dict[int, FolksonomyGraph]) -> FolksonomyGraph:
-        """The graph of the events in ``bits``, built once per ``memo``."""
-        if bits not in memo:
-            memo[bits] = graph = FolksonomyGraph()
-            for index in _set_bits(bits):
-                ev = self._events[index]
-                graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
-        return memo[bits]
+    def masks(self, bitsets: Sequence[int]) -> Masks:
+        """The ``gkg`` edges that the events of each bitset hold.
 
-    def window_views(
-        self, now: int, window: int | None
-    ) -> tuple[dict[str, FolksonomyGraph], FolksonomyGraph]:
+        Returns boolean arrays over the user-item and the item-tag edge ids,
+        one row per bitset.
+        """
+        n, width = len(self._events), (len(self._events) + 7) // 8
+        # before Python 3.11, int.to_bytes needs both arguments
+        raw = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in bitsets), np.uint8)
+        held = np.unpackbits(
+            raw.reshape(len(bitsets), width), axis=1, count=n, bitorder="little"
+        ).view(bool)
+        ui = np.zeros((len(bitsets), len(self._edge_ids[0])), bool)
+        view, event = held.nonzero()
+        ui[view, np.array(self._event_edge, np.intp)[event]] = True
+        it = np.zeros((len(bitsets), len(self._edge_ids[1])), bool)
+        view, tag = held[:, np.array(self._tag_event, np.intp)].nonzero()
+        it[view, np.array(self._tag_edge, np.intp)[tag]] = True
+        return ui, it
+
+    def window_views(self, now: int, window: int | None) -> tuple[dict[str, int], int]:
         """Every agent's view and the global view under an expiry window.
 
-        A holder's view is the graph of its events minus those of every item
-        it knows an event of from before ``now - window``: its graph pruned by
-        item creation time. A view whose events some agent holds is that
-        agent's graph, and the view of all events is ``gkg``; the others are
-        built here and not kept.
+        A view is the bitset of its live events. A holder's view is its
+        events minus those of every item it knows an event of from before
+        ``now - window``: its graph pruned by item creation time. The global
+        view is that of all events.
         """
         cutoff = 0 if window is None else now - window
         # an item announced once expires by its one bit; an item announced
@@ -355,24 +382,30 @@ class Simulation:
                 else:
                     repeated[events] = repeated.get(events, 0) | bit
         everything = (1 << len(self._events)) - 1
-        built, views = {everything: self.gkg}, {}
+        views = {}
         for bits in {everything, *self._knowledge.values()}:
             live = bits & ~stale
             for events, old in repeated.items():
                 if bits & old:
                     live &= ~events
-            views[bits] = self._graph_of(live, self._graphs if live in self._holders else built)
+            views[bits] = live
         return {a: views[bits] for a, bits in self._knowledge.items()}, views[everything]
 
     def apply_content(self, event: ContentEvent) -> None:
         if event.creator not in self._knowledge:
             raise SimulationError(f"content by unknown agent {event.creator!r}")
-        bit = 1 << len(self._events)
-        self._learn(event.creator, self._knowledge[event.creator] | bit)
-        self._item_events[event.item] = self._item_events.get(event.item, 0) | bit
+        n = len(self._events)
+        self._knowledge[event.creator] |= 1 << n
+        self._item_events[event.item] = self._item_events.get(event.item, 0) | 1 << n
         self._events.append(event)
         self._items[event.creator].add(event.item)
         self.gkg.add_content(event.creator, event.item, event.tags, event.time)
+        # a new edge goes last in gkg's edge map, an edge it has keeps its place
+        ui_ids, it_ids = self._edge_ids
+        self._event_edge.append(ui_ids.setdefault((event.creator, event.item), len(ui_ids)))
+        for tag in event.tags:
+            self._tag_event.append(n)
+            self._tag_edge.append(it_ids.setdefault((event.item, tag), len(it_ids)))
 
     def encounter(self, a: str, b: str, now: int) -> tuple[set[str], set[str]]:
         """Symmetric knowledge exchange followed by scoring of discoveries.
@@ -380,8 +413,8 @@ class Simulation:
         Both sides end up with the union of the two content-event sets, and
         nothing changes when the sets are already equal. When a download
         policy is set, each side then scores its newly discovered items on
-        its updated graph and feeds the scores to its policy. Returns the two
-        new-item sets (for a, for b).
+        its updated knowledge and feeds the scores to its policy. Returns
+        the two new-item sets (for a, for b).
         """
         for agent in (a, b):
             if agent not in self._knowledge:
@@ -393,8 +426,7 @@ class Simulation:
         new_a, new_b = items_b - items_a, items_a - items_b
         items_a |= new_a
         items_b |= new_b
-        self._learn(a, ka | kb)
-        self._learn(b, ka | kb)
+        self._knowledge[a] = self._knowledge[b] = ka | kb
         self._evaluate_discoveries(a, new_a, now)
         self._evaluate_discoveries(b, new_b, now)
         return new_a, new_b
@@ -403,8 +435,10 @@ class Simulation:
         policy = self.policies.get(agent)
         if policy is None or not new_items:
             return
-        graph = self._graph_of(self._knowledge[agent], self._graphs)
-        scores = pliers_tripartite(graph, agent, self.config.affinity_weight).scores
+        ui, it = self.masks([self._knowledge[agent]])
+        view = self.gkg.derived(GraphIndex).masked(ui[0], it[0])
+        pliers = Scorer(partial(_tripartite, affinity_weight=self.config.affinity_weight))
+        scores = next(pliers.many(view, [agent])).scores
         for item in sorted(new_items):
             apply_download_policy(policy, item, scores[item], now)
 
@@ -467,10 +501,15 @@ class Simulation:
                 now = (step + 1) * length
                 for window in windows:
                     lviews, gview = self.window_views(now, window)
+                    holders: dict[int, list[str]] = {}
+                    for agent, live in lviews.items():
+                        holders.setdefault(live, []).append(agent)
+                    ui, it = self.masks([gview, *holders])
                     out[window].append(
                         compute_step_metrics(
-                            lviews,
-                            gview,
+                            self.gkg,
+                            (ui[0], it[0]),
+                            zip(zip(ui[1:], it[1:]), holders.values()),
                             self.config.affinity_weight,
                             self.config.top_n,
                             now=now,

@@ -3,20 +3,22 @@
 The scorer oracles evaluate the defining sums literally over dense adjacency
 tables rebuilt from the graph's edge sets, sharing no code with the
 production scorers. :func:`merge_replay` is the gossip replay done the
-direct way, with one graph per agent merged on every contact and expiry
-windows applied by pruning each graph with :func:`prune_older_than`.
+direct way, with one graph per agent merged on every contact, expiry
+windows applied by pruning each graph with :func:`prune_older_than`, and
+the metrics taken on those graphs by :func:`reference_step_metrics`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from pliersim.evaluation import jaccard, spearman_similarity, sum_in_order
 from pliersim.graph import FolksonomyGraph
-from pliersim.recommend import pliers_tripartite
+from pliersim.recommend import pliers_tripartite, rank
 from pliersim.simulator import (
     DownloadPolicyState,
+    StepMetrics,
     apply_download_policy,
-    compute_step_metrics,
 )
 
 
@@ -172,6 +174,54 @@ def prune_older_than(graph: FolksonomyGraph, now: int, window: int) -> Folksonom
     )
 
 
+def graph_of(sim, bits: int) -> FolksonomyGraph:
+    """The graph of the content events of ``sim`` whose bits are set in ``bits``."""
+    graph = FolksonomyGraph()
+    for n, ev in enumerate(sim._events):
+        if bits >> n & 1:
+            graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
+    return graph
+
+
+def window_graphs(sim, now: int, window: int | None):
+    """``sim.window_views(now, window)`` as graphs: agent -> view, and the global view."""
+    lviews, gview = sim.window_views(now, window)
+    return {a: graph_of(sim, bits) for a, bits in lviews.items()}, graph_of(sim, gview)
+
+
+def reference_step_metrics(lkgs, gkg, affinity_weight, top_n, *, now, **counts) -> StepMetrics:
+    """The metric row of ``compute_step_metrics``, taken on graphs.
+
+    Each agent is scored alone on its own graph and on ``gkg`` and ranked
+    against that graph; graph similarity is the Jaccard of the flattened
+    edge sets. ``counts`` gives ``step``, ``n_contacts`` and ``n_contents``.
+    """
+    graph_sims, rec_jaccards, rec_corrected, rec_literal = [], [], [], []
+    flat_gkg = gkg.flatten()
+    for agent in sorted(lkgs):
+        lview = lkgs[agent]
+        graph_sims.append(jaccard(lview.flatten(), flat_gkg))
+        local = rank(pliers_tripartite(lview, agent, affinity_weight), lview, top_n).item_keys()
+        glob = rank(pliers_tripartite(gkg, agent, affinity_weight), gkg, top_n).item_keys()
+        if not local and not glob:
+            continue
+        rec_jaccards.append(jaccard(set(local), set(glob)))
+        rec_corrected.append(spearman_similarity(local, glob, "corrected"))
+        rec_literal.append(spearman_similarity(local, glob, "literal"))
+
+    def mean(values):
+        return sum_in_order(values) / len(values) if values else 1.0
+
+    return StepMetrics(
+        sim_time_s=now,
+        avg_graph_jaccard=mean(graph_sims),
+        avg_rec_jaccard=mean(rec_jaccards),
+        avg_rec_spearman_corrected=mean(rec_corrected),
+        avg_rec_spearman_literal=mean(rec_literal),
+        **counts,
+    )
+
+
 def merge_replay(config, contacts, contents, windows, agents=()):
     """Replay the traces with one mutable graph per agent, merged on each contact.
 
@@ -218,7 +268,7 @@ def merge_replay(config, contacts, contents, windows, agents=()):
                     lviews = {a: prune_older_than(g, now, window) for a, g in lkgs.items()}
                     gview = prune_older_than(gkg, now, window)
                 rows[window].append(
-                    compute_step_metrics(
+                    reference_step_metrics(
                         lviews,
                         gview,
                         config.affinity_weight,

@@ -13,10 +13,11 @@ from pliersim.graph import (
     save_graph_tsv,
 )
 from pliersim.evaluation import jaccard
+from pliersim.recommend import GraphIndex
 from pliersim.simulator import ContentEvent, SimConfig, Simulation
 
 from conftest import build_random_graph
-from oracles import creation_times, merged_components, prune_older_than
+from oracles import creation_times, merged_components, prune_older_than, window_graphs
 
 
 @st.composite
@@ -154,14 +155,14 @@ class TestPrune:
     def test_wide_window_changes_nothing(self, rng):
         for _ in range(20):
             sim = random_replay(rng)
-            lviews, gview = sim.window_views(now=10**9, window=10**9)
-            assert all(lviews[a] is sim.lkgs[a] for a in lviews)
+            lviews, gview = window_graphs(sim, now=10**9, window=10**9)
+            assert lviews == dict(sim.lkgs)
             assert gview == sim.gkg
 
     def test_full_expiry(self):
         sim = Simulation(SimConfig(), ["u1"])
         sim.apply_content(ContentEvent(0, "u1", "i1", ("t1",)))
-        lviews, gview = sim.window_views(now=7200, window=3600)
+        lviews, gview = window_graphs(sim, now=7200, window=3600)
         for view in (lviews["u1"], gview):
             assert len(view.items) == 0
             assert len(view.users) == 0 and len(view.tags) == 0
@@ -172,7 +173,7 @@ class TestPrune:
             times = sorted(creation_times(sim.gkg).values())
             now = times[-1]
             window = max(1, now - times[len(times) // 2])
-            lviews, gview = sim.window_views(now, window)
+            lviews, gview = window_graphs(sim, now, window)
             for view, graph in [(gview, sim.gkg), *((lviews[a], sim.lkgs[a]) for a in lviews)]:
                 keep = {i for i, t in creation_times(graph).items() if t >= now - window}
                 assert set(view.items) == keep
@@ -187,7 +188,7 @@ class TestPrune:
     def test_idempotent_and_no_isolated_nodes(self, rng):
         for _ in range(20):
             sim = random_replay(rng)
-            lviews, gview = sim.window_views(100, 40)
+            lviews, gview = window_graphs(sim, 100, 40)
             for view in [gview, *lviews.values()]:
                 assert prune_older_than(view, 100, 40) == view
                 for u in view.users:
@@ -199,7 +200,7 @@ class TestPrune:
     def test_age_bound(self, rng):
         for _ in range(20):
             sim = random_replay(rng)
-            lviews, gview = sim.window_views(100, 30)
+            lviews, gview = window_graphs(sim, 100, 30)
             for view in [gview, *lviews.values()]:
                 assert all(100 - t <= 30 for t in creation_times(view).values())
 
@@ -287,20 +288,26 @@ class TestCreationTimes:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.data())
     def test_never_stale(self, seed, data):
-        # window views built before an earlier re-announcement of an item
-        # must not be served after it
+        # window views taken before an earlier re-announcement of an item
+        # must not be served after it, nor scored on the index from before it
         sim = random_replay(random.Random(seed))
         item = data.draw(st.sampled_from(sorted(sim.gkg.items)))
         created = creation_times(sim.gkg)[item]
         if created == 0:
             return
         sim.window_views(created + 1, 1)
+        before = sim.gkg.derived(GraphIndex)
         earlier = created - data.draw(st.integers(1, created))
         sim.apply_content(ContentEvent(earlier, "u0", item, ("t9",)))
         # the cutoff earlier + 1 keeps an item created at ``created`` only
-        lviews, gview = sim.window_views(created + 1, created - earlier)
+        lviews, gview = window_graphs(sim, created + 1, created - earlier)
         assert item not in gview.items and item not in lviews["u0"].items
         assert gview == prune_older_than(sim.gkg, created + 1, created - earlier)
+        index = sim.gkg.derived(GraphIndex)
+        assert index is not before and "t9" in index.tags
+        ui, it = sim.masks(list(sim.window_views(created + 1, created - earlier)[0].values()))
+        assert ui.shape[1] == len(sim.gkg.user_item_edges)
+        assert it.shape[1] == len(sim.gkg.item_tag_edges)
 
 
 class TestDegrees:

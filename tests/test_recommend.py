@@ -12,7 +12,9 @@ from pliersim.evaluation import prune_for_link_prediction
 from pliersim.graph import FolksonomyGraph
 from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
+    GraphIndex,
     ScoreVector,
+    Scorer,
     affinity_scores,
     cf_user_based,
     heats_scores,
@@ -571,23 +573,32 @@ class TestManyTargets:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(recommend, "_BLOCK_SCORES", budget)
             for name, make in MANY_TARGET_SCORERS.items():
-                got = list(make(w, k).many(g, targets))
+                got = list(make(w, k).many(g.derived(GraphIndex), targets))
                 assert [v.target for v in got] == targets
                 for vector, target in zip(got, targets):
                     want = SINGLE_TARGET[name](g, target, w, k)
                     assert vector.items == want.items, (name, target)
                     assert vector.values.tobytes() == want.values.tobytes(), (name, target)
 
-    def test_all_cold_targets_build_no_index(self, monkeypatch):
+    def test_cold_targets_never_reach_the_kernel(self):
+        def no_kernel(index, rows):
+            raise AssertionError("a cold start reached the kernel")
+
+        # an empty graph has no item to split a block budget over
+        empty = FolksonomyGraph()
+        got = list(Scorer(no_kernel).many(empty.derived(GraphIndex), ["gone", "nobody"]))
+        assert [(v.target, v.items, v.values.size) for v in got] == [
+            ("gone", [], 0), ("nobody", [], 0)
+        ]
         g = build_random_graph(random.Random(2), 6, 8, 4)
-
-        def no_index(graph):
-            raise AssertionError("an index was built for cold starts only")
-
-        monkeypatch.setattr(recommend, "GraphIndex", no_index)
-        for make in MANY_TARGET_SCORERS.values():
-            got = list(make(0.5, 3).many(g, ["gone", "nobody"]))
-            assert [v.target for v in got] == ["gone", "nobody"]
+        index = g.derived(GraphIndex)
+        # a user of g owns no item in its subgraph without user-item edges
+        no_links = index.masked(
+            np.zeros(len(g.user_item_edges), bool), np.ones(len(g.item_tag_edges), bool)
+        )
+        for view, targets in ((index, ["gone", "nobody"]), (no_links, [index.users[0], "gone"])):
+            got = list(Scorer(no_kernel).many(view, targets))
+            assert [v.target for v in got] == targets
             assert all(v.items == sorted(g.items) and not v.values.any() for v in got)
 
 

@@ -1,6 +1,8 @@
 import itertools
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from pliersim import simulator
 from pliersim.evaluation import jaccard
 from pliersim.graph import FolksonomyGraph
+from pliersim.recommend import GraphIndex, Scorer, _tripartite
 from pliersim.simulator import (
     ContactEvent,
     ContentEvent,
@@ -22,7 +25,38 @@ from pliersim.simulator import (
     run,
 )
 
-from oracles import merge_replay, prune_older_than
+from oracles import (
+    graph_of,
+    merge_replay,
+    prune_older_than,
+    reference_step_metrics,
+    window_graphs,
+)
+
+
+def whole(graph):
+    """Masks that hold every edge of ``graph``."""
+    return np.ones(len(graph.user_item_edges), bool), np.ones(len(graph.item_tag_edges), bool)
+
+
+def masked_graph(gkg, view):
+    """The subgraph of ``gkg`` whose edges the masks ``view`` hold."""
+    ui, it = view
+    return FolksonomyGraph(
+        {e: t for (e, t), keep in zip(gkg.user_item_edges.items(), ui) if keep},
+        {e: t for (e, t), keep in zip(gkg.item_tag_edges.items(), it) if keep},
+    )
+
+
+class CountedScorer(Scorer):
+    """A Scorer that records the targets of every batched call."""
+
+    targets: list = []
+
+    def many(self, index, targets):
+        targets = list(targets)
+        CountedScorer.targets.extend(targets)
+        return super().many(index, targets)
 
 
 class TestEvents:
@@ -62,19 +96,37 @@ class TestEncounter:
     def test_converged_agents_share_one_graph(self):
         sim = self._sim(["a", "b"])
         sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
-        assert sim.lkgs["a"] is not sim.lkgs["b"]
+        lkgs = sim.lkgs
+        assert lkgs["a"] is not lkgs["b"]
         sim.encounter("a", "b", 60)
-        assert sim.lkgs["a"] is sim.lkgs["b"]
+        lkgs = sim.lkgs
+        assert lkgs["a"] is lkgs["b"]
 
-    def test_graphs_kept_only_for_held_knowledge(self):
-        # graphs built for the step-0 metrics go stale once the contacts of
-        # step 1 change what a and b know
-        contents = [ContentEvent(0, "a", "i1", ("t1",)), ContentEvent(0, "b", "i2", ("t2",))]
-        contacts = [ContactEvent(60, "a", "b"), ContactEvent(61, "b", "c")]
-        sim = Simulation(SimConfig(), ["a", "b", "c", "d"])
-        sim.run_windows(contacts, contents, [None, 60])
-        assert sim._graphs
-        assert set(sim._graphs) <= set(sim._knowledge.values())
+    def test_replay_builds_one_index_per_global_state(self, monkeypatch):
+        # every view, discovery scoring included, is a mask over gkg's index
+        graphs, indexes, states = [], [], [0]
+        real_init, real_add = FolksonomyGraph.__init__, FolksonomyGraph.add_content
+        real_index = GraphIndex.__init__
+
+        def counted_add(graph, *args):
+            states[0] += 1
+            real_add(graph, *args)
+
+        def counted_index(index, graph):
+            indexes.append((graph is sim.gkg, states[0]))
+            real_index(index, graph)
+
+        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        contacts, contents = TestExpiryRuns._fixture()
+        sim = Simulation(config)
+        monkeypatch.setattr(FolksonomyGraph, "__init__", lambda g, *a: graphs.append(g) or real_init(g, *a))
+        monkeypatch.setattr(FolksonomyGraph, "add_content", counted_add)
+        monkeypatch.setattr(GraphIndex, "__init__", counted_index)
+        sim.run_windows(contacts, contents, [None, 20 * 60, 300])
+        assert graphs == []
+        assert indexes and all(of_gkg for of_gkg, _ in indexes)
+        assert len({state for _, state in indexes}) == len(indexes)
+        assert all(p.observed for p in sim.policies.values())
 
     def test_union_after_exchange(self):
         sim = self._sim(["a", "b"])
@@ -105,18 +157,13 @@ class TestEncounter:
         assert set(sim.lkgs["c"].items) == {"i1"}
 
     def test_discoveries_not_scored_without_policy(self, monkeypatch):
-        calls = []
-        real = simulator.pliers_tripartite
-        monkeypatch.setattr(
-            simulator,
-            "pliers_tripartite",
-            lambda *args: calls.append(args) or real(*args),
-        )
+        monkeypatch.setattr(simulator, "Scorer", CountedScorer)
+        monkeypatch.setattr(CountedScorer, "targets", [])
         sim = self._sim(["a", "b"])
         sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
         sim.apply_content(ContentEvent(0, "b", "i2", ("t2",)))
         assert sim.encounter("a", "b", 60) == ({"i2"}, {"i1"})
-        assert calls == []
+        assert CountedScorer.targets == []
 
     def test_unknown_agent_with_explicit_roster(self):
         sim = Simulation(SimConfig(), ["a", "b"])
@@ -200,8 +247,7 @@ class TestStepMetrics:
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         gkg.add_content("b", "i2", ["t1"], 1)
-        lkgs = {"a": gkg.copy(), "b": gkg.copy()}
-        m = compute_step_metrics(lkgs, gkg, 0.5, None, now=60)
+        m = compute_step_metrics(gkg, whole(gkg), [(whole(gkg), ["a", "b"])], 0.5, None, now=60)
         assert m.avg_graph_jaccard == 1.0
         assert m.avg_rec_jaccard == 1.0
         assert m.avg_rec_spearman_corrected == 1.0
@@ -210,15 +256,16 @@ class TestStepMetrics:
     def test_empty_local_graph_scores_zero(self):
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
-        lkgs = {"a": gkg.copy(), "b": FolksonomyGraph()}
-        m = compute_step_metrics(lkgs, gkg, 0.5, None, now=60)
+        empty = np.zeros(1, bool), np.zeros(1, bool)
+        views = [(whole(gkg), ["a"]), (empty, ["b"])]
+        m = compute_step_metrics(gkg, whole(gkg), views, 0.5, None, now=60)
         assert m.avg_graph_jaccard == 0.5
 
     def test_rec_similarity_ceiling_at_equality(self):
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         gkg.add_content("b", "i2", ["t1"], 1)
-        m = compute_step_metrics({"a": gkg.copy()}, gkg, 0.5, None, now=60)
+        m = compute_step_metrics(gkg, whole(gkg), [(whole(gkg), ["a"])], 0.5, None, now=60)
         assert (
             m.avg_rec_jaccard
             == m.avg_rec_spearman_corrected
@@ -249,36 +296,31 @@ class TestStepMetrics:
         assert last.n_contacts == 1 and last.n_contents == 0
 
     def test_views_computed_once_per_distinct_graph(self, monkeypatch):
-        builds = []
-        real_graph_of = Simulation._graph_of
+        masked, steps = [], []
+        real_masked, real_metrics = GraphIndex.masked, simulator.compute_step_metrics
 
-        def counted_graph_of(sim, bits, memo):
-            if bits not in memo:
-                builds.append(bits)
-            return real_graph_of(sim, bits, memo)
+        def counted_masked(index, ui, it):
+            masked.append(ui)
+            return real_masked(index, ui, it)
 
-        monkeypatch.setattr(Simulation, "_graph_of", counted_graph_of)
-        steps = []
-        real_views = Simulation.window_views
+        def counted_metrics(gkg, gview, views, *args, **kwargs):
+            views = list(views)
+            masked.clear()
+            row = real_metrics(gkg, gview, views, *args, **kwargs)
+            holders = [a for _, group in views for a in group]
+            assert sorted(holders) == sorted(sim.lkgs)
+            steps.append((len(masked), len(views)))
+            return row
 
-        def counted(sim, now, window):
-            before = len(builds)
-            lviews, gview = real_views(sim, now, window)
-            distinct = {id(g) for g in [*lviews.values(), gview]}
-            steps.append((len(builds) - before, len(distinct)))
-            if window is None or window >= now:
-                lkgs = sim.lkgs
-                assert all(lviews[a] is lkgs[a] for a in lviews)
-            return lviews, gview
-
-        monkeypatch.setattr(Simulation, "window_views", counted)
+        monkeypatch.setattr(GraphIndex, "masked", counted_masked)
+        monkeypatch.setattr(simulator, "compute_step_metrics", counted_metrics)
         contacts, contents = TestExpiryRuns._fixture()
-        Simulation(SimConfig()).run_windows(contacts, contents, [None, 20 * 60, 300])
-        # at most one graph per distinct masked set, shared by equal agents
-        assert steps and all(built <= distinct for built, distinct in steps)
+        sim = Simulation(SimConfig())
+        sim.run_windows(contacts, contents, [None, 20 * 60, 300])
+        # one masked index per distinct live event set and one for the
+        # global view; agents with equal views share theirs
+        assert steps and all(built == 1 + distinct for built, distinct in steps)
         assert min(distinct for _, distinct in steps) < 12
-        # a covering window finds every graph already built for no window
-        assert all(built == 0 for built, _ in steps[1::3])
 
     def test_expiry_hides_old_items_from_metrics(self):
         # a knows "old" and "new", b only "new"; a 100 s window at t=540
@@ -297,15 +339,24 @@ class TestStepMetrics:
         sim = Simulation(SimConfig(), ["a", "b"])
         sim.apply_content(ContentEvent(0, "a", "x", ("t1",)))
         sim.apply_content(ContentEvent(500, "b", "x", ("t2",)))
-        lviews, gview = sim.window_views(540, 100)
+        lviews, gview = window_graphs(sim, 540, 100)
         assert not lviews["a"].items and not gview.items
         assert dict(lviews["b"].user_item_edges) == {("b", "x"): 500}
         assert dict(lviews["b"].item_tag_edges) == {("x", "t2"): 500}
         for agent in ("a", "b"):
             assert lviews[agent] == prune_older_than(sim.lkgs[agent], 540, 100)
         assert gview == prune_older_than(sim.gkg, 540, 100)
-        row = compute_step_metrics(lviews, gview, 0.5, None, now=540)
+        # b, the later-only holder, keeps the edges of its own announcement
+        live, glive = sim.window_views(540, 100)
+        ui, it = sim.masks([glive, live["a"], live["b"]])
+        held = masked_graph(sim.gkg, (ui[2], it[2]))
+        assert held.user_item_edges.keys() == {("b", "x")}
+        assert held.item_tag_edges.keys() == {("x", "t2")}
+        views = [((ui[1], it[1]), ["a"]), ((ui[2], it[2]), ["b"])]
+        row = compute_step_metrics(sim.gkg, (ui[0], it[0]), views, 0.5, None, now=540)
         assert row.avg_graph_jaccard == (1.0 + 0.0) / 2
+        assert row == reference_step_metrics(lviews, gview, 0.5, None, now=540, step=0,
+                                             n_contacts=0, n_contents=0)
 
 
 class TestExpiryRuns:
@@ -417,6 +468,16 @@ class TestDownloadPolicies:
             DownloadPolicySpec("bounded_buffer", capacity=0)
         with pytest.raises(ValueError):
             DownloadPolicySpec("percentile_threshold", percentile=120.0)
+
+    def test_negative_history_span_rejected(self):
+        # with a span of -10 every observation emptied the history, so this
+        # policy downloaded all five items instead of the first one only
+        with pytest.raises(ValueError, match="history span"):
+            DownloadPolicySpec("mean_threshold", history_span_s=-10)
+        state = DownloadPolicyState(DownloadPolicySpec("mean_threshold", history_span_s=0))
+        decisions = [apply_download_policy(state, f"i{n}", s, now=0)
+                     for n, s in enumerate((5.0, 1.0, 0.5, 0.2, 0.1))]
+        assert decisions == [True, False, False, False, False]
 
 
 class TestSyntheticContacts:
@@ -568,37 +629,74 @@ def test_agents_outside_both_views_are_not_scored(replay):
     config, contacts, contents, windows = replay
     roster = AGENTS + ["s1", "s2"]
     _, _, ref_rows, _ = merge_replay(config, contacts, contents, windows, roster)
-    real_metrics, real_score = simulator.compute_step_metrics, simulator.pliers_tripartite
-    scored, skipped = [], []
+    real_metrics = simulator.compute_step_metrics
+    skipped = []
 
-    def counted_score(graph, agent, *args):
-        scored.append(agent)
-        return real_score(graph, agent, *args)
-
-    class CountedScorer(simulator.Scorer):
-        """The batched scorer of the global view, recording its targets."""
-
-        def many(self, graph, targets):
-            targets = list(targets)
-            scored.extend(targets)
-            return super().many(graph, targets)
-
-    def checked_metrics(lviews, gview, weight, top_n, **kwargs):
-        scored.clear()  # discovery scoring in the contacts before
-        row = real_metrics(lviews, gview, weight, top_n, **kwargs)
-        outside = [a for a, v in lviews.items() if a not in v.users and a not in gview.users]
-        assert not set(outside) & set(scored)
-        # scored, both of their lists would be empty, and the row skips those
-        for agent in outside:
-            for view in (lviews[agent], gview):
-                assert not simulator.rank(real_score(view, agent, weight), view, top_n).ranked
-        skipped.extend(outside)
+    def checked_metrics(gkg, gview, views, weight, top_n, **kwargs):
+        views = list(views)
+        CountedScorer.targets.clear()  # discovery scoring in the contacts before
+        row = real_metrics(gkg, gview, views, weight, top_n, **kwargs)
+        global_graph = masked_graph(gkg, gview)
+        for view, holders in views:
+            local_graph = masked_graph(gkg, view)
+            outside = [a for a in holders if a not in local_graph.users | global_graph.users]
+            assert not set(outside) & set(CountedScorer.targets)
+            # scored, both of their lists would be empty, and the row skips those
+            for agent in outside:
+                for graph in (local_graph, global_graph):
+                    scores = simulator.pliers_tripartite(graph, agent, weight)
+                    assert not simulator.rank(scores, graph, top_n).ranked
+            skipped.extend(outside)
         return row
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "pliers_tripartite", counted_score)
         patch.setattr(simulator, "Scorer", CountedScorer)
+        patch.setattr(CountedScorer, "targets", [])
         patch.setattr(simulator, "compute_step_metrics", checked_metrics)
         rows = Simulation(config, roster).run_windows(contacts, contents, windows)
     assert rows == ref_rows
     assert {"s1", "s2"} <= set(skipped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(replays(), st.lists(st.integers(30, 400), min_size=1, max_size=3))
+def test_masked_views_equal_built_graphs(replay, more_windows):
+    """Every view scored on the masked global index as on its own graph's index.
+
+    For each distinct live event set of every window at every metric step,
+    the rows of ``Scorer.many`` on ``GraphIndex.masked`` equal with ``==``
+    those on the index of the set's own graph over its items, every other
+    item scores exactly 0, and the mask-count Jaccard equals the edge-map
+    Jaccard.
+    """
+    config, contacts, contents, windows = replay
+    roster = AGENTS + ["s1", "s2"]
+    pliers = Scorer(partial(_tripartite, affinity_weight=config.affinity_weight))
+    targets = [*roster, "nobody"]
+    sim = Simulation(config, roster)
+    real_views = sim.window_views
+    checked = []
+
+    def checked_views(now, window):
+        lviews, gview = real_views(now, window)
+        distinct = [gview, *dict.fromkeys(lviews.values())]
+        ui, it = sim.masks(distinct)
+        index = sim.gkg.derived(GraphIndex)
+        global_graph = graph_of(sim, gview)
+        for bits, view in zip(distinct, zip(ui, it)):
+            graph = graph_of(sim, bits)
+            own = list(pliers.many(graph.derived(GraphIndex), targets))
+            masked = list(pliers.many(index.masked(*view), targets))
+            for got, want in zip(masked, own):
+                values = dict(zip(got.items, got.values.tolist()))
+                assert [values.pop(i) for i in want.items] == want.values.tolist()
+                assert set(values.values()) <= {0.0}
+            assert simulator._mask_jaccard(view, (ui[0], it[0])) == jaccard(
+                graph.flatten(), global_graph.flatten()
+            )
+            checked.append(bits)
+        return lviews, gview
+
+    sim.window_views = checked_views
+    sim.run_windows(contacts, contents, [*windows, *more_windows])
+    assert checked

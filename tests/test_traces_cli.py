@@ -231,6 +231,20 @@ class TestCliSimulate:
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
 
+    def test_negative_history_span_cites_file_and_line(self, tmp_path, sim_fixture, capsys):
+        # a negative span emptied the history on every observation, so a
+        # threshold policy downloaded every item
+        contacts, contents = sim_fixture
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("download_policy = mean_threshold\ndownload_history_s = -10\n")
+        code = cli.main(
+            ["simulate", str(contacts), str(contents), "--config", str(cfg),
+             "--outdir", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {cfg}:2: history span must be >= 0\n"
+
+
 class TestCliRecommend:
     @pytest.fixture
     def graph_file(self, tmp_path):
@@ -391,6 +405,28 @@ class TestHashSeed:
             outputs = [self._run(args, seed) for seed in (0, 1)]
             assert outputs[0].count(b"\n") > 2
             assert outputs[0] == outputs[1], args
+
+    def test_simulate_ignores_hash_seed(self, tmp_path):
+        contacts, contents = tmp_path / "contacts.csv", tmp_path / "contents.csv"
+        assert cli.main(
+            ["gen-traces", "--agents", "30", "--communities", "6", "--duration-s", "1800",
+             "--seed", "4", "--items", "60", "--tags", "30",
+             "--contacts-out", str(contacts), "--contents-out", str(contents)]
+        ) == 0
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "metric_cadence = 3\nexpiry_window_s = 600\ntop_n = 5\n"
+            "download_policy = percentile_threshold\ndownload_history_s = 300\n"
+        )
+        outputs = []
+        for seed in (0, 1):
+            outdir = tmp_path / f"out{seed}"
+            self._run(["simulate", str(contacts), str(contents), "--config", str(cfg),
+                       "--outdir", str(outdir)], seed)
+            outputs.append([(outdir / name).read_bytes()
+                            for name in ("metrics.csv", "correlation.csv")])
+        assert outputs[0][0].count(b"\n") > 10
+        assert outputs[0] == outputs[1]
 
 
 class TestCliGenTraces:
