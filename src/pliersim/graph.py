@@ -80,10 +80,6 @@ class FolksonomyGraph:
     def items_of_tag(self, tag: str) -> AbstractSet[str]:
         return (self._derived or self._derive()).tag_items.get(tag, _EMPTY)
 
-    def item_popularity(self, item: str) -> int:
-        """Number of users linked to ``item``."""
-        return len((self._derived or self._derive()).item_users.get(item, _EMPTY))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FolksonomyGraph):
             return NotImplemented
@@ -145,12 +141,6 @@ class FolksonomyGraph:
         out = {("UI", u, i) for (u, i) in self._ui_times}
         out |= {("IT", i, t) for (i, t) in self._it_times}
         return out
-
-    def validate(self) -> None:
-        """Check that every item has a user link and a tag link (AssertionError if not)."""
-        owned = {i for _, i in self._ui_times}
-        tagged = {i for i, _ in self._it_times}
-        assert owned == tagged, f"items without a tag or a user: {sorted(owned ^ tagged)}"
 
 
 _EMPTY: frozenset = frozenset()

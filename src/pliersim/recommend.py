@@ -64,9 +64,6 @@ class RecommendationVector:
     def item_keys(self) -> list[str]:
         return [item for item, _ in self.ranked]
 
-    def __len__(self) -> int:
-        return len(self.ranked)
-
 
 class Adjacency(NamedTuple):
     """One direction of a bipartite edge set as CSR arrays.
@@ -509,8 +506,6 @@ def rank(
         if n < len(items) and items[n] == item:
             keep[n] = False
     (pos,) = keep.nonzero()
-    if not pos.size:  # a cold start, as for most gossip agents: nothing to sort
-        return RecommendationVector(scores.target, [])
     # items are in key order and pos ascends, so a stable sort on -score
     # leaves equal scores in ascending key order
     order = pos[(-values[pos]).argsort(kind="stable")]

@@ -79,7 +79,8 @@ class DownloadPolicySpec:
     ``mean_threshold`` downloads scores strictly above the mean of the score
     history, ``percentile_threshold`` above the given percentile of it, and
     ``bounded_buffer`` keeps the ``capacity`` best-scored items seen so far.
-    ``history_span_s`` limits the threshold history to a sliding time span.
+    ``history_span_s`` limits the threshold history to a sliding span of
+    simulation seconds.
     """
 
     kind: str
@@ -102,7 +103,11 @@ class DownloadPolicySpec:
 
 @dataclass
 class DownloadPolicyState:
-    """Per-agent mutable policy state: score history and/or item buffer."""
+    """Per-agent mutable policy state.
+
+    The threshold kinds keep a score history of (time, score) pairs;
+    ``bounded_buffer`` keeps only its item buffer.
+    """
 
     spec: DownloadPolicySpec
     history: deque = field(default_factory=deque)  # (time, score) pairs
@@ -112,22 +117,18 @@ class DownloadPolicyState:
 
 
 def apply_download_policy(
-    state: DownloadPolicyState, item: str, score: float, now: int | None = None
+    state: DownloadPolicyState, item: str, score: float, now: int
 ) -> bool:
     """Decide download/skip for one scored item and update the state.
 
-    The score history records every observation regardless of the decision.
-    ``now`` drives the sliding-span eviction; when omitted, the observation
-    index is used, which keeps the history unbounded unless a span is set.
+    A threshold kind records every observation in its score history at
+    simulation time ``now``, whatever the decision; with a history span
+    set, observations older than ``now`` minus the span leave the history
+    before the decision.
     """
     if score < 0.0:
         raise ValueError("score must be >= 0")
     spec = state.spec
-    t = state.observed if now is None else now
-    if spec.history_span_s is not None:
-        while state.history and t - state.history[0][0] > spec.history_span_s:
-            state.history.popleft()
-
     if spec.kind == "bounded_buffer":
         if len(state.buffer) < spec.capacity:
             state.buffer[item] = score
@@ -143,6 +144,9 @@ def apply_download_policy(
             else:
                 decision = False
     else:
+        if spec.history_span_s is not None:
+            while state.history and now - state.history[0][0] > spec.history_span_s:
+                state.history.popleft()
         values = [s for _, s in state.history]
         if not values:
             decision = True
@@ -150,8 +154,8 @@ def apply_download_policy(
             decision = score > sum_in_order(values) / len(values)
         else:
             decision = score > float(np.percentile(values, spec.percentile))
+        state.history.append((now, score))
 
-    state.history.append((t, score))
     state.observed += 1
     state.downloaded += decision
     return decision
@@ -371,22 +375,18 @@ class Simulation:
         view is that of all events.
         """
         cutoff = 0 if window is None else now - window
-        # an item announced once expires by its one bit; an item announced
-        # more than once expires for the holders of any older announcement
-        stale, repeated = 0, {}
+        # announcements of one item -> those of them older than the cutoff
+        old: dict[int, int] = {}
         for index, ev in enumerate(self._events):
             if ev.time < cutoff:
-                bit, events = 1 << index, self._item_events[ev.item]
-                if events == bit:
-                    stale |= bit
-                else:
-                    repeated[events] = repeated.get(events, 0) | bit
+                events = self._item_events[ev.item]
+                old[events] = old.get(events, 0) | 1 << index
         everything = (1 << len(self._events)) - 1
         views = {}
         for bits in {everything, *self._knowledge.values()}:
-            live = bits & ~stale
-            for events, old in repeated.items():
-                if bits & old:
+            live = bits
+            for events, older in old.items():
+                if bits & older:
                     live &= ~events
             views[bits] = live
         return {a: views[bits] for a, bits in self._knowledge.items()}, views[everything]
@@ -427,27 +427,23 @@ class Simulation:
         items_a |= new_a
         items_b |= new_b
         self._knowledge[a] = self._knowledge[b] = ka | kb
-        self._evaluate_discoveries(a, new_a, now)
-        self._evaluate_discoveries(b, new_b, now)
+        self._evaluate_discoveries({a: new_a, b: new_b}, ka | kb, now)
         return new_a, new_b
 
-    def _evaluate_discoveries(self, agent: str, new_items: set[str], now: int) -> None:
-        policy = self.policies.get(agent)
-        if policy is None or not new_items:
+    def _evaluate_discoveries(
+        self, discoveries: dict[str, set[str]], known: int, now: int
+    ) -> None:
+        """Score each side's new items on the events both sides now know, for its policy."""
+        deciding = [a for a, new in discoveries.items() if new and a in self.policies]
+        if not deciding:
             return
-        ui, it = self.masks([self._knowledge[agent]])
+        ui, it = self.masks([known])
         view = self.gkg.derived(GraphIndex).masked(ui[0], it[0])
         pliers = Scorer(partial(_tripartite, affinity_weight=self.config.affinity_weight))
-        scores = next(pliers.many(view, [agent])).scores
-        for item in sorted(new_items):
-            apply_download_policy(policy, item, scores[item], now)
-
-    def run(
-        self,
-        contacts: Sequence[ContactEvent],
-        contents: Sequence[ContentEvent],
-    ) -> list[StepMetrics]:
-        return next(iter(self.run_windows(contacts, contents, [self.config.expiry_window]).values()))
+        for agent, vector in zip(deciding, pliers.many(view, deciding)):
+            scores = vector.scores
+            for item in sorted(discoveries[agent]):
+                apply_download_policy(self.policies[agent], item, scores[item], now)
 
     def run_windows(
         self,
@@ -533,7 +529,8 @@ def run(
     roster (needed for silent agents that neither create nor appear first in
     a contact before meeting someone).
     """
-    return Simulation(config, agents).run(contacts, contents)
+    window = config.expiry_window
+    return Simulation(config, agents).run_windows(contacts, contents, [window])[window]
 
 
 # ----------------------------------------------------------------------

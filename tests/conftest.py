@@ -32,6 +32,13 @@ def build_random_graph(
     return g
 
 
+def assert_items_owned_and_tagged(graph: FolksonomyGraph) -> None:
+    """Every item of ``graph`` has a user link and a tag link."""
+    owned = {i for _, i in graph.user_item_edges}
+    tagged = {i for i, _ in graph.item_tag_edges}
+    assert owned == tagged, f"items without a tag or a user: {sorted(owned ^ tagged)}"
+
+
 def random_target(rng: random.Random, graph: FolksonomyGraph) -> str:
     return rng.choice(sorted(graph.users))
 

@@ -57,7 +57,7 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     scores = _zero_scores(graph)
     mass: dict[str, float] = {}
     for item in sorted(graph.items_of_user(target)):
-        share = 1.0 / graph.item_popularity(item)
+        share = 1.0 / len(graph.users_of_item(item))
         for user in sorted(graph.users_of_item(item)):
             mass[user] = mass.get(user, 0.0) + share
     for user in sorted(mass):
@@ -157,7 +157,7 @@ def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
         graph.users_of_item,
         graph.items_of_user,
         lambda user: len(graph.items_of_user(user)),
-        graph.item_popularity,
+        lambda item: len(graph.users_of_item(item)),
         graph,
     )
     return _vector(target, scores)

@@ -157,7 +157,7 @@ class TestLinkRemoval:
         p3, r3 = prune_for_link_prediction(g, 43)
         assert r3.removals != r1.removals  # overwhelmingly likely
         for item in p1.items:
-            assert p1.item_popularity(item) >= 1
+            assert len(p1.users_of_item(item)) >= 1
         assert set(p1.items) == set(g.items)
 
     def test_removed_edges_and_fraction(self):
@@ -166,7 +166,7 @@ class TestLinkRemoval:
         for user, item in removal.removals.items():
             assert (user, item) in g.user_item_edges
             assert (user, item) not in pruned.user_item_edges
-            assert g.item_popularity(item) > 1
+            assert len(g.users_of_item(item)) > 1
         assert removal.removed_fraction == len(removal.removals) / len(
             g.user_item_edges
         )
@@ -175,11 +175,11 @@ class TestLinkRemoval:
         # dense adoptions keep popularity above 2, so sequential removals
         # cannot change any user's eligibility
         g = self._graph_with_adoptions(adopt_p=0.85)
-        assert all(g.item_popularity(i) >= 3 for i in g.items)
+        assert all(len(g.users_of_item(i)) >= 3 for i in g.items)
         eligible = {
             u
             for u in g.users
-            if sum(1 for i in g.items_of_user(u) if g.item_popularity(i) > 1) >= 5
+            if sum(1 for i in g.items_of_user(u) if len(g.users_of_item(i)) > 1) >= 5
         }
         _, removal = prune_for_link_prediction(g, 11)
         assert set(removal.removals) == eligible

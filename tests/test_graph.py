@@ -16,7 +16,7 @@ from pliersim.evaluation import jaccard
 from pliersim.recommend import GraphIndex
 from pliersim.simulator import ContentEvent, SimConfig, Simulation
 
-from conftest import build_random_graph
+from conftest import assert_items_owned_and_tagged, build_random_graph
 from oracles import creation_times, merged_components, prune_older_than, window_graphs
 
 
@@ -87,7 +87,7 @@ class TestAddContent:
         assert g.item_tag_edges[("i1", "t1")] == 10
         assert g.user_item_edges[("u1", "i1")] == 50
         assert g.user_item_edges[("u2", "i1")] == 10
-        g.validate()
+        assert_items_owned_and_tagged(g)
 
     def test_same_key_as_item_and_tag(self):
         g = FolksonomyGraph()
@@ -195,7 +195,7 @@ class TestPrune:
                     assert view.items_of_user(u)
                 for t in view.tags:
                     assert view.items_of_tag(t)
-                view.validate()
+                assert_items_owned_and_tagged(view)
 
     def test_age_bound(self, rng):
         for _ in range(20):
@@ -261,7 +261,7 @@ class TestCreationTimes:
         ui, it = merged_components(a, FolksonomyGraph())
 
         def check(g):
-            g.validate()
+            assert_items_owned_and_tagged(g)
             assert dict(g.user_item_edges) == ui and dict(g.item_tag_edges) == it
 
         check(a)
@@ -313,7 +313,7 @@ class TestCreationTimes:
 class TestDegrees:
     def test_degree_sums_match_edge_counts(self, rng):
         g = build_random_graph(rng)
-        assert sum(g.item_popularity(i) for i in g.items) == len(g.user_item_edges)
+        assert sum(len(g.users_of_item(i)) for i in g.items) == len(g.user_item_edges)
 
 
 class TestDerived:
@@ -353,11 +353,10 @@ def assert_views_match_edge_maps(g: FolksonomyGraph) -> None:
         assert g.items_of_user(u) == {i for v, i in ui if v == u}
     for i in items | {"nothing"}:
         assert g.users_of_item(i) == {u for u, j in ui if j == i}
-        assert g.item_popularity(i) == len(g.users_of_item(i))
         assert g.tags_of_item(i) == {t for j, t in it if j == i}
     for t in tags | {"nothing"}:
         assert g.items_of_tag(t) == {i for i, s in it if s == t}
-    g.validate()
+    assert_items_owned_and_tagged(g)
 
 
 class TestReadsFollowMutations:
@@ -397,13 +396,6 @@ class TestReadsFollowMutations:
         held = g.items_of_user("u1")
         g.add_content("u1", "i2", ["t1"], 5)
         assert held == {"i1"} and g.items_of_user("u1") == {"i1", "i2"}
-
-    def test_validate_needs_a_user_and_a_tag_on_every_item(self):
-        FolksonomyGraph().validate()
-        with pytest.raises(AssertionError):
-            FolksonomyGraph({("u1", "i1"): 0}, {}).validate()
-        with pytest.raises(AssertionError):
-            FolksonomyGraph({}, {("i1", "t1"): 0}).validate()
 
 
 class TestSnapshotFile:

@@ -398,7 +398,7 @@ class TestPopularityAffinity:
         probs_top = rank(probs_scores(g, "t"), g).item_keys()[0]
         pliers_top = rank(affinity_scores(g, "t"), g).item_keys()[0]
         assert probs_top == "P" and pliers_top == "B"
-        assert g.item_popularity(pliers_top) < g.item_popularity(probs_top)
+        assert len(g.users_of_item(pliers_top)) < len(g.users_of_item(probs_top))
 
 
 @settings(max_examples=40, deadline=None)

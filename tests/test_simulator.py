@@ -157,7 +157,7 @@ class TestEncounter:
         contents = [ContentEvent(0, "a", "i1", ("t1",))]
         contacts = [ContactEvent(60, "a", "b"), ContactEvent(61, "b", "c")]
         sim = Simulation(config)
-        sim.run(contacts, contents)
+        sim.run_windows(contacts, contents, [None])
         assert set(sim.lkgs["c"].items) == {"i1"}
 
     def test_discoveries_not_scored_without_policy(self, monkeypatch):
@@ -169,13 +169,33 @@ class TestEncounter:
         assert sim.encounter("a", "b", 60) == ({"i2"}, {"i1"})
         assert CountedScorer.targets == []
 
+    def test_one_masked_index_per_contact(self, monkeypatch):
+        # after a contact both sides know the same events, so one masked
+        # index scores the discoveries of both
+        masked, real_masked = [], GraphIndex.masked
+
+        def counted_masked(index, ui, it):
+            masked.append(1)
+            return real_masked(index, ui, it)
+
+        monkeypatch.setattr(GraphIndex, "masked", counted_masked)
+        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        sim = Simulation(config, ["a", "b", "c"])
+        for agent in ("a", "b", "c"):
+            sim.apply_content(ContentEvent(0, agent, f"i_{agent}", ("t1",)))
+        # both sides learn, both learn, only a learns
+        for a, b in (("a", "b"), ("b", "c"), ("a", "c")):
+            sim.encounter(a, b, 60)
+        assert len(masked) == 3
+        assert {a: p.observed for a, p in sim.policies.items()} == {"a": 2, "b": 2, "c": 2}
+
     def test_unknown_agent_with_explicit_roster(self):
         sim = Simulation(SimConfig(), ["a", "b"])
         with pytest.raises(SimulationError):
-            sim.run([ContactEvent(0, "a", "zz")], [])
+            sim.run_windows([ContactEvent(0, "a", "zz")], [], [None])
         sim = Simulation(SimConfig(), ["a", "b"])
         with pytest.raises(SimulationError):
-            sim.run([], [ContentEvent(0, "zz", "i1", ("t1",))])
+            sim.run_windows([], [ContentEvent(0, "zz", "i1", ("t1",))], [None])
 
 
 class TestRun:
@@ -228,7 +248,7 @@ class TestRun:
         ]
         config = SimConfig()
         sim = Simulation(config)
-        metrics = sim.run(contacts, contents)
+        metrics = sim.run_windows(contacts, contents, [None])[None]
         flat_gkg = sim.gkg.flatten()
         for lkg in sim.lkgs.values():
             assert lkg.flatten() <= flat_gkg
@@ -405,40 +425,42 @@ class TestDownloadPolicies:
     def test_cold_start_downloads(self):
         for kind in ("mean_threshold", "percentile_threshold"):
             state = DownloadPolicyState(DownloadPolicySpec(kind))
-            assert apply_download_policy(state, "i1", 0.0) is True
+            assert apply_download_policy(state, "i1", 0.0, now=0) is True
 
     def test_mean_threshold_is_strict(self):
         state = DownloadPolicyState(DownloadPolicySpec("mean_threshold"))
         for n, score in enumerate((1.0, 2.0, 3.0)):
-            apply_download_policy(state, f"h{n}", score)
-        assert apply_download_policy(state, "i1", 2.0) is False
-        assert apply_download_policy(state, "i2", 2.51) is True
+            apply_download_policy(state, f"h{n}", score, now=0)
+        assert apply_download_policy(state, "i1", 2.0, now=0) is False
+        assert apply_download_policy(state, "i2", 2.51, now=0) is True
 
     def test_mean_threshold_adds_left_to_right(self):
         # added in order the mean is 0.3333333333333333; a compensated sum,
         # such as builtin sum from Python 3.12 on, gives 0.3333333333333334
         state = DownloadPolicyState(DownloadPolicySpec("mean_threshold"))
         for n, score in enumerate((1.0, 1e-16, 1e-16)):
-            apply_download_policy(state, f"h{n}", score)
-        assert apply_download_policy(state, "i1", math.nextafter(1 / 3, 1)) is True
+            apply_download_policy(state, f"h{n}", score, now=0)
+        assert apply_download_policy(state, "i1", math.nextafter(1 / 3, 1), now=0) is True
 
     def test_percentile_threshold(self):
         state = DownloadPolicyState(
             DownloadPolicySpec("percentile_threshold", percentile=90.0)
         )
         for n in range(10):
-            apply_download_policy(state, f"h{n}", float(n))
-        assert apply_download_policy(state, "low", 5.0) is False
-        assert apply_download_policy(state, "high", 9.5) is True
+            apply_download_policy(state, f"h{n}", float(n), now=0)
+        assert apply_download_policy(state, "low", 5.0, now=0) is False
+        assert apply_download_policy(state, "high", 9.5, now=0) is True
 
     def test_bounded_buffer_replaces_minimum(self):
         state = DownloadPolicyState(DownloadPolicySpec("bounded_buffer", capacity=2))
-        assert apply_download_policy(state, "i1", 1.0) is True
-        assert apply_download_policy(state, "i2", 2.0) is True
-        assert apply_download_policy(state, "i3", 3.0) is True
+        assert apply_download_policy(state, "i1", 1.0, now=0) is True
+        assert apply_download_policy(state, "i2", 2.0, now=0) is True
+        assert apply_download_policy(state, "i3", 3.0, now=0) is True
         assert state.buffer == {"i2": 2.0, "i3": 3.0}
-        assert apply_download_policy(state, "i4", 0.5) is False
+        assert apply_download_policy(state, "i4", 0.5, now=0) is False
         assert state.buffer == {"i2": 2.0, "i3": 3.0}
+        # the buffer never reads a score history, so none is kept
+        assert not state.history and state.observed == 4
 
     def test_history_span_eviction(self):
         spec = DownloadPolicySpec("mean_threshold", history_span_s=100)
@@ -450,8 +472,8 @@ class TestDownloadPolicies:
 
     def test_history_records_skips_too(self):
         state = DownloadPolicyState(DownloadPolicySpec("mean_threshold"))
-        apply_download_policy(state, "i1", 4.0)
-        apply_download_policy(state, "i2", 1.0)  # skipped
+        apply_download_policy(state, "i1", 4.0, now=0)
+        apply_download_policy(state, "i2", 1.0, now=0)  # skipped
         assert [s for _, s in state.history] == [4.0, 1.0]
         assert state.downloaded == 1 and state.observed == 2
 
@@ -460,7 +482,7 @@ class TestDownloadPolicies:
         contents = [ContentEvent(0, "a", "i1", ("t1",)), ContentEvent(0, "b", "i2", ("t1",))]
         contacts = [ContactEvent(60, "a", "b")]
         sim = Simulation(config)
-        sim.run(contacts, contents)
+        sim.run_windows(contacts, contents, [None])
         assert sim.policies["a"].observed == 1  # discovered i2
         assert sim.policies["a"].downloaded == 1  # cold start
         assert sim.policies["b"].observed == 1
@@ -585,8 +607,9 @@ def replays(draw):
         ContactEvent(hop + 3, "c", "d"),
     ]
     policy = DownloadPolicySpec(
-        "percentile_threshold",
+        draw(st.sampled_from(DownloadPolicySpec.KINDS)),
         percentile=draw(st.floats(0.0, 100.0)),
+        capacity=draw(st.integers(1, 3)),
         history_span_s=draw(st.none() | st.integers(30, 300)),
     )
     config = SimConfig(

@@ -6,6 +6,8 @@ import pytest
 from pliersim.graph import save_graph_tsv
 from pliersim.synth import generate_folksonomy, generate_synthetic_contents
 
+from conftest import assert_items_owned_and_tagged
+
 
 class TestContentStream:
     def test_tag_counts_within_bounds(self):
@@ -51,9 +53,9 @@ class TestFolksonomy:
         g1 = generate_folksonomy(60, 120, 40, 5)
         g2 = generate_folksonomy(60, 120, 40, 5)
         assert g1 == g2
-        g1.validate()
+        assert_items_owned_and_tagged(g1)
         for item in g1.items:
-            assert g1.item_popularity(item) >= 1
+            assert len(g1.users_of_item(item)) >= 1
             assert len(g1.tags_of_item(item)) >= 1
 
     def test_output_pinned(self, tmp_path):
@@ -68,13 +70,13 @@ class TestFolksonomy:
         eligible = [
             u
             for u in g.users
-            if sum(1 for i in g.items_of_user(u) if g.item_popularity(i) > 1) >= 5
+            if sum(1 for i in g.items_of_user(u) if len(g.users_of_item(i)) > 1) >= 5
         ]
         assert len(eligible) >= 40
 
-    def test_item_popularity_long_tailed(self):
+    def test_popularity_long_tailed(self):
         g = generate_folksonomy(150, 300, 60, 7)
-        pops = sorted((g.item_popularity(i) for i in g.items), reverse=True)
+        pops = sorted((len(g.users_of_item(i)) for i in g.items), reverse=True)
         assert pops[0] >= 2.5 * pops[len(pops) // 2]
         # top decile concentrates far more than its uniform share
         assert sum(pops[: len(pops) // 10]) >= 0.18 * sum(pops)
