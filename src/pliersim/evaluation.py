@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import FolksonomyGraph
-from .recommend import GraphIndex, Scorer, rank
+from .recommend import Scorer, rank
 
 
 def sum_in_order(values: Iterable[float]) -> float:
@@ -66,7 +66,7 @@ def prune_for_link_prediction(
         chosen = candidates[rng.randrange(len(candidates))]
         popularity[chosen] -= 1
         removals[user] = chosen
-    # nothing has read the fresh copy yet, so it holds no derived state to drop
+    # nothing has read the fresh copy yet, so it holds no index to drop
     pruned = graph.copy()
     for edge in removals.items():
         del pruned._ui_times[edge]
@@ -146,7 +146,7 @@ def evaluate_on_pruned(
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
     total_precision = total_recall = 0.0
     users = sorted(removal.removals)
-    for user, scores in zip(users, scorer.many(pruned.derived(GraphIndex), users)):
+    for user, scores in zip(users, scorer.many(pruned.index(), users)):
         keys = rank(scores, pruned, top_n).item_keys()
         try:
             position = keys.index(removal.removals[user]) + 1

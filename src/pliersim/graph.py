@@ -9,24 +9,24 @@ namespaces, so the same string may name both a tag and an item.
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-T = TypeVar("T")
+import numpy as np
 
 
 class FolksonomyGraph:
     """Simple (0/1) tripartite graph with a creation time on every edge.
 
-    The two edge maps are the whole state. Node sets, adjacency sets and
-    degrees are derived from them on first read, once per graph state, and
-    dropped by every mutator (``add_content``, ``merge``). Set-valued
-    accessors return sets of the current state, not live sets; treat them
-    as read-only. Mutators require exclusive access.
+    The two edge maps are the whole state. Everything else (node keys,
+    adjacency, degrees) is read off :meth:`index`, built on first read once
+    per graph state and dropped by every mutator (``add_content``,
+    ``merge``). Node views list keys in ascending order, and the adjacency
+    accessors return frozensets of the current state. Mutators require
+    exclusive access.
     """
 
-    __slots__ = ("_ui_times", "_it_times", "_derived")
+    __slots__ = ("_ui_times", "_it_times", "_index")
 
     def __init__(
         self,
@@ -36,11 +36,13 @@ class FolksonomyGraph:
         """A graph holding copies of the two edge maps, edge -> creation time."""
         self._ui_times = dict(user_item_edges or ())
         self._it_times = dict(item_tag_edges or ())
-        self._derived: _Derived | None = None
+        self._index: GraphIndex | None = None
 
-    def _derive(self) -> "_Derived":
-        self._derived = _Derived(*_both_ways(self._ui_times), *_both_ways(self._it_times), {})
-        return self._derived
+    def index(self) -> "GraphIndex":
+        """Sorted node keys and CSR adjacency of this state; do not mutate them."""
+        if self._index is None:
+            self._index = GraphIndex(self)
+        return self._index
 
     # ------------------------------------------------------------------
     # node / edge views
@@ -48,15 +50,15 @@ class FolksonomyGraph:
 
     @property
     def users(self):
-        return (self._derived or self._derive()).user_items.keys()
+        return self.index().user_pos.keys()
 
     @property
     def items(self):
-        return (self._derived or self._derive()).item_users.keys()
+        return self.index().item_pos.keys()
 
     @property
     def tags(self):
-        return (self._derived or self._derive()).tag_items.keys()
+        return self.index().tag_pos.keys()
 
     @property
     def user_item_edges(self):
@@ -68,17 +70,21 @@ class FolksonomyGraph:
         """Mapping (item, tag) -> creation time in seconds."""
         return self._it_times
 
-    def items_of_user(self, user: str) -> AbstractSet[str]:
-        return (self._derived or self._derive()).user_items.get(user, _EMPTY)
+    def items_of_user(self, user: str) -> frozenset[str]:
+        index = self.index()
+        return _neighbours(index.user_items, index.user_pos.get(user), index.items)
 
-    def users_of_item(self, item: str) -> AbstractSet[str]:
-        return (self._derived or self._derive()).item_users.get(item, _EMPTY)
+    def users_of_item(self, item: str) -> frozenset[str]:
+        index = self.index()
+        return _neighbours(index.item_users, index.item_pos.get(item), index.users)
 
-    def tags_of_item(self, item: str) -> AbstractSet[str]:
-        return (self._derived or self._derive()).item_tags.get(item, _EMPTY)
+    def tags_of_item(self, item: str) -> frozenset[str]:
+        index = self.index()
+        return _neighbours(index.item_tags, index.item_pos.get(item), index.tags)
 
-    def items_of_tag(self, tag: str) -> AbstractSet[str]:
-        return (self._derived or self._derive()).tag_items.get(tag, _EMPTY)
+    def items_of_tag(self, tag: str) -> frozenset[str]:
+        index = self.index()
+        return _neighbours(index.tag_items, index.tag_pos.get(tag), index.items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FolksonomyGraph):
@@ -104,7 +110,7 @@ class FolksonomyGraph:
         _link(self._ui_times, (sys.intern(creator), item), time)
         for tag in tags:
             _link(self._it_times, (item, sys.intern(tag)), time)
-        self._derived = None
+        self._index = None
 
     def merge(self, other: "FolksonomyGraph") -> None:
         """Component-wise set union with ``other``; earlier timestamps win."""
@@ -112,22 +118,7 @@ class FolksonomyGraph:
             _link(self._ui_times, edge, time)
         for edge, time in other._it_times.items():
             _link(self._it_times, edge, time)
-        self._derived = None
-
-    # ------------------------------------------------------------------
-    # derived graphs
-    # ------------------------------------------------------------------
-
-    def derived(self, fn: Callable[["FolksonomyGraph"], T]) -> T:
-        """``fn(self)``, computed once per graph state.
-
-        The result is kept until the next mutation; ``fn`` must be a pure
-        read of the graph, and callers must not mutate what it returns.
-        """
-        results = (self._derived or self._derive()).results
-        if fn not in results:
-            results[fn] = fn(self)
-        return results[fn]
+        self._index = None
 
     def copy(self) -> "FolksonomyGraph":
         return FolksonomyGraph(self._ui_times, self._it_times)
@@ -143,33 +134,117 @@ class FolksonomyGraph:
         return out
 
 
-_EMPTY: frozenset = frozenset()
-
-
 def _link(edges: dict[tuple[str, str], int], edge: tuple[str, str], time: int) -> None:
     """Insert ``edge`` at ``time``; an edge already present keeps the earlier time."""
     prev = edges.get(edge)
     edges[edge] = time if prev is None else min(prev, time)
 
 
-def _both_ways(edges: Iterable[tuple[str, str]]) -> tuple[dict, dict]:
-    """Adjacency sets of a bipartite edge set, both ways, filled in edge order."""
-    forward: defaultdict[str, set[str]] = defaultdict(set)
-    backward: defaultdict[str, set[str]] = defaultdict(set)
-    for a, b in edges:
-        forward[a].add(b)
-        backward[b].add(a)
-    return forward, backward
+def _neighbours(adjacency: "Adjacency", row: int | None, keys: list[str]) -> frozenset[str]:
+    """The keys of row ``row``'s neighbours, or none for an absent row."""
+    if row is None:
+        return frozenset()
+    return frozenset(map(keys.__getitem__, adjacency.row(row).tolist()))
 
 
-class _Derived(NamedTuple):
-    """What one graph state determines: adjacency sets and ``derived(fn)`` results."""
+class Adjacency(NamedTuple):
+    """One direction of a bipartite edge set as CSR arrays.
 
-    user_items: dict[str, set[str]]
-    item_users: dict[str, set[str]]
-    item_tags: dict[str, set[str]]
-    tag_items: dict[str, set[str]]
-    results: dict[Callable, object]
+    Row ``r``'s neighbours are ``cols[ptr[r]:ptr[r + 1]]`` in ascending
+    index order, and ``degree[r]`` is the length of row ``r``. ``edge``
+    gives each entry's edge id: the position of its edge in the input.
+    """
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    degree: np.ndarray
+    edge: np.ndarray
+
+    @classmethod
+    def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> "Adjacency":
+        order = np.lexsort((cols, rows))
+        degree = np.bincount(rows, minlength=n_rows)
+        ptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(degree, out=ptr[1:])
+        return cls(ptr, cols[order], degree, order)
+
+    def row(self, r: int) -> np.ndarray:
+        """Row ``r``'s neighbours, a view of ``cols``."""
+        return self.cols[self.ptr[r] : self.ptr[r + 1]]
+
+    def masked(self, keep: np.ndarray) -> "Adjacency":
+        """The entries whose edge id is set in the boolean array ``keep``.
+
+        Every row stays, in the same order, so a row may be left empty.
+        """
+        kept = keep[self.edge]
+        before = np.zeros(len(kept) + 1, dtype=np.intp)
+        np.cumsum(kept, out=before[1:])
+        ptr = before[self.ptr]
+        return Adjacency(ptr, self.cols[kept], ptr[1:] - ptr[:-1], self.edge[kept])
+
+    def gather(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``which`` concatenated in the given order.
+
+        Also returns, for each entry, the position in ``which`` of its row.
+        """
+        lengths = self.degree[which]
+        source = np.repeat(np.arange(len(which)), lengths)
+        skip = self.ptr[which] - (np.cumsum(lengths) - lengths)
+        return self.cols[np.arange(len(source)) + skip[source]], source
+
+
+class GraphIndex:
+    """Sorted node keys and CSR adjacency of one graph state.
+
+    Node ``n`` of a kind is the ``n``-th key in sorted order, so ascending
+    indices walk keys in sorted order whatever the hash seed; ``user_pos``,
+    ``item_pos`` and ``tag_pos`` map keys back to indices. Built by
+    ``graph.index()``: once per graph state, cleared by every mutator.
+    ``user_items.degree`` is the user degree, ``item_users.degree`` the item
+    popularity, ``item_tags.degree`` an item's tag count and
+    ``tag_items.degree`` the tag degree. Edge ids are positions in
+    ``graph.user_item_edges`` and ``graph.item_tag_edges``.
+    """
+
+    __slots__ = (
+        "users", "items", "tags", "user_pos", "item_pos", "tag_pos",
+        "user_items", "item_users", "item_tags", "tag_items",
+    )
+
+    def __init__(self, graph: FolksonomyGraph):
+        ui, it = graph.user_item_edges, graph.item_tag_edges
+        self.users = sorted({u for u, _ in ui})
+        self.items = sorted({i for _, i in ui}.union(i for i, _ in it))
+        self.tags = sorted({t for _, t in it})
+        self.user_pos = {u: n for n, u in enumerate(self.users)}
+        self.item_pos = {i: n for n, i in enumerate(self.items)}
+        self.tag_pos = {t: n for n, t in enumerate(self.tags)}
+
+        u = np.fromiter((self.user_pos[a] for a, _ in ui), np.intp, len(ui))
+        i = np.fromiter((self.item_pos[b] for _, b in ui), np.intp, len(ui))
+        self.user_items = Adjacency.from_edges(u, i, len(self.users))
+        self.item_users = Adjacency.from_edges(i, u, len(self.items))
+        i = np.fromiter((self.item_pos[a] for a, _ in it), np.intp, len(it))
+        t = np.fromiter((self.tag_pos[b] for _, b in it), np.intp, len(it))
+        self.item_tags = Adjacency.from_edges(i, t, len(self.items))
+        self.tag_items = Adjacency.from_edges(t, i, len(self.tags))
+
+    def masked(self, ui: np.ndarray, it: np.ndarray) -> "GraphIndex":
+        """The index of the subgraph of the edges whose ids are set in ``ui`` and ``it``.
+
+        Every key stays, so a node outside the subgraph has degree 0:
+        ``_tripartite`` scores the subgraph's items with the floats of its
+        own index and every other item exactly 0. ``_heats`` (and so
+        ``_hybrid``) divides by every item's degree, 0 / 0 outside the
+        subgraph, so only ``_tripartite`` may run on a masked index.
+        """
+        view = object.__new__(GraphIndex)
+        view.users, view.items, view.tags = self.users, self.items, self.tags
+        view.user_pos, view.item_pos, view.tag_pos = self.user_pos, self.item_pos, self.tag_pos
+        view.user_items, view.item_users = self.user_items.masked(ui), self.item_users.masked(ui)
+        view.item_tags, view.tag_items = self.item_tags.masked(it), self.tag_items.masked(it)
+        return view
 
 
 # ----------------------------------------------------------------------

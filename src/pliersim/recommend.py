@@ -6,8 +6,8 @@ zero-score items afterwards. A target with no items, or absent from the
 graph entirely, is a cold start and yields an all-zero vector; cold starts
 never reach the array kernels.
 
-Scores are computed over a :class:`GraphIndex` of the graph (sorted keys
-and CSR adjacency arrays), built once per graph state. Each scorer is one
+Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
+(sorted keys and CSR adjacency arrays), ``graph.index()``. Each scorer is one
 array kernel that scores a block of targets at once, one row per target;
 a :class:`Scorer` feeds it the targets of one index in blocks of at most
 ``_BLOCK_SCORES`` scores, and the public single-target functions are a
@@ -20,23 +20,24 @@ block, on the graph's own index or on a larger graph's index masked to it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .graph import FolksonomyGraph
+from .graph import Adjacency, FolksonomyGraph, GraphIndex
 
 
 @dataclass(eq=False)
 class ScoreVector:
     """Raw per-item scores for one target user; all values finite and >= 0.
 
-    ``values[n]`` is the score of ``items[n]``, and ``items`` is in ascending
-    key order. ``items`` may be shared with the graph's index: do not mutate
-    it. Two vectors are equal when their targets and their ``scores`` are.
+    ``values[n]`` is the score of ``items[n]``. A scorer's vector lists
+    every item of the index it scored on, ``index.items`` itself, in
+    ascending key order: do not mutate it. :func:`rank` takes a vector over
+    the items of the graph it ranks against. Two vectors are equal when
+    their targets and their ``scores`` are.
     """
 
     target: str
@@ -65,102 +66,6 @@ class RecommendationVector:
         return [item for item, _ in self.ranked]
 
 
-class Adjacency(NamedTuple):
-    """One direction of a bipartite edge set as CSR arrays.
-
-    Row ``r``'s neighbours are ``cols[ptr[r]:ptr[r + 1]]`` in ascending
-    index order, and ``degree[r]`` is the length of row ``r``. ``edge``
-    gives each entry's edge id: the position of its edge in the input.
-    """
-
-    ptr: np.ndarray
-    cols: np.ndarray
-    degree: np.ndarray
-    edge: np.ndarray
-
-    @classmethod
-    def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> "Adjacency":
-        order = np.lexsort((cols, rows))
-        degree = np.bincount(rows, minlength=n_rows)
-        ptr = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(degree, out=ptr[1:])
-        return cls(ptr, cols[order], degree, order)
-
-    def masked(self, keep: np.ndarray) -> "Adjacency":
-        """The entries whose edge id is set in the boolean array ``keep``.
-
-        Every row stays, in the same order, so a row may be left empty.
-        """
-        kept = keep[self.edge]
-        before = np.zeros(len(kept) + 1, dtype=np.intp)
-        np.cumsum(kept, out=before[1:])
-        ptr = before[self.ptr]
-        return Adjacency(ptr, self.cols[kept], ptr[1:] - ptr[:-1], self.edge[kept])
-
-    def gather(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``which`` concatenated in the given order.
-
-        Also returns, for each entry, the position in ``which`` of its row.
-        """
-        lengths = self.degree[which]
-        source = np.repeat(np.arange(len(which)), lengths)
-        skip = self.ptr[which] - (np.cumsum(lengths) - lengths)
-        return self.cols[np.arange(len(source)) + skip[source]], source
-
-
-class GraphIndex:
-    """Sorted node keys and CSR adjacency of one graph state.
-
-    Node ``n`` of a kind is the ``n``-th key in sorted order, so ascending
-    indices walk keys in sorted order whatever the hash seed. Built by
-    ``graph.derived(GraphIndex)``: once per graph state, cleared by every
-    mutator. ``user_items.degree`` is the user degree, ``item_users.degree``
-    the item popularity, ``item_tags.degree`` an item's tag count and
-    ``tag_items.degree`` the tag degree. Edge ids are positions in
-    ``graph.user_item_edges`` and ``graph.item_tag_edges``.
-    """
-
-    __slots__ = (
-        "users", "items", "tags", "user_pos",
-        "user_items", "item_users", "item_tags", "tag_items",
-    )
-
-    def __init__(self, graph: FolksonomyGraph):
-        self.users = sorted(graph.users)
-        self.items = sorted(graph.items)
-        self.tags = sorted(graph.tags)
-        self.user_pos = {u: n for n, u in enumerate(self.users)}
-        item_pos = {i: n for n, i in enumerate(self.items)}
-        tag_pos = {t: n for n, t in enumerate(self.tags)}
-
-        ui = graph.user_item_edges
-        u = np.fromiter((self.user_pos[a] for a, _ in ui), np.intp, len(ui))
-        i = np.fromiter((item_pos[b] for _, b in ui), np.intp, len(ui))
-        self.user_items = Adjacency.from_edges(u, i, len(self.users))
-        self.item_users = Adjacency.from_edges(i, u, len(self.items))
-        it = graph.item_tag_edges
-        i = np.fromiter((item_pos[a] for a, _ in it), np.intp, len(it))
-        t = np.fromiter((tag_pos[b] for _, b in it), np.intp, len(it))
-        self.item_tags = Adjacency.from_edges(i, t, len(self.items))
-        self.tag_items = Adjacency.from_edges(t, i, len(self.tags))
-
-    def masked(self, ui: np.ndarray, it: np.ndarray) -> "GraphIndex":
-        """The index of the subgraph of the edges whose ids are set in ``ui`` and ``it``.
-
-        Every key stays, so a node outside the subgraph has degree 0:
-        ``_tripartite`` scores the subgraph's items with the floats of its
-        own index and every other item exactly 0. ``_heats`` (and so
-        ``_hybrid``) divides by every item's degree, 0 / 0 outside the
-        subgraph, so only ``_tripartite`` may run on a masked index.
-        """
-        view = object.__new__(GraphIndex)
-        view.users, view.items, view.tags = self.users, self.items, self.tags
-        view.user_pos = self.user_pos
-        view.user_items, view.item_users = self.user_items.masked(ui), self.item_users.masked(ui)
-        view.item_tags, view.tag_items = self.item_tags.masked(it), self.tag_items.masked(it)
-        return view
-
-
 # The most scores (targets x items) one block of targets may take. Larger
 # blocks call numpy less often but hold larger temporaries, which grow with
 # the walks of all the block's targets: on the half-size criterion-4 graph
@@ -182,7 +87,7 @@ class Scorer:
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
-        return next(self.many(graph.derived(GraphIndex), [target]))
+        return next(self.many(graph.index(), [target]))
 
     def many(self, index: GraphIndex, targets: Iterable[str]) -> Iterator[ScoreVector]:
         """One ScoreVector per target, in the given order.
@@ -496,20 +401,23 @@ def rank(
 
     Items already linked to the target and items with zero score are dropped;
     the rest sort by score descending with item-key ties ascending, truncated
-    to ``top_n`` when given.
+    to ``top_n`` when given. ``scores`` must list the items of
+    ``graph.index()``, as every vector scored on that index or on a masked
+    view of it does; any other vector raises ValueError.
     """
-    values, items = scores.values, scores.items
+    index = graph.index()
+    if scores.items is not index.items and scores.items != index.items:
+        raise ValueError(f"the scores of {scores.target!r} are not over the graph's items")
+    values = scores.values
     keep = values > 0.0
-    # items ascend, so bisection finds an owned item if the vector lists it
-    for item in graph.items_of_user(scores.target):
-        n = bisect_left(items, item)
-        if n < len(items) and items[n] == item:
-            keep[n] = False
+    row = index.user_pos.get(scores.target)
+    if row is not None:
+        keep[index.user_items.row(row)] = False
     (pos,) = keep.nonzero()
     # items are in key order and pos ascends, so a stable sort on -score
     # leaves equal scores in ascending key order
     order = pos[(-values[pos]).argsort(kind="stable")]
     if top_n is not None:
         order = order[: max(top_n, 0)]
-    ranked = zip(map(items.__getitem__, order.tolist()), values[order].tolist())
+    ranked = zip(map(scores.items.__getitem__, order.tolist()), values[order].tolist())
     return RecommendationVector(scores.target, list(ranked))

@@ -17,6 +17,7 @@ so knowledge can travel several hops in a single step.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,7 +28,7 @@ import numpy as np
 
 from .evaluation import jaccard, spearman_similarity, sum_in_order
 from .graph import FolksonomyGraph
-from .recommend import GraphIndex, Scorer, _tripartite, rank
+from .recommend import Scorer, _tripartite, rank
 
 # not called here; bench/tracing.py wraps this module's name, so it stays
 from .recommend import pliers_tripartite  # noqa: F401
@@ -230,7 +231,7 @@ def compute_step_metrics(
     holders know, their own included, so an item that an agent owns in
     ``gkg`` and that scores above 0 in a view is owned in that view too.
     """
-    index = gkg.derived(GraphIndex)
+    index = gkg.index()
     pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
     global_index = index.masked(*global_view)
     graph_sims: dict[str, float] = {}
@@ -311,11 +312,12 @@ class Simulation:
         self._item_events: dict[str, int] = {}
         # gkg's user-item and item-tag edges -> edge id; the user-item edge
         # id of each event, and for each tag of each event its event and
-        # item-tag edge id
+        # item-tag edge id; :meth:`masks` views the arrays only while it runs,
+        # since an array with a live view cannot grow
         self._edge_ids: tuple[dict, dict] = ({}, {})
-        self._event_edge: list[int] = []
-        self._tag_event: list[int] = []
-        self._tag_edge: list[int] = []
+        self._event_edge = array("q")
+        self._tag_event = array("q")
+        self._tag_edge = array("q")
         self._knowledge: dict[str, int] = {}
         self._items: dict[str, set[str]] = {}
         for agent in agents:
@@ -360,10 +362,10 @@ class Simulation:
         ).view(bool)
         ui = np.zeros((len(bitsets), len(self._edge_ids[0])), bool)
         view, event = held.nonzero()
-        ui[view, np.array(self._event_edge, np.intp)[event]] = True
+        ui[view, np.frombuffer(self._event_edge, np.int64)[event]] = True
         it = np.zeros((len(bitsets), len(self._edge_ids[1])), bool)
-        view, tag = held[:, np.array(self._tag_event, np.intp)].nonzero()
-        it[view, np.array(self._tag_edge, np.intp)[tag]] = True
+        view, tag = held[:, np.frombuffer(self._tag_event, np.int64)].nonzero()
+        it[view, np.frombuffer(self._tag_edge, np.int64)[tag]] = True
         return ui, it
 
     def window_views(self, now: int, window: int | None) -> tuple[dict[str, int], int]:
@@ -438,12 +440,12 @@ class Simulation:
         if not deciding:
             return
         ui, it = self.masks([known])
-        view = self.gkg.derived(GraphIndex).masked(ui[0], it[0])
+        index = self.gkg.index()
         pliers = Scorer(partial(_tripartite, affinity_weight=self.config.affinity_weight))
-        for agent, vector in zip(deciding, pliers.many(view, deciding)):
-            scores = vector.scores
+        for agent, vector in zip(deciding, pliers.many(index.masked(ui[0], it[0]), deciding)):
             for item in sorted(discoveries[agent]):
-                apply_download_policy(self.policies[agent], item, scores[item], now)
+                score = float(vector.values[index.item_pos[item]])
+                apply_download_policy(self.policies[agent], item, score, now)
 
     def run_windows(
         self,

@@ -148,7 +148,7 @@ def write_contents(path: str | Path, events: Iterable[ContentEvent]) -> None:
 # ----------------------------------------------------------------------
 
 # config key -> (dataclass, field, parser); an absent key or "none" keeps the
-# dataclass default, and the DownloadPolicySpec keys count only with a policy
+# dataclass default; a DownloadPolicySpec key needs a policy kind that reads it
 _CONFIG_FIELDS: dict[str, tuple[type, str, Callable[[str], object]]] = {
     "step_length_s": (SimConfig, "step_length", int),
     "lambda": (SimConfig, "affinity_weight", float),
@@ -161,6 +161,12 @@ _CONFIG_FIELDS: dict[str, tuple[type, str, Callable[[str], object]]] = {
     "download_history_s": (DownloadPolicySpec, "history_span_s", int),
 }
 _EXPECTED = {int: "an integer", float: "a number"}
+# DownloadPolicySpec key -> the policy kinds that read its field
+_POLICY_READERS = {
+    "download_percentile": ("percentile_threshold",),
+    "download_buffer_capacity": ("bounded_buffer",),
+    "download_history_s": ("mean_threshold", "percentile_threshold"),
+}
 
 
 def parse_config_file(path: str | Path) -> SimConfig:
@@ -214,6 +220,10 @@ def build_config(raw: dict[str, str]) -> SimConfig:
     # each check of SimConfig and DownloadPolicySpec is on one field, and the
     # defaults pass them all, so setting one field at a time finds the key at fault
     config = _with_fields(SimConfig(), raw)
+    kind = config.download_policy and config.download_policy.kind
+    for key, kinds in _POLICY_READERS.items():
+        if key in raw and kind not in kinds:
+            raise ConfigError(f"{key} is read only by download_policy = {' or '.join(kinds)}", key)
     if config.download_policy is not None:
         config = replace(config, download_policy=_with_fields(config.download_policy, raw))
     return config

@@ -21,6 +21,7 @@ list (from this module's :func:`rank`) and grades them all with the public
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -128,6 +129,9 @@ def _overlap_diffusion(
     above by plain mass diffusion on the same projection.
     """
     scores = _zero_scores(graph)
+    # the graph builds a neighbour set on every call; read each one once
+    left_of, right_of = cache(left_of), cache(right_of)
+    left_degree, item_degree = cache(left_degree), cache(item_degree)
     overlap_cache: dict[tuple[str, str], int] = {}
     for s in sorted(target_items):
         s_neighbors = left_of(s)
@@ -257,7 +261,7 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     own_tags = set().union(*(graph.tags_of_item(i) for i in graph.items_of_user(target)))
     if not own_tags:
         return _vector(target, scores)
-    counts = graph.derived(tag_cooccurrence)
+    counts = tag_cooccurrence(graph)
     totals: dict[str, int] = {t: 0 for t in graph.tags if t not in own_tags}
     for own in own_tags:
         for cand in totals:

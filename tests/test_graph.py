@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from pliersim.graph import (
     FolksonomyGraph,
     GraphFormatError,
+    GraphIndex,
     load_graph_tsv,
     save_graph_tsv,
 )
 from pliersim.evaluation import jaccard
-from pliersim.recommend import GraphIndex
 from pliersim.simulator import ContentEvent, SimConfig, Simulation
 
 from conftest import assert_items_owned_and_tagged, build_random_graph
@@ -296,14 +296,14 @@ class TestCreationTimes:
         if created == 0:
             return
         sim.window_views(created + 1, 1)
-        before = sim.gkg.derived(GraphIndex)
+        before = sim.gkg.index()
         earlier = created - data.draw(st.integers(1, created))
         sim.apply_content(ContentEvent(earlier, "u0", item, ("t9",)))
         # the cutoff earlier + 1 keeps an item created at ``created`` only
         lviews, gview = window_graphs(sim, created + 1, created - earlier)
         assert item not in gview.items and item not in lviews["u0"].items
         assert gview == prune_older_than(sim.gkg, created + 1, created - earlier)
-        index = sim.gkg.derived(GraphIndex)
+        index = sim.gkg.index()
         assert index is not before and "t9" in index.tags
         ui, it = sim.masks(list(sim.window_views(created + 1, created - earlier)[0].values()))
         assert ui.shape[1] == len(sim.gkg.user_item_edges)
@@ -317,33 +317,41 @@ class TestDegrees:
 
 
 class TestDerived:
-    def test_computed_once_until_mutated(self):
-        calls = []
+    def test_computed_once_until_mutated(self, monkeypatch):
+        builds = []
+        real_init = GraphIndex.__init__
 
-        def edge_count(graph):
-            calls.append(1)
-            return len(graph.user_item_edges) + len(graph.item_tag_edges)
+        def counted_init(index, graph):
+            builds.append(graph)
+            real_init(index, graph)
 
+        monkeypatch.setattr(GraphIndex, "__init__", counted_init)
         g = FolksonomyGraph()
         g.add_content("u1", "i1", ["t1"], 0)
-        assert g.derived(edge_count) == 2
-        assert g.derived(edge_count) == 2
-        assert len(calls) == 1
+        index = g.index()
+        assert g.index() is index and list(g.items) == ["i1"] and g.tags_of_item("i1")
+        assert builds == [g]
         other = FolksonomyGraph()
         other.add_content("u2", "i2", ["t1"], 0)
-        for mutate, edges in (
-            (lambda: g.add_content("u1", "i3", ["t2"], 1), 4),
-            (lambda: g.merge(other), 6),
+        for mutate, items in (
+            (lambda: g.add_content("u1", "i3", ["t2"], 1), ["i1", "i3"]),
+            (lambda: g.merge(other), ["i1", "i2", "i3"]),
         ):
             mutate()
-            assert g.derived(edge_count) == edges
-        assert len(calls) == 3
-        assert g.copy().derived(edge_count) == 6
-        assert len(calls) == 4
+            assert g.index() is not index
+            index = g.index()
+            assert index.items == items and g.index() is index
+        assert builds == [g, g, g]
+        copy = g.copy()
+        assert copy.index() is not index and copy.index().items == index.items
+        assert len(builds) == 4
+        # a copy's index is its own: a mutation of the original leaves it be
+        g.add_content("u9", "i9", ["t9"], 2)
+        assert "i9" in g.items and "i9" not in copy.items
 
 
 def assert_views_match_edge_maps(g: FolksonomyGraph) -> None:
-    """Every adjacency accessor equals sets built by brute force from the edge maps."""
+    """Every accessor and the index equal what brute force builds from the edge maps."""
     ui, it = list(g.user_item_edges), list(g.item_tag_edges)
     users = {u for u, _ in ui}
     items = {i for _, i in ui}
@@ -358,6 +366,32 @@ def assert_views_match_edge_maps(g: FolksonomyGraph) -> None:
         assert g.items_of_tag(t) == {i for i, s in it if s == t}
     assert_items_owned_and_tagged(g)
 
+    index = g.index()
+    assert index.users == sorted(users) == list(g.users)
+    assert index.items == sorted(items) == list(g.items)
+    assert index.tags == sorted(tags) == list(g.tags)
+    for keys, pos in (
+        (index.users, index.user_pos), (index.items, index.item_pos), (index.tags, index.tag_pos)
+    ):
+        assert pos == {key: n for n, key in enumerate(keys)}
+    # per direction: row keys, column keys, the edges its ids index, and the
+    # edge of a (row key, column key) entry
+    for adjacency, rows, cols, edges, pair in (
+        (index.user_items, index.users, index.items, ui, lambda u, i: (u, i)),
+        (index.item_users, index.items, index.users, ui, lambda i, u: (u, i)),
+        (index.item_tags, index.items, index.tags, it, lambda i, t: (i, t)),
+        (index.tag_items, index.tags, index.items, it, lambda t, i: (i, t)),
+    ):
+        assert adjacency.ptr[0] == 0 and adjacency.ptr[-1] == len(edges)
+        for r, row_key in enumerate(rows):
+            lo, hi = adjacency.ptr[r], adjacency.ptr[r + 1]
+            row = adjacency.cols[lo:hi].tolist()
+            assert row == sorted(row) and adjacency.degree[r] == hi - lo
+            for c, edge in zip(row, adjacency.edge[lo:hi].tolist()):
+                assert edges[edge] == pair(row_key, cols[c])
+        # each edge id once per direction: every row holds exactly its edges
+        assert sorted(adjacency.edge.tolist()) == list(range(len(edges)))
+
 
 class TestReadsFollowMutations:
     @settings(max_examples=80, deadline=None)
@@ -371,7 +405,7 @@ class TestReadsFollowMutations:
         ),
     )
     def test_accessors_after_every_mutation(self, a, b, contents):
-        # each check fills the derived views, so a view left stale by the next
+        # each check builds the index, so an index left stale by the next
         # mutation would fail the check after it
         assert_views_match_edge_maps(a)
         for u, i, tags, t in contents:

@@ -12,7 +12,6 @@ from pliersim.evaluation import prune_for_link_prediction
 from pliersim.graph import FolksonomyGraph
 from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
-    GraphIndex,
     ScoreVector,
     Scorer,
     affinity_scores,
@@ -332,13 +331,26 @@ class TestRankReference:
     )
     def test_hand_built_vectors(self, values, owned):
         g = FolksonomyGraph()
-        g.add_content("u2", "other", ["t"], 0)
-        for item in sorted(owned):
-            g.add_content("u_t", item, ["t"], 1)
+        for item in RANK_KEYS:
+            g.add_content("u_t" if item in owned else "u2", item, ["t"], 1)
+        assert g.index().items == RANK_KEYS
         # owned items carry the top scores, often tied with each other
         values = [v + 4.0 if k in owned else v for k, v in zip(RANK_KEYS, values)]
         vec = ScoreVector("u_t", RANK_KEYS, np.array(values))
         assert_same_ranks(vec, vec, g)
+
+    def test_vector_over_other_keys_rejected(self):
+        g = eq1_hand_graph()
+        vec = probs_scores(g, "u_t")
+        assert rank(ScoreVector("u_t", list(vec.items), vec.values), g).ranked == [("i2", 0.25)]
+        for items in (["i1", "i3"], ["i2", "i1"], ["i1"], ["i1", "i2", "i3"]):
+            with pytest.raises(ValueError, match="not over the graph's items"):
+                rank(ScoreVector("u_t", items, np.ones(len(items))), g)
+        # a vector scored on another graph: the same user, more items
+        bigger = eq1_hand_graph()
+        bigger.add_content("u2", "i3", ["t1"], 3)
+        with pytest.raises(ValueError):
+            rank(probs_scores(bigger, "u_t"), g)
 
 
 class TestScoreVector:
@@ -573,7 +585,7 @@ class TestManyTargets:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(recommend, "_BLOCK_SCORES", budget)
             for name, make in MANY_TARGET_SCORERS.items():
-                got = list(make(w, k).many(g.derived(GraphIndex), targets))
+                got = list(make(w, k).many(g.index(), targets))
                 assert [v.target for v in got] == targets
                 for vector, target in zip(got, targets):
                     want = SINGLE_TARGET[name](g, target, w, k)
@@ -586,12 +598,12 @@ class TestManyTargets:
 
         # an empty graph has no item to split a block budget over
         empty = FolksonomyGraph()
-        got = list(Scorer(no_kernel).many(empty.derived(GraphIndex), ["gone", "nobody"]))
+        got = list(Scorer(no_kernel).many(empty.index(), ["gone", "nobody"]))
         assert [(v.target, v.items, v.values.size) for v in got] == [
             ("gone", [], 0), ("nobody", [], 0)
         ]
         g = build_random_graph(random.Random(2), 6, 8, 4)
-        index = g.derived(GraphIndex)
+        index = g.index()
         # a user of g owns no item in its subgraph without user-item edges
         no_links = index.masked(
             np.zeros(len(g.user_item_edges), bool), np.ones(len(g.item_tag_edges), bool)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pliersim import simulator
 from pliersim.evaluation import jaccard
-from pliersim.graph import FolksonomyGraph
-from pliersim.recommend import GraphIndex, Scorer, _tripartite
+from pliersim.graph import FolksonomyGraph, GraphIndex
+from pliersim.recommend import Scorer, _tripartite
 from pliersim.simulator import (
     ContactEvent,
     ContentEvent,
@@ -188,6 +188,19 @@ class TestEncounter:
             sim.encounter(a, b, 60)
         assert len(masked) == 3
         assert {a: p.observed for a, p in sim.policies.items()} == {"a": 2, "b": 2, "c": 2}
+
+    def test_content_applies_after_masks(self):
+        # masks views the per-event edge-id arrays, which apply_content
+        # grows: a view left alive would make the append raise BufferError
+        sim = self._sim(["a", "b"])
+        sim.apply_content(ContentEvent(0, "a", "i1", ("t1", "t2")))
+        ui, it = sim.masks([0b1])
+        sim.apply_content(ContentEvent(5, "b", "i2", ("t1",)))
+        sim.apply_content(ContentEvent(6, "b", "i1", ("t2",)))
+        assert ui.tolist() == [[True]] and it.tolist() == [[True, True]]
+        ui, it = sim.masks([0b001, 0b010, 0b100, 0b111])
+        assert ui.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        assert it.tolist() == [[1, 1, 0], [0, 0, 1], [0, 1, 0], [1, 1, 1]]
 
     def test_unknown_agent_with_explicit_roster(self):
         sim = Simulation(SimConfig(), ["a", "b"])
@@ -708,11 +721,11 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
         lviews, gview = real_views(now, window)
         distinct = [gview, *dict.fromkeys(lviews.values())]
         ui, it = sim.masks(distinct)
-        index = sim.gkg.derived(GraphIndex)
+        index = sim.gkg.index()
         global_graph = graph_of(sim, gview)
         for bits, view in zip(distinct, zip(ui, it)):
             graph = graph_of(sim, bits)
-            own = list(pliers.many(graph.derived(GraphIndex), targets))
+            own = list(pliers.many(graph.index(), targets))
             masked = list(pliers.many(index.masked(*view), targets))
             for got, want in zip(masked, own):
                 values = dict(zip(got.items, got.values.tolist()))

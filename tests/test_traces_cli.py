@@ -215,6 +215,24 @@ class TestCliSimulate:
             ("expiry_window_s = x", "expiry_window_s must be an integer, got 'x'"),
             ("lambda = 2", "affinity_weight must lie in [0, 1]"),
             ("spearman_mode = literal", "unknown key 'spearman_mode'"),
+            # a policy key that no policy, or not the chosen one, reads
+            (
+                "download_percentile = 90",
+                "download_percentile is read only by download_policy = percentile_threshold",
+            ),
+            (
+                "download_buffer_capacity = 4\ndownload_policy = mean_threshold",
+                "download_buffer_capacity is read only by download_policy = bounded_buffer",
+            ),
+            (
+                "download_history_s = 60\ndownload_policy = bounded_buffer",
+                "download_history_s is read only by download_policy = "
+                "mean_threshold or percentile_threshold",
+            ),
+            (
+                "download_percentile = 90\ndownload_policy = mean_threshold",
+                "download_percentile is read only by download_policy = percentile_threshold",
+            ),
         ],
     )
     def test_config_value_error_cites_file_and_line(
