@@ -59,6 +59,12 @@ def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
     return recommend.Scorer(kernels[name])
 
 
+def _check_top_n(top_n: int | None) -> None:
+    """Raise ConfigError for a negative ``--top-n``, before a graph is read."""
+    if top_n is not None and top_n < 0:
+        raise ConfigError(f"--top-n must be >= 0, got {top_n}")
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -107,6 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_linkpred(args: argparse.Namespace) -> int:
     started = _now_utc()
+    _check_top_n(args.top_n)
     scorers = [
         (name, k, make_scorer(name, 1 if k is None else k, args.lambda_weight))
         for name in args.algorithms
@@ -153,6 +160,7 @@ def cmd_linkpred(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    _check_top_n(args.top_n)
     scorer = make_scorer(args.algorithm, args.k, args.lambda_weight)
     graph = load_graph_tsv(args.graph)
     if args.user not in graph.users:
@@ -292,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except simulator.SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

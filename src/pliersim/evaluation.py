@@ -234,12 +234,10 @@ class CorrelationReport:
     CSV_HEADER = "r_squared,r_yx1,r_yx2,beta1,beta2,n,flags"
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0, True
-    r = float(np.corrcoef(a, b)[0, 1])
-    return r, False
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    if a.std() == 0.0 or b.std() == 0.0:
+        return 0.0
+    return float(np.corrcoef(a, b)[0, 1])
 
 
 def correlation_analysis(
@@ -259,15 +257,8 @@ def correlation_analysis(
     x1a = np.asarray(x1, dtype=float)
     x2a = np.asarray(x2, dtype=float)
 
-    flags = []
-    r1, flat1 = _pearson(ya, x1a)
-    r2, flat2 = _pearson(ya, x2a)
-    if ya.std() == 0.0:
-        flags.append("y")
-    if flat1 and x1a.std() == 0.0:
-        flags.append("x1")
-    if flat2 and x2a.std() == 0.0:
-        flags.append("x2")
+    series = (("y", ya), ("x1", x1a), ("x2", x2a))
+    flags = tuple(name for name, values in series if values.std() == 0.0)
 
     design = np.column_stack([x1a, x2a])
     beta, *_ = np.linalg.lstsq(design, ya, rcond=None)
@@ -277,11 +268,11 @@ def correlation_analysis(
     ss_tot = float(centered @ centered)
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
     return CorrelationReport(
-        r_yx1=r1,
-        r_yx2=r2,
+        r_yx1=_pearson(ya, x1a),
+        r_yx2=_pearson(ya, x2a),
         r_squared=r_squared,
         beta1=float(beta[0]),
         beta2=float(beta[1]),
         n=len(y),
-        zero_variance=tuple(flags),
+        zero_variance=flags,
     )

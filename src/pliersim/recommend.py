@@ -403,8 +403,11 @@ def rank(
     the rest sort by score descending with item-key ties ascending, truncated
     to ``top_n`` when given. ``scores`` must list the items of
     ``graph.index()``, as every vector scored on that index or on a masked
-    view of it does; any other vector raises ValueError.
+    view of it does; any other vector, or a negative ``top_n``, raises
+    ValueError.
     """
+    if top_n is not None and top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
     index = graph.index()
     if scores.items is not index.items and scores.items != index.items:
         raise ValueError(f"the scores of {scores.target!r} are not over the graph's items")
@@ -418,6 +421,6 @@ def rank(
     # leaves equal scores in ascending key order
     order = pos[(-values[pos]).argsort(kind="stable")]
     if top_n is not None:
-        order = order[: max(top_n, 0)]
+        order = order[:top_n]
     ranked = zip(map(scores.items.__getitem__, order.tolist()), values[order].tolist())
     return RecommendationVector(scores.target, list(ranked))

@@ -34,10 +34,6 @@ from .recommend import Scorer, _tripartite, rank
 from .recommend import pliers_tripartite  # noqa: F401
 
 
-class SimulationError(ValueError):
-    pass
-
-
 # ----------------------------------------------------------------------
 # events and configuration
 # ----------------------------------------------------------------------
@@ -90,6 +86,12 @@ class DownloadPolicySpec:
     history_span_s: int | None = None
 
     KINDS = ("mean_threshold", "percentile_threshold", "bounded_buffer")
+    # field -> the kinds that read it
+    READERS = {
+        "percentile": ("percentile_threshold",),
+        "capacity": ("bounded_buffer",),
+        "history_span_s": ("mean_threshold", "percentile_threshold"),
+    }
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -180,6 +182,8 @@ class SimConfig:
             raise ValueError("expiry_window must be positive when set")
         if not 0.0 <= self.affinity_weight <= 1.0:
             raise ValueError("affinity_weight must lie in [0, 1]")
+        if self.top_n is not None and self.top_n < 0:
+            raise ValueError("top_n must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -322,9 +326,6 @@ class Simulation:
         self._items: dict[str, set[str]] = {}
         for agent in agents:
             self.register(agent)
-        # with an explicit roster, trace events naming outsiders are an error;
-        # without one the roster is derived from the traces themselves
-        self._strict = bool(self._knowledge)
 
     def register(self, agent: str) -> None:
         if agent not in self._knowledge:
@@ -394,8 +395,10 @@ class Simulation:
         return {a: views[bits] for a, bits in self._knowledge.items()}, views[everything]
 
     def apply_content(self, event: ContentEvent) -> None:
-        if event.creator not in self._knowledge:
-            raise SimulationError(f"content by unknown agent {event.creator!r}")
+        """Add one content event to its creator's knowledge and to ``gkg``.
+
+        An unregistered creator raises KeyError before any state changes.
+        """
         n = len(self._events)
         self._knowledge[event.creator] |= 1 << n
         self._item_events[event.item] = self._item_events.get(event.item, 0) | 1 << n
@@ -416,11 +419,9 @@ class Simulation:
         nothing changes when the sets are already equal. When a download
         policy is set, each side then scores its newly discovered items on
         its updated knowledge and feeds the scores to its policy. Returns
-        the two new-item sets (for a, for b).
+        the two new-item sets (for a, for b). An unregistered agent raises
+        KeyError before any state changes.
         """
-        for agent in (a, b):
-            if agent not in self._knowledge:
-                raise SimulationError(f"contact names unknown agent {agent!r}")
         ka, kb = self._knowledge[a], self._knowledge[b]
         if ka == kb:
             return set(), set()
@@ -455,23 +456,16 @@ class Simulation:
     ) -> dict[int | None, list[StepMetrics]]:
         """Replay the traces once, measuring under several expiry windows.
 
-        The expiry window only affects measurement, never the exchanged
-        knowledge, so one pass over the dynamics serves all windows.
+        Every agent the traces name is registered first. The expiry window
+        only affects measurement, never the exchanged knowledge, so one pass
+        over the dynamics serves all windows.
         """
         length = self.config.step_length
         for ev in contents:
-            if self._strict and ev.creator not in self._knowledge:
-                raise SimulationError(
-                    f"content at t={ev.time} names unknown agent {ev.creator!r}"
-                )
             self.register(ev.creator)
         for ev in contacts:
-            for agent in (ev.a, ev.b):
-                if self._strict and agent not in self._knowledge:
-                    raise SimulationError(
-                        f"contact at t={ev.time} names unknown agent {agent!r}"
-                    )
-                self.register(agent)
+            self.register(ev.a)
+            self.register(ev.b)
 
         contents_by_step: dict[int, list[ContentEvent]] = {}
         for ev in contents:
@@ -527,9 +521,9 @@ def run(
 ) -> list[StepMetrics]:
     """Replay the traces under ``config`` and return the metric series.
 
-    Agents are taken from the traces themselves plus the optional explicit
-    roster (needed for silent agents that neither create nor appear first in
-    a contact before meeting someone).
+    The population is the roster ``agents`` plus every agent the traces
+    name; the roster is how an agent that neither creates content nor meets
+    anyone enters the averages.
     """
     window = config.expiry_window
     return Simulation(config, agents).run_windows(contacts, contents, [window])[window]

@@ -161,12 +161,6 @@ _CONFIG_FIELDS: dict[str, tuple[type, str, Callable[[str], object]]] = {
     "download_history_s": (DownloadPolicySpec, "history_span_s", int),
 }
 _EXPECTED = {int: "an integer", float: "a number"}
-# DownloadPolicySpec key -> the policy kinds that read its field
-_POLICY_READERS = {
-    "download_percentile": ("percentile_threshold",),
-    "download_buffer_capacity": ("bounded_buffer",),
-    "download_history_s": ("mean_threshold", "percentile_threshold"),
-}
 
 
 def parse_config_file(path: str | Path) -> SimConfig:
@@ -221,9 +215,13 @@ def build_config(raw: dict[str, str]) -> SimConfig:
     # defaults pass them all, so setting one field at a time finds the key at fault
     config = _with_fields(SimConfig(), raw)
     kind = config.download_policy and config.download_policy.kind
-    for key, kinds in _POLICY_READERS.items():
-        if key in raw and kind not in kinds:
-            raise ConfigError(f"{key} is read only by download_policy = {' or '.join(kinds)}", key)
+    for key, (cls, field_name, _) in _CONFIG_FIELDS.items():
+        if cls is DownloadPolicySpec and key in raw:
+            kinds = DownloadPolicySpec.READERS[field_name]
+            if kind not in kinds:
+                raise ConfigError(
+                    f"{key} is read only by download_policy = {' or '.join(kinds)}", key
+                )
     if config.download_policy is not None:
         config = replace(config, download_policy=_with_fields(config.download_policy, raw))
     return config

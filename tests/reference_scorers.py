@@ -293,7 +293,7 @@ def rank(
         key=lambda pair: (-pair[1], pair[0]),
     )
     if top_n is not None:
-        ranked = ranked[: max(top_n, 0)]
+        ranked = ranked[:top_n]
     return RecommendationVector(scores.target, ranked)
 
 

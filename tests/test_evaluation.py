@@ -258,8 +258,8 @@ def _linkpred_case(seed, adopt_p, n_tags):
     return prune_for_link_prediction(g, seed)
 
 
-# every kind of top_n: none, empty, one, a few, more than any list, negative
-EVAL_TOP_N = (None, 0, 1, 3, 10, -1)
+# every kind of top_n: none, empty, one, a few, more than any list
+EVAL_TOP_N = (None, 0, 1, 3, 10)
 
 
 class TestEvaluateReference:
@@ -376,7 +376,14 @@ class TestCorrelation:
         assert report.r_squared >= 0.99
         assert report.beta1 == pytest.approx(2.0)
         assert report.r_yx2 == 0.0
-        assert "x2" in report.zero_variance
+        assert report.zero_variance == ("x2",)
+        # a flat x1, and a flat y that also makes both r zero
+        report = correlation_analysis(y, [3.0] * 5, x1)
+        assert report.r_yx1 == 0.0 and report.r_yx2 == pytest.approx(1.0)
+        assert report.zero_variance == ("x1",)
+        report = correlation_analysis([1.0] * 5, x1, y)
+        assert report.r_yx1 == report.r_yx2 == 0.0
+        assert report.zero_variance == ("y",)
 
     def test_shuffled_series_decorrelates(self):
         rng = random.Random(123)

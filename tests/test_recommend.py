@@ -306,6 +306,11 @@ class TestRank:
         rec = rank(affinity_scores(g, "u_t"), g, top_n=1)
         assert rec.ranked == [("i2", 0.25)]
 
+    def test_negative_top_n_rejected(self):
+        g = eq1_hand_graph()
+        with pytest.raises(ValueError, match="top_n must be >= 0, got -1"):
+            rank(affinity_scores(g, "u_t"), g, top_n=-1)
+
     def test_owned_items_filtered(self, rng):
         g = build_random_graph(rng)
         target = random_target(rng, g)
@@ -447,8 +452,8 @@ EXACT_SCORERS = {
 }
 
 
-# every kind of top_n: none, empty, one, a few, negative
-RANK_TOP_N = (None, 0, 1, 3, -1)
+# every kind of top_n: none, empty, one, a few
+RANK_TOP_N = (None, 0, 1, 3)
 
 
 def assert_same_ranks(got, want, graph, context=()):

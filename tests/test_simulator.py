@@ -18,7 +18,6 @@ from pliersim.simulator import (
     DownloadPolicyState,
     SimConfig,
     Simulation,
-    SimulationError,
     apply_download_policy,
     compute_step_metrics,
     generate_synthetic_contacts,
@@ -202,13 +201,34 @@ class TestEncounter:
         assert ui.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
         assert it.tolist() == [[1, 1, 0], [0, 0, 1], [0, 1, 0], [1, 1, 1]]
 
-    def test_unknown_agent_with_explicit_roster(self):
-        sim = Simulation(SimConfig(), ["a", "b"])
-        with pytest.raises(SimulationError):
-            sim.run_windows([ContactEvent(0, "a", "zz")], [], [None])
-        sim = Simulation(SimConfig(), ["a", "b"])
-        with pytest.raises(SimulationError):
-            sim.run_windows([], [ContentEvent(0, "zz", "i1", ("t1",))], [None])
+    def test_trace_agents_join_the_roster(self):
+        # the population is the roster plus every agent the traces name
+        sim = Simulation(SimConfig(), ["a"])
+        contents = [ContentEvent(60, "a", "i1", ("t1",))]
+        rows = sim.run_windows([ContactEvent(0, "a", "zz")], contents, [None])[None]
+        assert set(sim.lkgs) == {"a", "zz"}
+        # after step 1, a knows i1 and zz does not: both count
+        assert [m.avg_graph_jaccard for m in rows] == [1.0, 0.5]
+        sim = Simulation(SimConfig(), ["a"])
+        rows = sim.run_windows([], [ContentEvent(0, "zz", "i1", ("t1",))], [None])[None]
+        assert set(sim.lkgs) == {"a", "zz"}
+        assert [m.avg_graph_jaccard for m in rows] == [0.5]
+
+    def test_unregistered_agent_raises_and_changes_nothing(self):
+        sim = self._sim(["a", "b"])
+        sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
+
+        def state():
+            return dict(sim.lkgs), dict(sim.gkg.user_item_edges), dict(sim.gkg.item_tag_edges)
+
+        before = state()
+        with pytest.raises(KeyError):
+            sim.apply_content(ContentEvent(1, "zz", "i2", ("t2",)))
+        with pytest.raises(KeyError):
+            sim.encounter("a", "zz", 2)
+        with pytest.raises(KeyError):
+            sim.encounter("zz", "b", 2)
+        assert state() == before
 
 
 class TestRun:
@@ -638,28 +658,29 @@ def replays(draw):
 @given(replays())
 def test_event_set_replay_matches_merge_replay(replay):
     config, contacts, contents, windows = replay
-    roster = AGENTS + ["s1", "s2"]
-    ref_encounters, ref_lkgs, ref_rows, ref_policies = merge_replay(
-        config, contacts, contents, windows, roster
-    )
+    # a roster of every agent plus silent ones, and one that omits the trace agents
+    for roster in (AGENTS + ["s1", "s2"], ["s1"]):
+        ref_encounters, ref_lkgs, ref_rows, ref_policies = merge_replay(
+            config, contacts, contents, windows, roster
+        )
 
-    sim = Simulation(config, roster)
-    encounters = []
-    real_encounter = sim.encounter
+        sim = Simulation(config, roster)
+        encounters = []
+        real_encounter = sim.encounter
 
-    def recording_encounter(a, b, now):
-        encounters.append(real_encounter(a, b, now))
-        return encounters[-1]
+        def recording_encounter(a, b, now):
+            encounters.append(real_encounter(a, b, now))
+            return encounters[-1]
 
-    sim.encounter = recording_encounter
-    rows = sim.run_windows(contacts, contents, windows)
+        sim.encounter = recording_encounter
+        rows = sim.run_windows(contacts, contents, windows)
 
-    assert encounters == ref_encounters
-    assert dict(sim.lkgs) == ref_lkgs
-    assert rows == ref_rows
-    assert {a: (p.observed, p.downloaded) for a, p in sim.policies.items()} == {
-        a: (p.observed, p.downloaded) for a, p in ref_policies.items()
-    }
+        assert encounters == ref_encounters
+        assert dict(sim.lkgs) == ref_lkgs
+        assert rows == ref_rows
+        assert {a: (p.observed, p.downloaded) for a, p in sim.policies.items()} == {
+            a: (p.observed, p.downloaded) for a, p in ref_policies.items()
+        }
 
 
 @settings(max_examples=40, deadline=None)

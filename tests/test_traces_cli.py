@@ -233,6 +233,7 @@ class TestCliSimulate:
                 "download_percentile = 90\ndownload_policy = mean_threshold",
                 "download_percentile is read only by download_policy = percentile_threshold",
             ),
+            ("top_n = -1", "top_n must be >= 0"),
         ],
     )
     def test_config_value_error_cites_file_and_line(
@@ -240,7 +241,7 @@ class TestCliSimulate:
     ):
         contacts, contents = sim_fixture
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(f"# settings\nstep_length_s = 30\n{line}\ntop_n = 5\n")
+        cfg.write_text(f"# settings\nstep_length_s = 30\n{line}\nmetric_cadence = 2\n")
         code = cli.main(
             ["simulate", str(contacts), str(contents), "--config", str(cfg),
              "--outdir", str(tmp_path / "out")]
@@ -306,6 +307,7 @@ class TestCliRecommend:
             (["--algorithm", "hybrid", "--lambda", "1.5"], "--lambda must lie in [0, 1], got 1.5"),
             (["--algorithm", "cf", "--k", "0"], "--k must be >= 1, got 0"),
             (["--algorithm", "tagexp", "--k", "-2"], "--k must be >= 1, got -2"),
+            (["--top-n", "-3"], "--top-n must be >= 0, got -3"),
         ],
     )
     def test_bad_values_exit_3_before_the_graph_is_read(self, tmp_path, capsys, flags, message):
@@ -374,6 +376,7 @@ class TestCliLinkpred:
             (["--algorithms", "tagexp", "--k", "5", "0"], "--k must be >= 1, got 0"),
             (["--lambda", "2"], "--lambda must lie in [0, 1], got 2.0"),
             (["--algorithms", "hybrid", "--lambda", "-0.5"], "--lambda must lie in [0, 1], got -0.5"),
+            (["--top-n", "-1"], "--top-n must be >= 0, got -1"),
         ],
     )
     def test_bad_values_exit_3_before_the_graph_is_read(self, tmp_path, capsys, flags, message):
