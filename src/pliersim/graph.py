@@ -172,16 +172,22 @@ class Adjacency(NamedTuple):
         """Row ``r``'s neighbours, a view of ``cols``."""
         return self.cols[self.ptr[r] : self.ptr[r + 1]]
 
-    def masked(self, keep: np.ndarray) -> "Adjacency":
-        """The entries whose edge id is set in the boolean array ``keep``.
+    def stacked(self, keep: np.ndarray, n_cols: int) -> "Adjacency":
+        """One disjoint copy of the rows per row of the 2-D boolean array ``keep``.
 
-        Every row stays, in the same order, so a row may be left empty.
+        Copy ``v`` holds the entries whose edge id is set in ``keep[v]``:
+        row ``r`` becomes row ``v * n_rows + r`` and column ``c`` becomes
+        ``v * n_cols + c``. Every row stays in every copy, its entries in
+        the same order, so a row may be left empty; edge ids are not shifted.
         """
-        kept = keep[self.edge]
-        before = np.zeros(len(kept) + 1, dtype=np.intp)
+        kept = keep[:, self.edge]
+        view, entry = kept.nonzero()
+        before = np.zeros(kept.size + 1, dtype=np.intp)
         np.cumsum(kept, out=before[1:])
-        ptr = before[self.ptr]
-        return Adjacency(ptr, self.cols[kept], ptr[1:] - ptr[:-1], self.edge[kept])
+        starts = np.arange(len(keep))[:, None] * len(self.edge) + self.ptr[:-1]
+        ptr = before[np.append(starts.ravel(), kept.size)]
+        cols = self.cols[entry] + view * n_cols
+        return Adjacency(ptr, cols, ptr[1:] - ptr[:-1], self.edge[entry])
 
     def gather(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``which`` concatenated in the given order.
@@ -230,20 +236,29 @@ class GraphIndex:
         self.item_tags = Adjacency.from_edges(i, t, len(self.items))
         self.tag_items = Adjacency.from_edges(t, i, len(self.tags))
 
-    def masked(self, ui: np.ndarray, it: np.ndarray) -> "GraphIndex":
-        """The index of the subgraph of the edges whose ids are set in ``ui`` and ``it``.
+    def stacked(self, ui: np.ndarray, it: np.ndarray) -> "GraphIndex":
+        """One index of the subgraphs of the edge ids set in each row of ``ui`` and ``it``.
 
-        Every key stays, so a node outside the subgraph has degree 0:
-        ``_tripartite`` scores the subgraph's items with the floats of its
-        own index and every other item exactly 0. ``_heats`` (and so
-        ``_hybrid``) divides by every item's degree, 0 / 0 outside the
-        subgraph, so only ``_tripartite`` may run on a masked index.
+        View ``v``, the subgraph of ``ui[v]`` and ``it[v]``, is laid out as
+        a disjoint copy: its node ``n`` of a kind is CSR row and column
+        ``v * n_kind + n``, ``n_kind`` being this index's number of keys of
+        that kind. The keys are this index's, listed once, so ``user_pos``
+        finds a user's row in view 0, and a one-row ``ui`` and ``it`` give
+        the index of one subgraph. A node outside a view's subgraph has
+        degree 0 in that view: ``_tripartite`` scores the view's items with
+        the floats of the view's own index and every other item exactly 0.
+        ``_heats`` (and so ``_hybrid``) divides by every item's degree, 0 / 0
+        outside a view, and the other kernels count rows only up to the key
+        counts, so only ``_tripartite`` may run on a stacked index.
         """
         view = object.__new__(GraphIndex)
         view.users, view.items, view.tags = self.users, self.items, self.tags
         view.user_pos, view.item_pos, view.tag_pos = self.user_pos, self.item_pos, self.tag_pos
-        view.user_items, view.item_users = self.user_items.masked(ui), self.item_users.masked(ui)
-        view.item_tags, view.tag_items = self.item_tags.masked(it), self.tag_items.masked(it)
+        n_users, n_items, n_tags = len(self.users), len(self.items), len(self.tags)
+        view.user_items = self.user_items.stacked(ui, n_items)
+        view.item_users = self.item_users.stacked(ui, n_users)
+        view.item_tags = self.item_tags.stacked(it, n_tags)
+        view.tag_items = self.tag_items.stacked(it, n_items)
         return view
 
 

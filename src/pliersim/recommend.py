@@ -11,11 +11,15 @@ Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
 array kernel that scores a block of targets at once, one row per target;
 a :class:`Scorer` feeds it the targets of one index in blocks of at most
 ``_BLOCK_SCORES`` scores, and the public single-target functions are a
-block of one. Every sum adds its terms in the order of a walk over sorted
-keys, one at a time, so score values are bit-reproducible across
+block of one. The PLIERS kernels also run on a stacked index
+(:meth:`GraphIndex.stacked`), which lays several subgraphs of a larger
+graph side by side as disjoint copies, so that one block may hold targets
+of different views. Every sum adds its terms in the order of a walk over
+sorted keys, one at a time, so score values are bit-reproducible across
 processes regardless of hash randomization, equal to those of that walk
 written as a loop, and the same whether a target is scored alone or in a
-block, on the graph's own index or on a larger graph's index masked to it.
+block, on the graph's own index or on its view of a larger graph's
+stacked index.
 """
 
 from __future__ import annotations
@@ -66,11 +70,14 @@ class RecommendationVector:
         return [item for item, _ in self.ranked]
 
 
-# The most scores (targets x items) one block of targets may take. Larger
-# blocks call numpy less often but hold larger temporaries, which grow with
-# the walks of all the block's targets: on the half-size criterion-4 graph
-# (400 items, so 5 targets a block) peak memory stays within 0.5% of
-# scoring one target at a time.
+# The most scores (targets x items) one block of targets may take, on a
+# stacked index too, whose blocks may mix views. Larger blocks call numpy
+# less often but hold larger temporaries, which grow with the walks of all
+# the block's targets: on the half-size criterion-4 graph (400 items, so 5
+# targets a block) peak memory stays within 0.5% of scoring one target at a
+# time, and stacking a gossip evaluation's views (about 30 items, so 68
+# targets a block) left the benchmark's median peak at 36.55 MiB (2-CPU VM,
+# Python 3.11, numpy 2.4).
 _BLOCK_SCORES = 1 << 11
 
 
@@ -90,27 +97,37 @@ class Scorer:
         return next(self.many(graph.index(), [target]))
 
     def many(self, index: GraphIndex, targets: Iterable[str]) -> Iterator[ScoreVector]:
-        """One ScoreVector per target, in the given order.
+        """One ScoreVector per target, in the given order: its row of :meth:`rows`.
 
-        Targets that own items are scored in blocks of at most
-        ``_BLOCK_SCORES`` scores, so only one block's temporaries are held
-        while the vectors are consumed; a vector's values are a row of its
-        block. Cold starts get all-zero vectors without the kernel.
+        A target is scored on its row of ``index.user_pos``, on a stacked
+        index the row of its view 0.
         """
         targets = list(targets)
-        pos = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
-        # an absent target's -1 reads the appended degree 0
-        warm = np.append(index.user_items.degree, 0)[pos] > 0
-        rows = pos[warm]
+        rows = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
+        for target, values in zip(targets, self.rows(index, rows)):
+            yield ScoreVector(target, index.items, values)
+
+    def rows(self, index: GraphIndex, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """One score row over ``index.items`` per user row in ``rows``, in that order.
+
+        On a stacked index, user ``u`` of view ``v`` is row
+        ``v * len(index.users) + u``. Rows that own items are scored in
+        blocks of at most ``_BLOCK_SCORES`` scores, so only one block's
+        temporaries are held while the rows are consumed. A row of -1 or of
+        a user owning no item is a cold start and gets an all-zero row
+        without the kernel.
+        """
+        # a row of -1 reads the appended degree 0
+        warm = np.append(index.user_items.degree, 0)[rows] > 0
+        hot = rows[warm]
         per_block = max(1, _BLOCK_SCORES // max(1, len(index.items)))
         scores = (
             row
-            for lo in range(0, len(rows), per_block)
-            for row in self.kernel(index, rows[lo : lo + per_block])
+            for lo in range(0, len(hot), per_block)
+            for row in self.kernel(index, hot[lo : lo + per_block])
         )
-        for target, is_warm in zip(targets, warm.tolist()):
-            values = next(scores) if is_warm else np.zeros(len(index.items))
-            yield ScoreVector(target, index.items, values)
+        for is_warm in warm.tolist():
+            yield next(scores) if is_warm else np.zeros(len(index.items))
 
 
 # The most bins one count array of PLIERS (source item, candidate) pairs may
@@ -242,6 +259,9 @@ def _overlap_diffusion(
     bridges, source = item_side.gather(owned)
     share = (1.0 / item_side.degree[owned])[source] / bridge_side.degree[bridges]
     items, via = bridge_side.gather(bridges)
+    # on a stacked index, candidate v * n_items + j is item j of its
+    # target's view v and scores in column j; unstacked, v is 0
+    column = items % n_items
     # a (s, j) pair occurs once per bridge that s and j share, so its count
     # is the overlap |N(s) & N(j)|, never 0. The pairs are counted in bins
     # s * n_items + j, s running over the block's (target, owned item)
@@ -252,10 +272,10 @@ def _overlap_diffusion(
     cuts = np.searchsorted(s, np.arange(0, len(owned) + per_block, per_block))
     overlap = np.empty_like(items)
     for block, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
-        pair = (s[lo:hi] - block * per_block) * n_items + items[lo:hi]
+        pair = (s[lo:hi] - block * per_block) * n_items + column[lo:hi]
         overlap[lo:hi] = np.bincount(pair)[pair]
     terms = share[via] * overlap / item_side.degree[items]
-    return _per_target(of[s], items, terms, len(targets), n_items)
+    return _per_target(of[s], column, terms, len(targets), n_items)
 
 
 def _affinity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
@@ -402,8 +422,8 @@ def rank(
     Items already linked to the target and items with zero score are dropped;
     the rest sort by score descending with item-key ties ascending, truncated
     to ``top_n`` when given. ``scores`` must list the items of
-    ``graph.index()``, as every vector scored on that index or on a masked
-    view of it does; any other vector, or a negative ``top_n``, raises
+    ``graph.index()``, as every vector scored on that index or on an index
+    stacked from it does; any other vector, or a negative ``top_n``, raises
     ValueError.
     """
     if top_n is not None and top_n < 0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .evaluation import jaccard, spearman_similarity, sum_in_order
 from .graph import FolksonomyGraph
-from .recommend import Scorer, _tripartite, rank
+from .recommend import Scorer, ScoreVector, _tripartite, rank
 
 # not called here; bench/tracing.py wraps this module's name, so it stays
 from .recommend import pliers_tripartite  # noqa: F401
@@ -202,15 +202,16 @@ class StepMetrics:
 # metric computation
 # ----------------------------------------------------------------------
 
-# A view as boolean masks over the user-item and item-tag edge ids of the
-# global graph: the positions of its edges in gkg's two edge maps.
+# Views as boolean masks over the user-item and item-tag edge ids of the
+# global graph, the positions of its edges in gkg's two edge maps: one row
+# per view.
 Masks = tuple[np.ndarray, np.ndarray]
 
 
 def compute_step_metrics(
     gkg: FolksonomyGraph,
-    global_view: Masks,
-    views: Iterable[tuple[Masks, Sequence[str]]],
+    views: Masks,
+    holders: Sequence[Sequence[str]],
     affinity_weight: float,
     top_n: int | None,
     *,
@@ -221,42 +222,48 @@ def compute_step_metrics(
 ) -> StepMetrics:
     """Compare every agent's local view and recommendations with the global one.
 
-    ``views`` pairs each distinct local view with the agents that hold it,
-    under whatever expiry window applies. Graph similarity (edge-set
+    ``views`` holds one view per row, under whatever expiry window applies:
+    the global view in row 0 and, in row ``v``, the distinct local view
+    that the agents ``holders[v - 1]`` hold. Graph similarity (edge-set
     Jaccard) averages over *all* agents (an empty local view scores 0
     against a non-empty global one). Recommendation similarities skip
     agents whose local and global recommendation vectors are both empty;
     when that skips everyone, the averages are 1.0 by convention (nothing
     to recommend, local trivially agrees with global).
 
-    Each view is scored on ``gkg``'s index masked to it, for all its
-    holders in one batched call. Both lists are ranked against ``gkg``: a
-    replay's view keeps an item only with every event of it that its
-    holders know, their own included, so an item that an agent owns in
+    Every view is scored on one index, ``gkg``'s index stacked to all of
+    them: each agent on the row of its own view, then on its row of the
+    global view, all through one block loop. Both lists are ranked against
+    ``gkg``: a replay's view keeps an item only with every event of it that
+    its holders know, their own included, so an item that an agent owns in
     ``gkg`` and that scores above 0 in a view is owned in that view too.
     """
     index = gkg.index()
-    pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
-    global_index = index.masked(*global_view)
+    ui, it = views
+    stacked = index.stacked(ui, it)
+    n_users, degree = len(index.users), stacked.user_items.degree
     graph_sims: dict[str, float] = {}
-    local = {}
-    for view, holders in views:
-        graph_sims.update(dict.fromkeys(holders, _mask_jaccard(view, global_view)))
-        view_index = index.masked(*view)
-        # a cold start on both views: both lists would be empty; an agent
-        # absent from gkg reads the appended degree 0
-        degree = view_index.user_items.degree + global_index.user_items.degree
-        degree = np.append(degree, 0)
-        scored = [a for a in holders if degree[index.user_pos.get(a, -1)]]
-        for agent, scores in zip(scored, pliers.many(view_index, scored)):
-            local[agent] = rank(scores, gkg, top_n)
+    local_row: dict[str, int] = {}
+    for v, (group, graph_sim) in enumerate(zip(holders, _mask_jaccards(views)[1:]), start=1):
+        graph_sims.update(dict.fromkeys(group, graph_sim))
+        for agent in group:
+            u = index.user_pos.get(agent)
+            # absent from gkg, or a cold start on both views: both lists
+            # would be empty
+            if u is not None and (degree[v * n_users + u] or degree[u]):
+                local_row[agent] = v * n_users + u
+    scored = sorted(local_row)
+    pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
+    rows = [local_row[a] for a in scored] + [index.user_pos[a] for a in scored]
+    scores = pliers.rows(stacked, np.array(rows, np.intp))
+    local = [rank(ScoreVector(a, index.items, next(scores)), gkg, top_n) for a in scored]
 
     rec_jaccards: list[float] = []
     rec_spear_corr: list[float] = []
     rec_spear_lit: list[float] = []
-    scored = sorted(local)
-    for agent, global_scores in zip(scored, pliers.many(global_index, scored)):
-        lk, gk = local[agent].item_keys(), rank(global_scores, gkg, top_n).item_keys()
+    for agent, local_list in zip(scored, local):
+        global_list = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n)
+        lk, gk = local_list.item_keys(), global_list.item_keys()
         if not lk and not gk:
             continue
         rec_jaccards.append(jaccard(set(lk), set(gk)))
@@ -278,11 +285,12 @@ def compute_step_metrics(
     )
 
 
-def _mask_jaccard(a: Masks, b: Masks) -> float:
-    """:func:`jaccard` of the edge sets of two views, user-item and item-tag kept apart."""
-    shared = np.count_nonzero(a[0] & b[0]) + np.count_nonzero(a[1] & b[1])
-    union = np.count_nonzero(a[0] | b[0]) + np.count_nonzero(a[1] | b[1])
-    return shared / union if union else 1.0
+def _mask_jaccards(views: Masks) -> list[float]:
+    """:func:`jaccard` of each view's edge set with view 0's, user-item and item-tag kept apart."""
+    ui, it = views
+    shared = np.count_nonzero(ui & ui[0], axis=1) + np.count_nonzero(it & it[0], axis=1)
+    union = np.count_nonzero(ui | ui[0], axis=1) + np.count_nonzero(it | it[0], axis=1)
+    return [s / u if u else 1.0 for s, u in zip(shared.tolist(), union.tolist())]
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +311,7 @@ class Simulation:
     edge of ``gkg`` has an id, its position in ``gkg``'s edge maps, which
     only grow; :meth:`masks` turns a set of events into the edges it holds.
     Local knowledge and the metric views of an expiry window
-    (:meth:`window_views`) are scored on ``gkg``'s index masked to those
+    (:meth:`window_views`) are scored on ``gkg``'s index stacked to those
     edges, so no graph is built for them.
     """
 
@@ -440,10 +448,10 @@ class Simulation:
         deciding = [a for a, new in discoveries.items() if new and a in self.policies]
         if not deciding:
             return
-        ui, it = self.masks([known])
         index = self.gkg.index()
         pliers = Scorer(partial(_tripartite, affinity_weight=self.config.affinity_weight))
-        for agent, vector in zip(deciding, pliers.many(index.masked(ui[0], it[0]), deciding)):
+        known_index = index.stacked(*self.masks([known]))
+        for agent, vector in zip(deciding, pliers.many(known_index, deciding)):
             for item in sorted(discoveries[agent]):
                 score = float(vector.values[index.item_pos[item]])
                 apply_download_policy(self.policies[agent], item, score, now)
@@ -496,12 +504,11 @@ class Simulation:
                     holders: dict[int, list[str]] = {}
                     for agent, live in lviews.items():
                         holders.setdefault(live, []).append(agent)
-                    ui, it = self.masks([gview, *holders])
                     out[window].append(
                         compute_step_metrics(
                             self.gkg,
-                            (ui[0], it[0]),
-                            zip(zip(ui[1:], it[1:]), holders.values()),
+                            self.masks([gview, *holders]),
+                            list(holders.values()),
                             self.config.affinity_weight,
                             self.config.top_n,
                             now=now,

@@ -83,7 +83,7 @@ def _check_key(value: str, what: str, path: str | Path, lineno: int) -> str:
     value = value.strip()
     if not value:
         raise TraceParseError(f"empty {what}", path, lineno)
-    if any(c in value for c in ",;\t"):
+    if "," in value or ";" in value or "\t" in value:
         raise TraceParseError(f"{what} {value!r} contains a separator", path, lineno)
     return value
 
@@ -167,7 +167,7 @@ def parse_config_file(path: str | Path) -> SimConfig:
     """Read ``key = value`` lines (# comments allowed) into a SimConfig.
 
     Every error cites ``path:line:`` of the key at fault, or ``path:`` when
-    no single line is.
+    no single line is; a key given twice is at fault on its second line.
     """
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -182,6 +182,10 @@ def parse_config_file(path: str | Path) -> SimConfig:
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} is given twice (first on line {lines[key]})", key
+                )
             raw[key] = value
             lines[key] = lineno
     try:

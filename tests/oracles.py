@@ -183,6 +183,32 @@ def graph_of(sim, bits: int) -> FolksonomyGraph:
     return graph
 
 
+def view_graph(gkg: FolksonomyGraph, view) -> FolksonomyGraph:
+    """The subgraph of ``gkg`` whose edges the two boolean masks ``view`` hold.
+
+    The masks run over the positions of ``gkg``'s user-item and item-tag edges.
+    """
+    ui, it = view
+    return FolksonomyGraph(
+        {e: t for (e, t), keep in zip(gkg.user_item_edges.items(), ui) if keep},
+        {e: t for (e, t), keep in zip(gkg.item_tag_edges.items(), it) if keep},
+    )
+
+
+def rows_over(scorer, graph: FolksonomyGraph, items, targets) -> list[list[float]]:
+    """Each target's scores on ``graph``'s own index, listed over ``items``.
+
+    An item of ``items`` that ``graph`` lacks scores 0: the row a view's
+    own graph gives a target, laid over a larger graph's items.
+    """
+    rows = []
+    for vector in scorer.many(graph.index(), targets):
+        scores = dict.fromkeys(items, 0.0)
+        scores.update(zip(vector.items, vector.values.tolist()))
+        rows.append(list(scores.values()))
+    return rows
+
+
 def window_graphs(sim, now: int, window: int | None):
     """``sim.window_views(now, window)`` as graphs: agent -> view, and the global view."""
     lviews, gview = sim.window_views(now, window)

@@ -30,7 +30,9 @@ from oracles import (
     heats_oracle,
     pliers_oracle,
     probs_oracle,
+    rows_over,
     similarity_oracle,
+    view_graph,
 )
 
 
@@ -610,13 +612,70 @@ class TestManyTargets:
         g = build_random_graph(random.Random(2), 6, 8, 4)
         index = g.index()
         # a user of g owns no item in its subgraph without user-item edges
-        no_links = index.masked(
-            np.zeros(len(g.user_item_edges), bool), np.ones(len(g.item_tag_edges), bool)
+        no_links = index.stacked(
+            np.zeros((1, len(g.user_item_edges)), bool), np.ones((1, len(g.item_tag_edges)), bool)
         )
         for view, targets in ((index, ["gone", "nobody"]), (no_links, [index.users[0], "gone"])):
             got = list(Scorer(no_kernel).many(view, targets))
             assert [v.target for v in got] == targets
             assert all(v.items == sorted(g.items) and not v.values.any() for v in got)
+
+
+def _random_view(rng, graph, density):
+    """Masks of a random subgraph of ``graph``, as many edges as ``density`` asks.
+
+    An item that keeps a user keeps its first tag too, so that, as in a
+    replay's view, every owned item carries a tag.
+    """
+    ui = [rng.random() < density for _ in graph.user_item_edges]
+    owned = {i for (_, i), keep in zip(graph.user_item_edges, ui) if keep}
+    it, tagged = [], set()
+    for item, _ in graph.item_tag_edges:
+        it.append(rng.random() < density or (item in owned and item not in tagged))
+        tagged.add(item)
+    return np.array(ui, bool), np.array(it, bool)
+
+
+class TestStackedIndex:
+    """Each view of a stacked index is scored as its own graph is."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=1, max_size=4),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.sampled_from([1, 2, 3, None]),
+    )
+    def test_rows_equal_each_views_own_graph(self, seed, densities, w, targets_per_block):
+        rng = random.Random(seed)
+        g = _graph_with_edge_cases(rng)
+        views = [_random_view(rng, g, density) for density in densities]
+        ui, it = np.array([v[0] for v in views]), np.array([v[1] for v in views])
+        index = g.index()
+        # "gone" left the graph, "nobody" never joined
+        targets = [*index.users, "gone", "nobody"]
+        rng.shuffle(targets)
+        user_rows = [index.user_pos.get(t, -1) for t in targets]
+        n_users = len(index.users)
+        rows = [v * n_users + u if u >= 0 else -1 for v in range(len(views)) for u in user_rows]
+        budget = (
+            recommend._BLOCK_SCORES
+            if targets_per_block is None
+            else targets_per_block * len(index.items)
+        )
+        scorers = {
+            "pliers": cli.make_scorer("pliers", 1, w),
+            "affinity": Scorer(recommend._affinity),
+            "similarity": Scorer(recommend._similarity),
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recommend, "_BLOCK_SCORES", budget)
+            for name, scorer in scorers.items():
+                got = scorer.rows(index.stacked(ui, it), np.array(rows, np.intp))
+                for view in views:
+                    for want in rows_over(scorer, view_graph(g, view), index.items, targets):
+                        assert next(got).tolist() == want, name
+                assert next(got, None) is None
 
 
 def _merge_new_item(graph):

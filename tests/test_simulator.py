@@ -29,6 +29,8 @@ from oracles import (
     merge_replay,
     prune_older_than,
     reference_step_metrics,
+    rows_over,
+    view_graph,
     window_graphs,
 )
 
@@ -38,24 +40,20 @@ def whole(graph):
     return np.ones(len(graph.user_item_edges), bool), np.ones(len(graph.item_tag_edges), bool)
 
 
-def masked_graph(gkg, view):
-    """The subgraph of ``gkg`` whose edges the masks ``view`` hold."""
-    ui, it = view
-    return FolksonomyGraph(
-        {e: t for (e, t), keep in zip(gkg.user_item_edges.items(), ui) if keep},
-        {e: t for (e, t), keep in zip(gkg.item_tag_edges.items(), it) if keep},
-    )
+def stack(*views):
+    """The views as two 2-D masks, one row per view."""
+    return np.array([ui for ui, _ in views]), np.array([it for _, it in views])
 
 
 class CountedScorer(Scorer):
-    """A Scorer that records the targets of every batched call."""
+    """A Scorer that records the user of every row it is asked to score."""
 
     targets: list = []
 
-    def many(self, index, targets):
-        targets = list(targets)
-        CountedScorer.targets.extend(targets)
-        return super().many(index, targets)
+    def rows(self, index, rows):
+        users = index.users
+        CountedScorer.targets.extend(users[r % len(users)] for r in rows.tolist() if r >= 0)
+        return super().rows(index, rows)
 
 
 class TestEvents:
@@ -169,15 +167,15 @@ class TestEncounter:
         assert CountedScorer.targets == []
 
     def test_one_masked_index_per_contact(self, monkeypatch):
-        # after a contact both sides know the same events, so one masked
-        # index scores the discoveries of both
-        masked, real_masked = [], GraphIndex.masked
+        # after a contact both sides know the same events, so one index
+        # stacked to that one view scores the discoveries of both
+        built, real_stacked = [], GraphIndex.stacked
 
-        def counted_masked(index, ui, it):
-            masked.append(1)
-            return real_masked(index, ui, it)
+        def counted_stacked(index, ui, it):
+            built.append(len(ui))
+            return real_stacked(index, ui, it)
 
-        monkeypatch.setattr(GraphIndex, "masked", counted_masked)
+        monkeypatch.setattr(GraphIndex, "stacked", counted_stacked)
         config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
         sim = Simulation(config, ["a", "b", "c"])
         for agent in ("a", "b", "c"):
@@ -185,7 +183,7 @@ class TestEncounter:
         # both sides learn, both learn, only a learns
         for a, b in (("a", "b"), ("b", "c"), ("a", "c")):
             sim.encounter(a, b, 60)
-        assert len(masked) == 3
+        assert built == [1, 1, 1]
         assert {a: p.observed for a, p in sim.policies.items()} == {"a": 2, "b": 2, "c": 2}
 
     def test_content_applies_after_masks(self):
@@ -304,7 +302,8 @@ class TestStepMetrics:
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         gkg.add_content("b", "i2", ["t1"], 1)
-        m = compute_step_metrics(gkg, whole(gkg), [(whole(gkg), ["a", "b"])], 0.5, None, now=60)
+        views = stack(whole(gkg), whole(gkg))
+        m = compute_step_metrics(gkg, views, [["a", "b"]], 0.5, None, now=60)
         assert m.avg_graph_jaccard == 1.0
         assert m.avg_rec_jaccard == 1.0
         assert m.avg_rec_spearman_corrected == 1.0
@@ -314,15 +313,16 @@ class TestStepMetrics:
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         empty = np.zeros(1, bool), np.zeros(1, bool)
-        views = [(whole(gkg), ["a"]), (empty, ["b"])]
-        m = compute_step_metrics(gkg, whole(gkg), views, 0.5, None, now=60)
+        views = stack(whole(gkg), whole(gkg), empty)
+        m = compute_step_metrics(gkg, views, [["a"], ["b"]], 0.5, None, now=60)
         assert m.avg_graph_jaccard == 0.5
 
     def test_rec_similarity_ceiling_at_equality(self):
         gkg = FolksonomyGraph()
         gkg.add_content("a", "i1", ["t1"], 0)
         gkg.add_content("b", "i2", ["t1"], 1)
-        m = compute_step_metrics(gkg, whole(gkg), [(whole(gkg), ["a"])], 0.5, None, now=60)
+        views = stack(whole(gkg), whole(gkg))
+        m = compute_step_metrics(gkg, views, [["a"]], 0.5, None, now=60)
         assert (
             m.avg_rec_jaccard
             == m.avg_rec_spearman_corrected
@@ -353,30 +353,29 @@ class TestStepMetrics:
         assert last.n_contacts == 1 and last.n_contents == 0
 
     def test_views_computed_once_per_distinct_graph(self, monkeypatch):
-        masked, steps = [], []
-        real_masked, real_metrics = GraphIndex.masked, simulator.compute_step_metrics
+        built, steps = [], []
+        real_stacked, real_metrics = GraphIndex.stacked, simulator.compute_step_metrics
 
-        def counted_masked(index, ui, it):
-            masked.append(ui)
-            return real_masked(index, ui, it)
+        def counted_stacked(index, ui, it):
+            built.append(len(ui))
+            return real_stacked(index, ui, it)
 
-        def counted_metrics(gkg, gview, views, *args, **kwargs):
-            views = list(views)
-            masked.clear()
-            row = real_metrics(gkg, gview, views, *args, **kwargs)
-            holders = [a for _, group in views for a in group]
-            assert sorted(holders) == sorted(sim.lkgs)
-            steps.append((len(masked), len(views)))
+        def counted_metrics(gkg, views, holders, *args, **kwargs):
+            built.clear()
+            row = real_metrics(gkg, views, holders, *args, **kwargs)
+            assert sorted(a for group in holders for a in group) == sorted(sim.lkgs)
+            steps.append((list(built), len(holders)))
             return row
 
-        monkeypatch.setattr(GraphIndex, "masked", counted_masked)
+        monkeypatch.setattr(GraphIndex, "stacked", counted_stacked)
         monkeypatch.setattr(simulator, "compute_step_metrics", counted_metrics)
         contacts, contents = TestExpiryRuns._fixture()
         sim = Simulation(SimConfig())
         sim.run_windows(contacts, contents, [None, 20 * 60, 300])
-        # one masked index per distinct live event set and one for the
-        # global view; agents with equal views share theirs
-        assert steps and all(built == 1 + distinct for built, distinct in steps)
+        # one stacked index per evaluation, with a row for the global view
+        # and one per distinct live event set: agents with equal views
+        # share theirs
+        assert steps and all(built == [1 + distinct] for built, distinct in steps)
         assert min(distinct for _, distinct in steps) < 12
 
     def test_expiry_hides_old_items_from_metrics(self):
@@ -406,11 +405,10 @@ class TestStepMetrics:
         # b, the later-only holder, keeps the edges of its own announcement
         live, glive = sim.window_views(540, 100)
         ui, it = sim.masks([glive, live["a"], live["b"]])
-        held = masked_graph(sim.gkg, (ui[2], it[2]))
+        held = view_graph(sim.gkg, (ui[2], it[2]))
         assert held.user_item_edges.keys() == {("b", "x")}
         assert held.item_tag_edges.keys() == {("x", "t2")}
-        views = [((ui[1], it[1]), ["a"]), ((ui[2], it[2]), ["b"])]
-        row = compute_step_metrics(sim.gkg, (ui[0], it[0]), views, 0.5, None, now=540)
+        row = compute_step_metrics(sim.gkg, (ui, it), [["a"], ["b"]], 0.5, None, now=540)
         assert row.avg_graph_jaccard == (1.0 + 0.0) / 2
         assert row == reference_step_metrics(lviews, gview, 0.5, None, now=540, step=0,
                                              n_contacts=0, n_contents=0)
@@ -693,14 +691,14 @@ def test_agents_outside_both_views_are_not_scored(replay):
     real_metrics = simulator.compute_step_metrics
     skipped = []
 
-    def checked_metrics(gkg, gview, views, weight, top_n, **kwargs):
-        views = list(views)
+    def checked_metrics(gkg, views, holders, weight, top_n, **kwargs):
         CountedScorer.targets.clear()  # discovery scoring in the contacts before
-        row = real_metrics(gkg, gview, views, weight, top_n, **kwargs)
-        global_graph = masked_graph(gkg, gview)
-        for view, holders in views:
-            local_graph = masked_graph(gkg, view)
-            outside = [a for a in holders if a not in local_graph.users | global_graph.users]
+        row = real_metrics(gkg, views, holders, weight, top_n, **kwargs)
+        ui, it = views
+        global_graph = view_graph(gkg, (ui[0], it[0]))
+        for v, group in enumerate(holders, start=1):
+            local_graph = view_graph(gkg, (ui[v], it[v]))
+            outside = [a for a in group if a not in local_graph.users | global_graph.users]
             assert not set(outside) & set(CountedScorer.targets)
             # scored, both of their lists would be empty, and the row skips those
             for agent in outside:
@@ -722,13 +720,14 @@ def test_agents_outside_both_views_are_not_scored(replay):
 @settings(max_examples=60, deadline=None)
 @given(replays(), st.lists(st.integers(30, 400), min_size=1, max_size=3))
 def test_masked_views_equal_built_graphs(replay, more_windows):
-    """Every view scored on the masked global index as on its own graph's index.
+    """Every view scored on the stacked global index as on its own graph's index.
 
-    For each distinct live event set of every window at every metric step,
-    the rows of ``Scorer.many`` on ``GraphIndex.masked`` equal with ``==``
-    those on the index of the set's own graph over its items, every other
-    item scores exactly 0, and the mask-count Jaccard equals the edge-map
-    Jaccard.
+    At every metric step of every window, the distinct live event sets are
+    stacked into one index, as the replay stacks them, and every target is
+    scored on its row of every view in one ``Scorer.rows`` pass. Each row
+    equals with ``==`` the target's row on the index of the set's own
+    graph over its items, every other item scores exactly 0, and the
+    mask-count Jaccard equals the edge-map Jaccard.
     """
     config, contacts, contents, windows = replay
     roster = AGENTS + ["s1", "s2"]
@@ -743,18 +742,16 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
         distinct = [gview, *dict.fromkeys(lviews.values())]
         ui, it = sim.masks(distinct)
         index = sim.gkg.index()
+        n_users = len(index.users)
+        user_rows = [index.user_pos.get(t, -1) for t in targets]
+        rows = [v * n_users + u if u >= 0 else -1 for v in range(len(distinct)) for u in user_rows]
+        got = pliers.rows(index.stacked(ui, it), np.array(rows, np.intp))
         global_graph = graph_of(sim, gview)
-        for bits, view in zip(distinct, zip(ui, it)):
+        for bits, graph_sim in zip(distinct, simulator._mask_jaccards((ui, it))):
             graph = graph_of(sim, bits)
-            own = list(pliers.many(graph.index(), targets))
-            masked = list(pliers.many(index.masked(*view), targets))
-            for got, want in zip(masked, own):
-                values = dict(zip(got.items, got.values.tolist()))
-                assert [values.pop(i) for i in want.items] == want.values.tolist()
-                assert set(values.values()) <= {0.0}
-            assert simulator._mask_jaccard(view, (ui[0], it[0])) == jaccard(
-                graph.flatten(), global_graph.flatten()
-            )
+            for want in rows_over(pliers, graph, index.items, targets):
+                assert next(got).tolist() == want
+            assert graph_sim == jaccard(graph.flatten(), global_graph.flatten())
             checked.append(bits)
         return lviews, gview
 

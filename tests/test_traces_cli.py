@@ -70,6 +70,21 @@ class TestTraceFiles:
         assert err.value.line == lineno
 
     @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (parse_contacts, "10,a;x,b\n", "agent 'a;x' contains a separator"),
+            (parse_contacts, "10,a,b\tc\n", "agent 'b\\tc' contains a separator"),
+            (parse_contents, "0,a,i;1,t1\n", "item key 'i;1' contains a separator"),
+        ],
+    )
+    def test_separator_in_key_cites_line(self, tmp_path, parse, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(TraceParseError) as err:
+            parse(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
+    @pytest.mark.parametrize(
         "text",
         ["0,a,i1,\n", "0,a,i1,t1;;t2\n", "x,a,i1,t1\n", "0,a,i1\n"],
     )
@@ -249,6 +264,18 @@ class TestCliSimulate:
         assert code == 3
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
+    def test_key_given_twice_cites_the_second_line(self, tmp_path, sim_fixture, capsys):
+        # the last line of a repeated key used to win, so the bad first
+        # value was never reported and the run exited 0
+        contacts, contents = sim_fixture
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("top_n = -1\nstep_length_s = 30\ntop_n = 5\n")
+        code = cli.main(
+            ["simulate", str(contacts), str(contents), "--config", str(cfg),
+             "--outdir", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {cfg}:3: top_n is given twice (first on line 1)\n"
 
     def test_negative_history_span_cites_file_and_line(self, tmp_path, sim_fixture, capsys):
         # a negative span emptied the history on every observation, so a
