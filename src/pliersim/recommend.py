@@ -76,8 +76,8 @@ class RecommendationVector:
 # the block's targets: on the half-size criterion-4 graph (400 items, so 5
 # targets a block) peak memory stays within 0.5% of scoring one target at a
 # time, and stacking a gossip evaluation's views (about 30 items, so 68
-# targets a block) left the benchmark's median peak at 36.55 MiB (2-CPU VM,
-# Python 3.11, numpy 2.4).
+# targets a block) kept the gossip benchmark's median peak at 36.5 MiB,
+# level with scoring each view on its own (2-CPU VM, Python 3.11, numpy 2.4).
 _BLOCK_SCORES = 1 << 11
 
 
