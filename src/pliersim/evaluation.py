@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import FolksonomyGraph
-from .recommend import Scorer, rank
+from .recommend import Scorer, ScoreVector, rank
 
 
 def sum_in_order(values: Iterable[float]) -> float:
@@ -136,8 +136,8 @@ def evaluate_on_pruned(
     """Score every user with removals on the pruned graph and grade recovery.
 
     Gives what :func:`precision` and :func:`recall` give on every user's
-    ranked list, bit for bit, grading each list as it is ranked. The users
-    are scored together with ``scorer.many``, block by block, and each
+    ranked list, bit for bit, grading each list as it is ranked. The users'
+    rows are scored together with ``scorer.rows``, block by block, and each
     user's scores go through the module global ``rank`` once, in sorted
     user order. Each user has one removed item, listed at position ``p`` or
     not at all, so the user's precision term is ``1.0 / p`` or 0 and the
@@ -146,8 +146,10 @@ def evaluate_on_pruned(
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
     total_precision = total_recall = 0.0
     users = sorted(removal.removals)
-    for user, scores in zip(users, scorer.many(pruned.index(), users)):
-        keys = rank(scores, pruned, top_n).item_keys()
+    index = pruned.index()
+    rows = np.array([index.user_pos.get(user, -1) for user in users], np.intp)
+    for user, values in zip(users, scorer.rows(index, rows)):
+        keys = rank(ScoreVector(user, index.items, values), pruned, top_n).item_keys()
         try:
             position = keys.index(removal.removals[user]) + 1
         except ValueError:

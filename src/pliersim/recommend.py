@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -87,25 +87,16 @@ class Scorer:
 
     ``kernel(index, rows)`` returns one score row per user index in
     ``rows``, every row owning at least one item. Calling a Scorer scores
-    one target of a graph; :meth:`many` scores many targets of one index
+    one target of a graph; :meth:`rows` scores many user rows of one index
     with the same floats.
     """
 
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
-        return next(self.many(graph.index(), [target]))
-
-    def many(self, index: GraphIndex, targets: Iterable[str]) -> Iterator[ScoreVector]:
-        """One ScoreVector per target, in the given order: its row of :meth:`rows`.
-
-        A target is scored on its row of ``index.user_pos``, on a stacked
-        index the row of its view 0.
-        """
-        targets = list(targets)
-        rows = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
-        for target, values in zip(targets, self.rows(index, rows)):
-            yield ScoreVector(target, index.items, values)
+        index = graph.index()
+        rows = np.array([index.user_pos.get(target, -1)], np.intp)
+        return ScoreVector(target, index.items, next(self.rows(index, rows)))
 
     def rows(self, index: GraphIndex, rows: np.ndarray) -> Iterator[np.ndarray]:
         """One score row over ``index.items`` per user row in ``rows``, in that order.

@@ -21,6 +21,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -332,6 +333,7 @@ class Simulation:
         self._tag_edge = array("q")
         self._knowledge: dict[str, int] = {}
         self._items: dict[str, set[str]] = {}
+        self._discoveries: list[tuple[str, int, set[str], int]] = []
         for agent in agents:
             self.register(agent)
 
@@ -421,14 +423,13 @@ class Simulation:
             self._tag_edge.append(it_ids.setdefault((event.item, tag), len(it_ids)))
 
     def encounter(self, a: str, b: str, now: int) -> tuple[set[str], set[str]]:
-        """Symmetric knowledge exchange followed by scoring of discoveries.
+        """Symmetric knowledge exchange; returns the two new-item sets (for a, for b).
 
         Both sides end up with the union of the two content-event sets, and
-        nothing changes when the sets are already equal. When a download
-        policy is set, each side then scores its newly discovered items on
-        its updated knowledge and feeds the scores to its policy. Returns
-        the two new-item sets (for a, for b). An unregistered agent raises
-        KeyError before any state changes.
+        nothing changes when the sets are already equal. A side with a
+        download policy queues what it learns, and :meth:`run_windows` has
+        the policies decide at the end of the step. An unregistered agent
+        raises KeyError before any state changes.
         """
         ka, kb = self._knowledge[a], self._knowledge[b]
         if ka == kb:
@@ -438,22 +439,31 @@ class Simulation:
         items_a |= new_a
         items_b |= new_b
         self._knowledge[a] = self._knowledge[b] = ka | kb
-        self._evaluate_discoveries({a: new_a, b: new_b}, ka | kb, now)
+        for agent, new in ((a, new_a), (b, new_b)):
+            if new and agent in self.policies:
+                self._discoveries.append((agent, ka | kb, new, now))
         return new_a, new_b
 
-    def _evaluate_discoveries(
-        self, discoveries: dict[str, set[str]], known: int, now: int
-    ) -> None:
-        """Score each side's new items on the events both sides now know, for its policy."""
-        deciding = [a for a, new in discoveries.items() if new and a in self.policies]
-        if not deciding:
-            return
-        index = self.gkg.index()
+    def _decide(self) -> None:
+        """Feed the first queued discoveries, at most one view per agent, to the policies.
+
+        Each is scored on what its agent knew right after the contact, a view
+        of ``gkg``'s index stacked to their distinct views; ``gkg`` is fixed
+        during a step's contacts, so these are the contact's floats.
+        """
+        index, views, rows = self.gkg.index(), {}, []
+        for agent, known, _, _ in self._discoveries:
+            if known not in views and len(views) == len(self._knowledge):
+                break
+            v, u = views.setdefault(known, len(views)), index.user_pos.get(agent)
+            # an agent that created nothing is a cold start on every view
+            rows.append(-1 if u is None else v * len(index.users) + u)
+        batch, self._discoveries = self._discoveries[: len(rows)], self._discoveries[len(rows) :]
         pliers = Scorer(partial(_tripartite, affinity_weight=self.config.affinity_weight))
-        known_index = index.stacked(*self.masks([known]))
-        for agent, vector in zip(deciding, pliers.many(known_index, deciding)):
-            for item in sorted(discoveries[agent]):
-                score = float(vector.values[index.item_pos[item]])
+        scores = pliers.rows(index.stacked(*self.masks(list(views))), np.array(rows, np.intp))
+        for (agent, _, new, now), values in zip(batch, scores):
+            for item in sorted(new):
+                score = float(values[index.item_pos[item]])
                 apply_download_policy(self.policies[agent], item, score, now)
 
     def run_windows(
@@ -469,11 +479,9 @@ class Simulation:
         over the dynamics serves all windows.
         """
         length = self.config.step_length
-        for ev in contents:
-            self.register(ev.creator)
-        for ev in contacts:
-            self.register(ev.a)
-            self.register(ev.b)
+        named = chain((ev.creator for ev in contents), (x for ev in contacts for x in (ev.a, ev.b)))
+        for agent in dict.fromkeys(named):
+            self.register(agent)
 
         contents_by_step: dict[int, list[ContentEvent]] = {}
         for ev in contents:
@@ -482,11 +490,7 @@ class Simulation:
         for ev in contacts:
             contacts_by_step.setdefault(ev.time // length, []).append(ev)
 
-        last_step = -1
-        if contents_by_step:
-            last_step = max(contents_by_step)
-        if contacts_by_step:
-            last_step = max(last_step, max(contacts_by_step))
+        last_step = max([*contents_by_step, *contacts_by_step], default=-1)
 
         out: dict[int | None, list[StepMetrics]] = {w: [] for w in windows}
         cadence = self.config.metric_cadence
@@ -497,6 +501,8 @@ class Simulation:
             step_contacts = contacts_by_step.get(step, ())
             for ev in step_contacts:
                 self.encounter(ev.a, ev.b, ev.time)
+            while self._discoveries:
+                self._decide()
             if (step + 1) % cadence == 0 or step == last_step:
                 now = (step + 1) * length
                 for window in windows:

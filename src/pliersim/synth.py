@@ -41,7 +41,7 @@ def generate_synthetic_contents(
     rng_seed: int,
     user_exponent: float = 1.0,
     tag_exponent: float = 1.0,
-    extra_tag_p: float = 0.53,
+    extra_tag_p: float = 0.5,
     max_tags_per_item: int = 13,
 ) -> list[ContentEvent]:
     """Content stream with long-tailed creator activity and tag popularity.
@@ -49,7 +49,7 @@ def generate_synthetic_contents(
     Creators and tags are drawn from discrete power laws over their ranks,
     item times are uniform over [0, duration), and the tag count per item is
     geometric, starting at 1 and capped at ``max_tags_per_item``; the default
-    continuation probability gives a long-run mean near 2.1 tags per item.
+    continuation probability gives a long-run mean near 2.0 tags per item.
     """
     if n_agents < 1 or n_items < 0 or n_tags < 1:
         raise ValueError("need n_agents >= 1, n_items >= 0, n_tags >= 1")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from pliersim.evaluation import jaccard, spearman_similarity, sum_in_order
 from pliersim.graph import FolksonomyGraph
 from pliersim.recommend import pliers_tripartite, rank
@@ -201,10 +203,12 @@ def rows_over(scorer, graph: FolksonomyGraph, items, targets) -> list[list[float
     An item of ``items`` that ``graph`` lacks scores 0: the row a view's
     own graph gives a target, laid over a larger graph's items.
     """
+    index = graph.index()
+    user_rows = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
     rows = []
-    for vector in scorer.many(graph.index(), targets):
+    for values in scorer.rows(index, user_rows):
         scores = dict.fromkeys(items, 0.0)
-        scores.update(zip(vector.items, vector.values.tolist()))
+        scores.update(zip(index.items, values.tolist()))
         rows.append(list(scores.values()))
     return rows
 

@@ -543,7 +543,7 @@ class TestExactReference:
             assert list(got.scores.items()) == list(want.scores.items()), name
 
 
-# every scorer's many-target path, with the single-target function it batches,
+# every scorer's many-row path, with the single-target function it batches,
 # from (weight, k): the six CLI scorers and the two PLIERS components
 MANY_TARGET_SCORERS = {
     **{
@@ -589,36 +589,37 @@ class TestManyTargets:
             if targets_per_block is None
             else targets_per_block * len(g.items)
         )
+        index = g.index()
+        rows = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(recommend, "_BLOCK_SCORES", budget)
             for name, make in MANY_TARGET_SCORERS.items():
-                got = list(make(w, k).many(g.index(), targets))
-                assert [v.target for v in got] == targets
-                for vector, target in zip(got, targets):
+                got = list(make(w, k).rows(index, rows))
+                assert len(got) == len(targets)
+                for values, target in zip(got, targets):
                     want = SINGLE_TARGET[name](g, target, w, k)
-                    assert vector.items == want.items, (name, target)
-                    assert vector.values.tobytes() == want.values.tobytes(), (name, target)
+                    assert want.items == index.items, (name, target)
+                    assert values.tobytes() == want.values.tobytes(), (name, target)
 
     def test_cold_targets_never_reach_the_kernel(self):
         def no_kernel(index, rows):
             raise AssertionError("a cold start reached the kernel")
 
-        # an empty graph has no item to split a block budget over
+        # an empty graph has no item to split a block budget over; -1 is the
+        # row of a target absent from the index
         empty = FolksonomyGraph()
-        got = list(Scorer(no_kernel).many(empty.index(), ["gone", "nobody"]))
-        assert [(v.target, v.items, v.values.size) for v in got] == [
-            ("gone", [], 0), ("nobody", [], 0)
-        ]
+        got = list(Scorer(no_kernel).rows(empty.index(), np.array([-1, -1], np.intp)))
+        assert [v.size for v in got] == [0, 0]
         g = build_random_graph(random.Random(2), 6, 8, 4)
         index = g.index()
         # a user of g owns no item in its subgraph without user-item edges
         no_links = index.stacked(
             np.zeros((1, len(g.user_item_edges)), bool), np.ones((1, len(g.item_tag_edges)), bool)
         )
-        for view, targets in ((index, ["gone", "nobody"]), (no_links, [index.users[0], "gone"])):
-            got = list(Scorer(no_kernel).many(view, targets))
-            assert [v.target for v in got] == targets
-            assert all(v.items == sorted(g.items) and not v.values.any() for v in got)
+        for view, rows in ((index, [-1, -1]), (no_links, [0, -1])):
+            got = list(Scorer(no_kernel).rows(view, np.array(rows, np.intp)))
+            assert len(got) == len(rows)
+            assert all(v.size == len(g.items) and not v.any() for v in got)
 
 
 def _random_view(rng, graph, density):

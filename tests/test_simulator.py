@@ -160,31 +160,56 @@ class TestEncounter:
     def test_discoveries_not_scored_without_policy(self, monkeypatch):
         monkeypatch.setattr(simulator, "Scorer", CountedScorer)
         monkeypatch.setattr(CountedScorer, "targets", [])
-        sim = self._sim(["a", "b"])
-        sim.apply_content(ContentEvent(0, "a", "i1", ("t1",)))
-        sim.apply_content(ContentEvent(0, "b", "i2", ("t2",)))
-        assert sim.encounter("a", "b", 60) == ({"i2"}, {"i1"})
+        monkeypatch.setattr(simulator, "compute_step_metrics", lambda *args, **kwargs: None)
+        contents = [ContentEvent(0, "a", "i1", ("t1",)), ContentEvent(0, "b", "i2", ("t2",))]
+        sim = Simulation(SimConfig())
+        sim.run_windows([ContactEvent(60, "a", "b")], contents, [None])
+        assert set(sim.lkgs["a"].items) == {"i1", "i2"}
         assert CountedScorer.targets == []
 
-    def test_one_masked_index_per_contact(self, monkeypatch):
-        # after a contact both sides know the same events, so one index
-        # stacked to that one view scores the discoveries of both
+    @staticmethod
+    def _stacked_builds(monkeypatch):
+        """Record the two masks of every stacked index built."""
         built, real_stacked = [], GraphIndex.stacked
 
         def counted_stacked(index, ui, it):
-            built.append(len(ui))
+            built.append((ui, it))
             return real_stacked(index, ui, it)
 
         monkeypatch.setattr(GraphIndex, "stacked", counted_stacked)
+        return built
+
+    def test_one_stacked_index_per_step(self, monkeypatch):
+        # a step's discoveries are scored once, on one index stacked to each
+        # distinct post-contact view; policies decide after the step's contacts
+        built = self._stacked_builds(monkeypatch)
+        monkeypatch.setattr(simulator, "compute_step_metrics", lambda *args, **kwargs: None)
         config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
-        sim = Simulation(config, ["a", "b", "c"])
-        for agent in ("a", "b", "c"):
-            sim.apply_content(ContentEvent(0, agent, f"i_{agent}", ("t1",)))
-        # both sides learn, both learn, only a learns
-        for a, b in (("a", "b"), ("b", "c"), ("a", "c")):
-            sim.encounter(a, b, 60)
-        assert built == [1, 1, 1]
+        contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in ("a", "b", "c")]
+        # both sides learn, both learn, only a learns: two distinct views
+        contacts = [ContactEvent(60 + n, a, b) for n, (a, b) in enumerate(("ab", "bc", "ac"))]
+        sim = Simulation(config)
+        sim.run_windows(contacts, contents, [None])
+        ((ui, it),) = built
+        want_ui, want_it = sim.masks([0b011, 0b111])
+        assert ui.tolist() == want_ui.tolist() and it.tolist() == want_it.tolist()
         assert {a: p.observed for a, p in sim.policies.items()} == {"a": 2, "b": 2, "c": 2}
+
+    def test_a_stacked_index_holds_at_most_one_view_per_agent(self, monkeypatch):
+        # five agents reach six distinct views in one step: the first five
+        # fill one index and the sixth starts the next; the last index built
+        # is the metric evaluation's
+        built = self._stacked_builds(monkeypatch)
+        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in "abcde"]
+        pairs = ("ab", "cb", "da", "ec", "ed", "ab")
+        contacts = [ContactEvent(1 + n, a, b) for n, (a, b) in enumerate(pairs)]
+        sim = Simulation(config)
+        rows = sim.run_windows(contacts, contents, [None])
+        assert [len(ui) for ui, _ in built] == [5, 1, 4]
+        _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None])
+        assert rows == ref_rows
+        assert sim.policies == ref_policies
 
     def test_content_applies_after_masks(self):
         # masks views the per-event edge-id arrays, which apply_content
@@ -692,7 +717,7 @@ def test_agents_outside_both_views_are_not_scored(replay):
     skipped = []
 
     def checked_metrics(gkg, views, holders, weight, top_n, **kwargs):
-        CountedScorer.targets.clear()  # discovery scoring in the contacts before
+        CountedScorer.targets.clear()  # discovery scoring after the step's contacts
         row = real_metrics(gkg, views, holders, weight, top_n, **kwargs)
         ui, it = views
         global_graph = view_graph(gkg, (ui[0], it[0]))

@@ -11,6 +11,7 @@ import pliersim
 from pliersim import cli
 from pliersim.graph import save_graph_tsv
 from pliersim.simulator import ContactEvent, ContentEvent
+from pliersim.synth import generate_synthetic_contents
 from pliersim.traces import (
     ConfigError,
     TraceParseError,
@@ -528,6 +529,15 @@ class TestCliGenTraces:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not contacts_out.exists()
+
+    def test_contents_default_to_the_generators_shape(self, tmp_path):
+        # without shape flags, gen-traces writes what the generator's defaults give
+        contents_out = tmp_path / "m.csv"
+        args = ["gen-traces", "--agents", "20", "--communities", "4", "--duration-s", "1200",
+                "--seed", "5", "--items", "80", "--tags", "30",
+                "--contacts-out", str(tmp_path / "c.csv"), "--contents-out", str(contents_out)]
+        assert cli.main(args) == 0
+        assert parse_contents(contents_out) == generate_synthetic_contents(20, 80, 30, 1200, 5)
 
     def test_generated_traces_feed_simulate(self, tmp_path):
         contacts_out = tmp_path / "c.csv"
