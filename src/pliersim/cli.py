@@ -38,7 +38,9 @@ def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
     """The scorer ``name`` with its ``k`` or lambda.
 
     The Scorer scores one target of a graph when called, and many user
-    rows of one index, block by block, with ``rows``. Raises ConfigError for an
+    rows of one index, block by block, with ``rows``: PLIERS in blocks of
+    ``_BLOCK_SCORES`` scores, the five two-hop kernels, whose temporaries
+    are smaller, in blocks of ``_TWO_HOP_BLOCK_SCORES``. Raises ConfigError for an
     unknown name or for a value the scorer would reject, so the commands
     can check their options before reading a graph.
     """
@@ -48,15 +50,16 @@ def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
         raise ConfigError(f"--k must be >= 1, got {k}")
     if name in ("pliers", "hybrid") and not 0.0 <= affinity_weight <= 1.0:
         raise ConfigError(f"--lambda must lie in [0, 1], got {affinity_weight}")
-    kernels = {
-        "pliers": partial(recommend._tripartite, affinity_weight=affinity_weight),
+    if name == "pliers":
+        return recommend.Scorer(partial(recommend._tripartite, affinity_weight=affinity_weight))
+    two_hop = {
         "cf": partial(recommend._cf, k=k),
         "tagexp": partial(recommend._tag_expansion, k=k),
         "probs": recommend._probs,
         "heats": recommend._heats,
         "hybrid": partial(recommend._hybrid, probs_weight=affinity_weight),
     }
-    return recommend.Scorer(kernels[name])
+    return recommend.Scorer(two_hop[name], recommend._TWO_HOP_BLOCK_SCORES)
 
 
 def _check_top_n(top_n: int | None) -> None:

@@ -54,13 +54,16 @@ def prune_for_link_prediction(
     """
     rng = random.Random(rng_seed)
     original_edges = len(graph.user_item_edges)
-    # item popularity in the partially pruned graph; ``graph`` is only read
+    # item popularity in the partially pruned graph; ``graph`` is only read,
+    # from its edges, so that no index is built for it: callers keep only
+    # the pruned copy
     popularity = Counter(item for _, item in graph.user_item_edges)
+    items_of: dict[str, list[str]] = {}
+    for user, item in graph.user_item_edges:
+        items_of.setdefault(user, []).append(item)
     removals: dict[str, str] = {}
-    for user in sorted(graph.users):
-        candidates = sorted(
-            item for item in graph.items_of_user(user) if popularity[item] > 1
-        )
+    for user in sorted(items_of):
+        candidates = sorted(item for item in items_of[user] if popularity[item] > 1)
         if len(candidates) < 5:
             continue
         chosen = candidates[rng.randrange(len(candidates))]

@@ -10,8 +10,8 @@ Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
 (sorted keys and CSR adjacency arrays), ``graph.index()``. Each scorer is one
 array kernel that scores a block of targets at once, one row per target;
 a :class:`Scorer` feeds it the targets of one index in blocks of at most
-``_BLOCK_SCORES`` scores, and the public single-target functions are a
-block of one. The PLIERS kernels also run on a stacked index
+its budget of scores, and the public single-target functions are a block
+of one. The PLIERS kernels also run on a stacked index
 (:meth:`GraphIndex.stacked`), which lays several subgraphs of a larger
 graph side by side as disjoint copies, so that one block may hold targets
 of different views. Every sum adds its terms in the order of a walk over
@@ -73,12 +73,20 @@ class RecommendationVector:
 # The most scores (targets x items) one block of targets may take, on a
 # stacked index too, whose blocks may mix views. Larger blocks call numpy
 # less often but hold larger temporaries, which grow with the walks of all
-# the block's targets: on the half-size criterion-4 graph (400 items, so 5
-# targets a block) peak memory stays within 0.5% of scoring one target at a
-# time, and stacking a gossip evaluation's views (about 30 items, so 68
-# targets a block) kept the gossip benchmark's median peak at 36.5 MiB,
-# level with scoring each view on its own (2-CPU VM, Python 3.11, numpy 2.4).
+# the block's targets, so each kernel family gets the budget its own
+# temporaries allow. PLIERS (``_tripartite``, the only kernel a replay runs)
+# walks three hops and counts (source item, candidate) pairs: on the
+# half-size criterion-4 graph (400 items, so 5 targets a block) its traced
+# peak over all graded users is 1.02-1.06 MiB (tracemalloc, linkpred
+# benchmark variants 0 and 3), and stacking a gossip evaluation's views
+# (about 30 items, so 68 targets a block) kept the gossip benchmark's median
+# peak at 36.5 MiB, level with scoring each view on its own. The five
+# two-hop kernels (``_cf``, ``_tag_expansion``, ``_probs``, ``_heats``,
+# ``_hybrid``) peak at 0.08-0.17 MiB on that budget and at 0.27-0.55 MiB on
+# four times it (20 targets a block), still under PLIERS, so ``make_scorer``
+# gives them ``_TWO_HOP_BLOCK_SCORES`` (2-CPU VM, Python 3.11, numpy 2.4).
 _BLOCK_SCORES = 1 << 11
+_TWO_HOP_BLOCK_SCORES = 4 * _BLOCK_SCORES
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,11 @@ class Scorer:
     ``kernel(index, rows)`` returns one score row per user index in
     ``rows``, every row owning at least one item. Calling a Scorer scores
     one target of a graph; :meth:`rows` scores many user rows of one index
-    with the same floats.
+    with the same floats, in blocks of at most ``block_scores`` scores.
     """
 
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
+    block_scores: int = _BLOCK_SCORES
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
         index = graph.index()
@@ -103,7 +112,7 @@ class Scorer:
 
         On a stacked index, user ``u`` of view ``v`` is row
         ``v * len(index.users) + u``. Rows that own items are scored in
-        blocks of at most ``_BLOCK_SCORES`` scores, so only one block's
+        blocks of at most ``block_scores`` scores, so only one block's
         temporaries are held while the rows are consumed. A row of -1 or of
         a user owning no item is a cold start and gets an all-zero row
         without the kernel.
@@ -111,7 +120,7 @@ class Scorer:
         # a row of -1 reads the appended degree 0
         warm = np.append(index.user_items.degree, 0)[rows] > 0
         hot = rows[warm]
-        per_block = max(1, _BLOCK_SCORES // max(1, len(index.items)))
+        per_block = max(1, self.block_scores // max(1, len(index.items)))
         scores = (
             row
             for lo in range(0, len(hot), per_block)
@@ -156,26 +165,54 @@ def _top_per_row(rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < k]
 
 
-def _to_items(index: GraphIndex, mass: np.ndarray) -> np.ndarray:
+def _to_users(index: GraphIndex, targets: np.ndarray):
+    """Each target's walk from its items to their users, one step per entry.
+
+    Returns the target position, the user and the item of every step: the
+    target's items in ascending order, each item's users in ascending order.
+    """
+    owned, of = index.user_items.gather(targets)
+    users, source = index.item_users.gather(owned)
+    return of[source], users, owned[source]
+
+
+def _user_mass(index: GraphIndex, walk, n_targets: int) -> np.ndarray:
+    """``out[t, u]``: the unit of each item of target ``t``, split equally among its users."""
+    target, users, items = walk
+    share = 1.0 / index.item_users.degree[items]
+    return _per_target(target, users, share, n_targets, len(index.users))
+
+
+def _user_counts(index: GraphIndex, walk, n_targets: int) -> np.ndarray:
+    """``out[t, u]``: how many items of target ``t`` user ``u`` owns."""
+    target, users, _ = walk
+    return _per_target(target, users, None, n_targets, len(index.users))
+
+
+def _to_items(index: GraphIndex, *spreads: np.ndarray) -> list[np.ndarray]:
     """Each target's user mass, every user's split equally among her items.
 
-    ``out[t, j]`` adds ``mass[t, u] / deg(u)`` over the users ``u`` of item
-    ``j`` in ascending order; users without mass add 0 and are skipped.
+    For each of ``spreads``, ``out[t, j]`` adds ``mass[t, u] / deg(u)``
+    over the users ``u`` of item ``j`` in ascending order; users without
+    mass add 0 and are skipped. The spreads must hold mass at the same
+    (target, user) entries, so that one walk serves them all.
     """
-    n_targets, n_users = mass.shape
-    reached = np.flatnonzero(mass)
+    n_targets, n_users = spreads[0].shape
+    reached = np.flatnonzero(spreads[0])
     target, user = np.divmod(reached, n_users)
     items, source = index.user_items.gather(user)
-    share = mass.ravel()[reached] / index.user_items.degree[user]
-    return _per_target(target[source], items, share[source], n_targets, len(index.items))
+    degree, target = index.user_items.degree[user], target[source]
+    return [
+        _per_target(
+            target, items, (mass.ravel()[reached] / degree)[source], n_targets, len(index.items)
+        )
+        for mass in spreads
+    ]
 
 
 def _probs(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
-    owned, of = index.user_items.gather(targets)
-    users, source = index.item_users.gather(owned)
-    share = 1.0 / index.item_users.degree[owned]
-    mass = _per_target(of[source], users, share[source], len(targets), len(index.users))
-    return _to_items(index, mass)
+    (scores,) = _to_items(index, _user_mass(index, _to_users(index, targets), len(targets)))
+    return scores
 
 
 def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -190,10 +227,8 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
 
 
 def _heats(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
-    owned, of = index.user_items.gather(targets)
-    users, source = index.item_users.gather(owned)
-    counts = _per_target(of[source], users, None, len(targets), len(index.users))
-    return _to_items(index, counts) / index.item_users.degree
+    (scores,) = _to_items(index, _user_counts(index, _to_users(index, targets), len(targets)))
+    return scores / index.item_users.degree
 
 
 def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
@@ -213,8 +248,14 @@ def _sum_normalized(scores: np.ndarray) -> np.ndarray:
 
 
 def _hybrid(index: GraphIndex, targets: np.ndarray, probs_weight: float) -> np.ndarray:
-    p = _sum_normalized(_probs(index, targets))
-    h = _sum_normalized(_heats(index, targets))
+    # a user reached by a target gets both mass and heat from it, so the
+    # two spreads share their walks
+    walk = _to_users(index, targets)
+    mass, heat = _to_items(
+        index, _user_mass(index, walk, len(targets)), _user_counts(index, walk, len(targets))
+    )
+    p = _sum_normalized(mass)
+    h = _sum_normalized(heat / index.item_users.degree)
     return probs_weight * p + (1.0 - probs_weight) * h
 
 
@@ -319,9 +360,7 @@ def pliers_tripartite(
 
 def _cf(index: GraphIndex, targets: np.ndarray, k: int) -> np.ndarray:
     n_users = len(index.users)
-    owned, of = index.user_items.gather(targets)
-    users, source = index.item_users.gather(owned)
-    common = _per_target(of[source], users, None, len(targets), n_users)
+    common = _user_counts(index, _to_users(index, targets), len(targets))
     common[np.arange(len(targets)), targets] = 0
     # users sharing no item have cosine 0 and add nothing
     pairs = np.flatnonzero(common)

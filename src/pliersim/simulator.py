@@ -21,7 +21,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -298,6 +297,16 @@ def _mask_jaccards(views: Masks) -> list[float]:
 # the engine
 # ----------------------------------------------------------------------
 
+# The most views times gkg edges (user-item plus item-tag) that one batch of
+# discoveries may stack: each view costs the stacked index a copy of the
+# edges it holds. On criterion-6 seed 0 with a one-hour step and
+# mean_threshold (761 edges at the end, so 43 views a batch against 250
+# without the cap) the high-water mark drops from 68.6 to 59.2-59.4 MiB;
+# most of the rest is the policies' score histories (2-CPU VM, Python 3.11,
+# numpy 2.4).
+_DECIDE_STACKED_EDGES = 1 << 15
+
+
 def _set_bits(bits: int) -> list[int]:
     """Indices of the set bits of ``bits``, lowest first, in time linear in its length."""
     return [i for i, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"]
@@ -445,15 +454,19 @@ class Simulation:
         return new_a, new_b
 
     def _decide(self) -> None:
-        """Feed the first queued discoveries, at most one view per agent, to the policies.
+        """Feed the first queued discoveries, a capped number of views, to the policies.
 
         Each is scored on what its agent knew right after the contact, a view
         of ``gkg``'s index stacked to their distinct views; ``gkg`` is fixed
-        during a step's contacts, so these are the contact's floats.
+        during a step's contacts, so these are the contact's floats. A batch
+        holds at most one view per agent and at most
+        ``_DECIDE_STACKED_EDGES`` views times ``gkg`` edges, but always one view.
         """
         index, views, rows = self.gkg.index(), {}, []
+        edges = len(self.gkg.user_item_edges) + len(self.gkg.item_tag_edges)
+        most = min(len(self._knowledge), max(1, _DECIDE_STACKED_EDGES // edges))
         for agent, known, _, _ in self._discoveries:
-            if known not in views and len(views) == len(self._knowledge):
+            if known not in views and len(views) == most:
                 break
             v, u = views.setdefault(known, len(views)), index.user_pos.get(agent)
             # an agent that created nothing is a cold start on every view
@@ -479,8 +492,10 @@ class Simulation:
         over the dynamics serves all windows.
         """
         length = self.config.step_length
-        named = chain((ev.creator for ev in contents), (x for ev in contacts for x in (ev.a, ev.b)))
-        for agent in dict.fromkeys(named):
+        named = dict.fromkeys(ev.creator for ev in contents)
+        for ev in contacts:
+            named[ev.a] = named[ev.b] = None
+        for agent in named:
             self.register(agent)
 
         contents_by_step: dict[int, list[ContentEvent]] = {}

@@ -20,6 +20,7 @@ from pliersim.evaluation import (
     recall,
     spearman_similarity,
 )
+from pliersim.graph import save_graph_tsv
 from pliersim.recommend import (
     affinity_scores,
     heats_scores,
@@ -317,3 +318,25 @@ def test_criterion_8_golden_run(tmp_path):
     assert data.decode("utf-8") == GOLDEN_METRICS
     assert digests[0] == digests[1]
     report(8, f"golden metrics CSV byte-identical, digest {digests[0][:12]}...")
+
+
+GOLDEN_LINKPRED = (
+    "algorithm,k,precision,recall,removed_fraction\n"
+    "pliers,,0.401179752,0.99796334,0.076947187\n"
+    "cf,5,0.323244115,0.782077393,0.076947187\n"
+    "cf,10,0.362735639,0.879837067,0.076947187\n"
+    "tagexp,5,0.30945875,0.99389002,0.076947187\n"
+    "tagexp,10,0.303865408,0.99389002,0.076947187\n"
+    "probs,,0.393306102,0.99796334,0.076947187\n"
+    "heats,,0.112960348,0.99796334,0.076947187\n"
+    "hybrid,,0.388035971,0.99796334,0.076947187\n"
+)
+
+
+def test_golden_linkpred_report(tmp_path):
+    """``pliersim linkpred --k 5 10`` on the criterion-4 seed-0 graph, byte for byte."""
+    graph_path, out = tmp_path / "graph.tsv", tmp_path / "linkpred.csv"
+    save_graph_tsv(generate_folksonomy(500, 800, 300, 0), graph_path)
+    code = cli.main(["linkpred", str(graph_path), "--k", "5", "10", "--out", str(out)])
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == GOLDEN_LINKPRED

@@ -17,7 +17,7 @@ from pliersim.evaluation import (
     recall,
     spearman_similarity,
 )
-from pliersim.graph import FolksonomyGraph
+from pliersim.graph import FolksonomyGraph, GraphIndex
 from pliersim.recommend import RecommendationVector
 from pliersim.synth import generate_folksonomy
 
@@ -170,6 +170,22 @@ class TestLinkRemoval:
         assert removal.removed_fraction == len(removal.removals) / len(
             g.user_item_edges
         )
+
+    def test_prune_then_evaluate_indexes_only_the_pruned_graph(self, monkeypatch):
+        """The unpruned graph is read from its edges, so one GraphIndex is built."""
+        built = []
+        build = GraphIndex.__init__
+
+        def counted(index, graph):
+            built.append(graph)
+            build(index, graph)
+
+        g = self._graph_with_adoptions()
+        monkeypatch.setattr(GraphIndex, "__init__", counted)
+        pruned, removal = prune_for_link_prediction(g, 7)
+        evaluate_on_pruned(pruned, removal, cli.make_scorer("pliers", 1, 0.5))
+        assert removal.removals
+        assert len(built) == 1 and built[0] is pruned
 
     def test_one_removal_per_eligible_user(self):
         # dense adoptions keep popularity above 2, so sequential removals

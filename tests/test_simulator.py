@@ -211,6 +211,26 @@ class TestEncounter:
         assert rows == ref_rows
         assert sim.policies == ref_policies
 
+    @pytest.mark.parametrize("cap", [1, 25])
+    def test_a_batch_stacks_at_most_the_edge_cap(self, monkeypatch, cap):
+        # the same six views over 10 gkg edges: a cap of 25 takes two views
+        # a batch, a cap below one view's edges still takes one
+        monkeypatch.setattr(simulator, "_DECIDE_STACKED_EDGES", cap)
+        built = self._stacked_builds(monkeypatch)
+        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in "abcde"]
+        pairs = ("ab", "cb", "da", "ec", "ed", "ab")
+        contacts = [ContactEvent(1 + n, a, b) for n, (a, b) in enumerate(pairs)]
+        sim = Simulation(config)
+        rows = sim.run_windows(contacts, contents, [None])
+        batches = [len(ui) for ui, _ in built[:-1]]
+        assert batches == ([1] * 6 if cap == 1 else [2, 2, 2])
+        for ui, it in built[:-1]:
+            assert len(ui) * (ui.shape[1] + it.shape[1]) <= max(cap, ui.shape[1] + it.shape[1])
+        _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None])
+        assert rows == ref_rows
+        assert sim.policies == ref_policies
+
     def test_content_applies_after_masks(self):
         # masks views the per-event edge-id arrays, which apply_content
         # grows: a view left alive would make the append raise BufferError
@@ -236,6 +256,20 @@ class TestEncounter:
         rows = sim.run_windows([], [ContentEvent(0, "zz", "i1", ("t1",))], [None])[None]
         assert set(sim.lkgs) == {"a", "zz"}
         assert [m.avg_graph_jaccard for m in rows] == [0.5]
+
+    def test_population_order(self):
+        # the roster, then creators in content order, then contact agents
+        # as first seen
+        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        sim = Simulation(config, ["r", "c2"])
+        contents = [
+            ContentEvent(0, "c2", "i1", ("t1",)),
+            ContentEvent(1, "c1", "i2", ("t1",)),
+            ContentEvent(2, "c2", "i3", ("t1",)),
+        ]
+        contacts = [ContactEvent(3, "x", "c1"), ContactEvent(4, "y", "x"), ContactEvent(5, "z", "r")]
+        sim.run_windows(contacts, contents, [None])
+        assert list(sim.lkgs) == list(sim.policies) == ["r", "c2", "c1", "x", "y", "z"]
 
     def test_unregistered_agent_raises_and_changes_nothing(self):
         sim = self._sim(["a", "b"])
