@@ -267,7 +267,11 @@ class TestEncounter:
             ContentEvent(1, "c1", "i2", ("t1",)),
             ContentEvent(2, "c2", "i3", ("t1",)),
         ]
-        contacts = [ContactEvent(3, "x", "c1"), ContactEvent(4, "y", "x"), ContactEvent(5, "z", "r")]
+        contacts = [
+            ContactEvent(3, "x", "c1"),
+            ContactEvent(4, "y", "x"),
+            ContactEvent(5, "z", "r"),
+        ]
         sim.run_windows(contacts, contents, [None])
         assert list(sim.lkgs) == list(sim.policies) == ["r", "c2", "c1", "x", "y", "z"]
 
