@@ -12,15 +12,12 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 from . import evaluation, recommend, simulator, synth, traces
 from .graph import GraphFormatError, load_graph_tsv
+from .recommend import ALGORITHMS, K_ALGORITHMS
 from .traces import ConfigError, TraceParseError
-
-ALGORITHMS = ("pliers", "cf", "tagexp", "probs", "heats", "hybrid")
-K_ALGORITHMS = ("cf", "tagexp")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,31 +32,16 @@ def _now_utc() -> str:
 
 
 def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
-    """The scorer ``name`` with its ``k`` or lambda.
+    """The scorer ``name`` with its ``k`` or lambda, from :func:`recommend.scorer`.
 
-    The Scorer scores one target of a graph when called, and many user
-    rows of one index, block by block, with ``rows``: PLIERS in blocks of
-    ``_BLOCK_SCORES`` scores, the five two-hop kernels, whose temporaries
-    are smaller, in blocks of ``_TWO_HOP_BLOCK_SCORES``. Raises ConfigError for an
-    unknown name or for a value the scorer would reject, so the commands
-    can check their options before reading a graph.
+    Raises ConfigError for an unknown name or for a value the scorer would
+    reject, so the commands can check their options before reading a graph.
     """
-    if name not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
-    if name in K_ALGORITHMS and k < 1:
-        raise ConfigError(f"--k must be >= 1, got {k}")
-    if name in ("pliers", "hybrid") and not 0.0 <= affinity_weight <= 1.0:
-        raise ConfigError(f"--lambda must lie in [0, 1], got {affinity_weight}")
-    if name == "pliers":
-        return recommend.Scorer(partial(recommend._tripartite, affinity_weight=affinity_weight))
-    two_hop = {
-        "cf": partial(recommend._cf, k=k),
-        "tagexp": partial(recommend._tag_expansion, k=k),
-        "probs": recommend._probs,
-        "heats": recommend._heats,
-        "hybrid": partial(recommend._hybrid, probs_weight=affinity_weight),
-    }
-    return recommend.Scorer(two_hop[name], recommend._TWO_HOP_BLOCK_SCORES)
+    try:
+        return recommend.scorer(name, k, affinity_weight)
+    except ValueError as exc:
+        # a known name's error is about k or lambda, the values of --k and --lambda
+        raise ConfigError(f"{'--' if name in ALGORITHMS else ''}{exc}") from None
 
 
 def _check_top_n(top_n: int | None) -> None:

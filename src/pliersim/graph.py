@@ -245,11 +245,11 @@ class GraphIndex:
         that kind. The keys are this index's, listed once, so ``user_pos``
         finds a user's row in view 0, and a one-row ``ui`` and ``it`` give
         the index of one subgraph. A node outside a view's subgraph has
-        degree 0 in that view: ``_tripartite`` scores the view's items with
-        the floats of the view's own index and every other item exactly 0.
-        ``_heats`` (and so ``_hybrid``) divides by every item's degree, 0 / 0
+        degree 0 in that view: PLIERS scores the view's items with the
+        floats of the view's own index and every other item exactly 0. Heat
+        spreading (and so the hybrid) divides by every item's degree, 0 / 0
         outside a view, and the other kernels count rows only up to the key
-        counts, so only ``_tripartite`` may run on a stacked index.
+        counts, so only PLIERS may run on a stacked index.
         """
         view = object.__new__(GraphIndex)
         view.users, view.items, view.tags = self.users, self.items, self.tags

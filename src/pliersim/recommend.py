@@ -10,8 +10,8 @@ Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
 (sorted keys and CSR adjacency arrays), ``graph.index()``. Each scorer is one
 array kernel that scores a block of targets at once, one row per target;
 a :class:`Scorer` feeds it the targets of one index in blocks of at most
-its budget of scores, and the public single-target functions are a block
-of one. The PLIERS kernels also run on a stacked index
+its budget of scores, and the public single-target functions score a block
+of one with a :func:`scorer`. The PLIERS kernels also run on a stacked index
 (:meth:`GraphIndex.stacked`), which lays several subgraphs of a larger
 graph side by side as disjoint copies, so that one block may hold targets
 of different views. Every sum adds its terms in the order of a walk over
@@ -83,7 +83,7 @@ class RecommendationVector:
 # peak at 36.5 MiB, level with scoring each view on its own. The five
 # two-hop kernels (``_cf``, ``_tag_expansion``, ``_probs``, ``_heats``,
 # ``_hybrid``) peak at 0.08-0.17 MiB on that budget and at 0.27-0.55 MiB on
-# four times it (20 targets a block), still under PLIERS, so ``make_scorer``
+# four times it (20 targets a block), still under PLIERS, so :func:`scorer`
 # gives them ``_TWO_HOP_BLOCK_SCORES`` (2-CPU VM, Python 3.11, numpy 2.4).
 _BLOCK_SCORES = 1 << 11
 _TWO_HOP_BLOCK_SCORES = 4 * _BLOCK_SCORES
@@ -128,6 +128,33 @@ class Scorer:
         )
         for is_warm in warm.tolist():
             yield next(scores) if is_warm else np.zeros(len(index.items))
+
+
+ALGORITHMS = ("pliers", "cf", "tagexp", "probs", "heats", "hybrid")
+K_ALGORITHMS = ("cf", "tagexp")
+
+
+def scorer(name: str, k: int, weight: float) -> Scorer:
+    """Algorithm ``name`` with its ``k`` (cf, tagexp) or lambda ``weight`` (pliers, hybrid).
+
+    The others ignore both. Raises ValueError for an unknown name, a ``k``
+    below 1 or a weight outside [0, 1].
+    """
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
+    if name in K_ALGORITHMS and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if name in ("pliers", "hybrid") and not 0.0 <= weight <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {weight}")
+    kernel = {
+        "pliers": partial(_tripartite, affinity_weight=weight),
+        "cf": partial(_cf, k=k),
+        "tagexp": partial(_tag_expansion, k=k),
+        "probs": _probs,
+        "heats": _heats,
+        "hybrid": partial(_hybrid, probs_weight=weight),
+    }[name]
+    return Scorer(kernel, _BLOCK_SCORES if name == "pliers" else _TWO_HOP_BLOCK_SCORES)
 
 
 # The most bins one count array of PLIERS (source item, candidate) pairs may
@@ -223,7 +250,7 @@ def probs_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     equally among her items. Total mass is conserved, so the scores sum to
     the target's item degree.
     """
-    return Scorer(_probs)(graph, target)
+    return scorer("probs", 1, 0.5)(graph, target)
 
 
 def _heats(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
@@ -238,7 +265,7 @@ def heats_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     degree; an item receives the sum of its users' heat divided by its own
     popularity. Mass is not conserved.
     """
-    return Scorer(_heats)(graph, target)
+    return scorer("heats", 1, 0.5)(graph, target)
 
 
 def _sum_normalized(scores: np.ndarray) -> np.ndarray:
@@ -266,9 +293,7 @@ def hybrid_scores(graph: FolksonomyGraph, target: str, probs_weight: float) -> S
     divided by its sum before mixing; normalization is monotone, so the
     rankings at the endpoints equal the pure methods' rankings.
     """
-    if not 0.0 <= probs_weight <= 1.0:
-        raise ValueError("probs_weight must lie in [0, 1]")
-    return Scorer(partial(_hybrid, probs_weight=probs_weight))(graph, target)
+    return scorer("hybrid", 1, probs_weight)(graph, target)
 
 
 def _overlap_diffusion(
@@ -311,31 +336,23 @@ def _overlap_diffusion(
 
 
 def _affinity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
-    return _overlap_diffusion(index, targets, index.item_users, index.user_items)
-
-
-def _similarity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
-    return _overlap_diffusion(index, targets, index.item_tags, index.tag_items)
-
-
-def affinity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
     """Popularity-matched diffusion over user-item links (PLIERS, bipartite).
 
     Mass diffusion per path, multiplied per source item s and candidate j by
     the shared-user fraction |U_s & U_j| / k_u(j); candidates whose audience
     overlaps the target's items score high without a popularity bias.
     """
-    return Scorer(_affinity)(graph, target)
+    return _overlap_diffusion(index, targets, index.item_users, index.user_items)
 
 
-def similarity_scores(graph: FolksonomyGraph, target: str) -> ScoreVector:
+def _similarity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
     """Popularity-matched diffusion over item-tag links.
 
     Same walk with tags as the bridging side: item s -> tag z -> item j with
     weight 1 / (k_i(z) * k_t(s)), scaled by the shared-tag fraction
     |T_s & T_j| / k_t(j). Measures how alike two items' labelings are.
     """
-    return Scorer(_similarity)(graph, target)
+    return _overlap_diffusion(index, targets, index.item_tags, index.tag_items)
 
 
 def _tripartite(index: GraphIndex, targets: np.ndarray, affinity_weight: float) -> np.ndarray:
@@ -353,9 +370,7 @@ def pliers_tripartite(
     tag side. Unlike :func:`hybrid_scores` the two components are combined
     un-normalized.
     """
-    if not 0.0 <= affinity_weight <= 1.0:
-        raise ValueError("affinity_weight must lie in [0, 1]")
-    return Scorer(partial(_tripartite, affinity_weight=affinity_weight))(graph, target)
+    return scorer("pliers", 1, affinity_weight)(graph, target)
 
 
 def _cf(index: GraphIndex, targets: np.ndarray, k: int) -> np.ndarray:
@@ -380,9 +395,7 @@ def cf_user_based(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     Scores every item by the summed similarity of the k most similar other
     users owning it (ties in similarity broken by user key).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return Scorer(partial(_cf, k=k))(graph, target)
+    return scorer("cf", k, 0.5)(graph, target)
 
 
 def tag_cooccurrence(graph: FolksonomyGraph) -> dict[tuple[str, str], int]:
@@ -439,9 +452,7 @@ def tag_expansion(graph: FolksonomyGraph, target: str, k: int) -> ScoreVector:
     number of its tags inside the expanded set. The totals are the sums of
     :func:`tag_cooccurrence` over the own tags, counted from the index.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return Scorer(partial(_tag_expansion, k=k))(graph, target)
+    return scorer("tagexp", k, 0.5)(graph, target)
 
 
 def rank(

@@ -20,7 +20,6 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .evaluation import jaccard, spearman_similarity, sum_in_order
 from .graph import FolksonomyGraph
-from .recommend import Scorer, ScoreVector, _tripartite, rank
+from .recommend import ScoreVector, rank, scorer
 
 # not called here; bench/tracing.py wraps this module's name, so it stays
 from .recommend import pliers_tripartite  # noqa: F401
@@ -253,7 +252,7 @@ def compute_step_metrics(
             if u is not None and (degree[v * n_users + u] or degree[u]):
                 local_row[agent] = v * n_users + u
     scored = sorted(local_row)
-    pliers = Scorer(partial(_tripartite, affinity_weight=affinity_weight))
+    pliers = scorer("pliers", 1, affinity_weight)
     rows = [local_row[a] for a in scored] + [index.user_pos[a] for a in scored]
     scores = pliers.rows(stacked, np.array(rows, np.intp))
     local = [rank(ScoreVector(a, index.items, next(scores)), gkg, top_n) for a in scored]
@@ -459,12 +458,11 @@ class Simulation:
         Each is scored on what its agent knew right after the contact, a view
         of ``gkg``'s index stacked to their distinct views; ``gkg`` is fixed
         during a step's contacts, so these are the contact's floats. A batch
-        holds at most one view per agent and at most
-        ``_DECIDE_STACKED_EDGES`` views times ``gkg`` edges, but always one view.
+        holds at most ``_DECIDE_STACKED_EDGES`` views times ``gkg`` edges, but always one view.
         """
         index, views, rows = self.gkg.index(), {}, []
         edges = len(self.gkg.user_item_edges) + len(self.gkg.item_tag_edges)
-        most = min(len(self._knowledge), max(1, _DECIDE_STACKED_EDGES // edges))
+        most = max(1, _DECIDE_STACKED_EDGES // edges)
         for agent, known, _, _ in self._discoveries:
             if known not in views and len(views) == most:
                 break
@@ -472,7 +470,7 @@ class Simulation:
             # an agent that created nothing is a cold start on every view
             rows.append(-1 if u is None else v * len(index.users) + u)
         batch, self._discoveries = self._discoveries[: len(rows)], self._discoveries[len(rows) :]
-        pliers = Scorer(partial(_tripartite, affinity_weight=self.config.affinity_weight))
+        pliers = scorer("pliers", 1, self.config.affinity_weight)
         scores = pliers.rows(index.stacked(*self.masks(list(views))), np.array(rows, np.intp))
         for (agent, _, new, now), values in zip(batch, scores):
             for item in sorted(new):

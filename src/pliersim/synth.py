@@ -23,7 +23,13 @@ def tag_name(index: int) -> str:
 
 
 def _power_weights(n: int, exponent: float) -> list[float]:
-    return [1.0 / (rank + 1) ** exponent for rank in range(n)]
+    try:
+        weights = [1.0 / (rank + 1) ** exponent for rank in range(n)]
+    except (OverflowError, ZeroDivisionError):
+        weights = [0.0]  # a power out of the float range
+    if not all(0.0 < w < float("inf") for w in weights):
+        raise ValueError(f"exponent {exponent} gives power weights that are not finite and > 0")
+    return weights
 
 
 def _draw_tag_count(rng: random.Random, extra_tag_p: float, max_tags: int) -> int:
@@ -57,6 +63,8 @@ def generate_synthetic_contents(
         raise ValueError("max_tags_per_item must be >= 1")
     if duration < 1:
         raise ValueError("duration must be >= 1")
+    if not 0.0 <= extra_tag_p <= 1.0:
+        raise ValueError("extra_tag_p must lie in [0, 1]")
     rng = random.Random(rng_seed)
     agents = [agent_name(i) for i in range(n_agents)]
     tags = [tag_name(i) for i in range(n_tags)]

@@ -22,13 +22,14 @@ from pliersim.evaluation import (
 )
 from pliersim.graph import save_graph_tsv
 from pliersim.recommend import (
-    affinity_scores,
+    Scorer,
+    _affinity,
+    _similarity,
     heats_scores,
     hybrid_scores,
     pliers_tripartite,
     probs_scores,
     rank,
-    similarity_scores,
 )
 from pliersim.simulator import (
     ContactEvent,
@@ -44,6 +45,10 @@ from pliersim.traces import write_contacts, write_contents
 
 from conftest import build_random_graph, random_target
 from oracles import heats_oracle, pliers_oracle, probs_oracle, similarity_oracle
+
+# the two PLIERS indices are kernels, with no single-target function of their own
+affinity_scores = Scorer(_affinity)
+similarity_scores = Scorer(_similarity)
 
 
 def report(criterion: int, name: str) -> None:

@@ -14,16 +14,15 @@ from pliersim.evaluation import prune_for_link_prediction
 from pliersim.graph import FolksonomyGraph
 from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
+    ALGORITHMS,
     ScoreVector,
     Scorer,
-    affinity_scores,
     cf_user_based,
     heats_scores,
     hybrid_scores,
     pliers_tripartite,
     probs_scores,
     rank,
-    similarity_scores,
     tag_expansion,
 )
 
@@ -36,6 +35,11 @@ from oracles import (
     similarity_oracle,
     view_graph,
 )
+
+
+# the two PLIERS indices are kernels, with no single-target function of their own
+affinity_scores = Scorer(recommend._affinity)
+similarity_scores = Scorer(recommend._similarity)
 
 
 def close(a, b, tol=1e-9):
@@ -443,16 +447,17 @@ def test_score_vectors_cover_all_items_and_stay_finite(seed):
         assert all(v >= 0.0 and math.isfinite(v) for v in scores.values())
 
 
-# every scorer with its extra arguments, from (weight, k for cf, k for tagexp)
+# every scorer, by its name in reference_scorers, with its extra arguments
+# from (weight, k for cf, k for tagexp)
 EXACT_SCORERS = {
-    "probs_scores": lambda w, k_cf, k_tag: (),
-    "heats_scores": lambda w, k_cf, k_tag: (),
-    "hybrid_scores": lambda w, k_cf, k_tag: (w,),
-    "affinity_scores": lambda w, k_cf, k_tag: (),
-    "similarity_scores": lambda w, k_cf, k_tag: (),
-    "pliers_tripartite": lambda w, k_cf, k_tag: (w,),
-    "cf_user_based": lambda w, k_cf, k_tag: (k_cf,),
-    "tag_expansion": lambda w, k_cf, k_tag: (k_tag,),
+    "probs_scores": (probs_scores, lambda w, k_cf, k_tag: ()),
+    "heats_scores": (heats_scores, lambda w, k_cf, k_tag: ()),
+    "hybrid_scores": (hybrid_scores, lambda w, k_cf, k_tag: (w,)),
+    "affinity_scores": (affinity_scores, lambda w, k_cf, k_tag: ()),
+    "similarity_scores": (similarity_scores, lambda w, k_cf, k_tag: ()),
+    "pliers_tripartite": (pliers_tripartite, lambda w, k_cf, k_tag: (w,)),
+    "cf_user_based": (cf_user_based, lambda w, k_cf, k_tag: (k_cf,)),
+    "tag_expansion": (tag_expansion, lambda w, k_cf, k_tag: (k_tag,)),
 }
 
 
@@ -470,10 +475,10 @@ def assert_same_ranks(got, want, graph, context=()):
 
 def assert_same_floats(graph, targets, w=0.5, k_cf=10, k_tag=10):
     """Every scorer equals the dict-walking reference exactly, keys in order."""
-    for name, extra in EXACT_SCORERS.items():
+    for name, (scorer, extra) in EXACT_SCORERS.items():
         args = extra(w, k_cf, k_tag)
         for target in targets:
-            got = getattr(recommend, name)(graph, target, *args)
+            got = scorer(graph, target, *args)
             want = getattr(reference_scorers, name)(graph, target, *args)
             assert list(got.scores.items()) == list(want.scores.items()), (name, target)
             assert_same_ranks(got, want, graph, (name, target))
@@ -540,17 +545,17 @@ class TestExactReference:
         n_blocks = -(-n_owned // (recommend._PAIR_BINS // n_items))
         assert n_blocks == 2 and len(g.items) == n_items
         for name in ("affinity_scores", "similarity_scores", "pliers_tripartite"):
-            got = getattr(recommend, name)(g, "u_t")
+            got = EXACT_SCORERS[name][0](g, "u_t")
             want = getattr(reference_scorers, name)(g, "u_t")
             assert list(got.scores.items()) == list(want.scores.items()), name
 
 
 # every scorer's many-row path, with the single-target function it batches,
-# from (weight, k): the six CLI scorers and the two PLIERS components
+# from (weight, k): the table's six scorers and the two PLIERS components
 MANY_TARGET_SCORERS = {
     **{
-        name: lambda w, k, name=name: cli.make_scorer(name, k, w)
-        for name in cli.ALGORITHMS
+        name: lambda w, k, name=name: recommend.scorer(name, k, w)
+        for name in recommend.ALGORITHMS
     },
     "affinity": lambda w, k: recommend.Scorer(recommend._affinity),
     "similarity": lambda w, k: recommend.Scorer(recommend._similarity),
@@ -623,6 +628,49 @@ class TestManyTargets:
             got = list(Scorer(no_kernel).rows(view, np.array(rows, np.intp)))
             assert len(got) == len(rows)
             assert all(v.size == len(g.items) and not v.any() for v in got)
+
+
+class TestScorerTable:
+    """``recommend.scorer`` binds each name to its kernel, parameter and block budget."""
+
+    @pytest.mark.parametrize("name", recommend.ALGORITHMS)
+    def test_same_floats_as_the_single_target_function(self, name):
+        budget = recommend._BLOCK_SCORES if name == "pliers" else recommend._TWO_HOP_BLOCK_SCORES
+        for seed, w, k in ((0, 0.5, 1), (1, 0.0, 3), (2, 1.0, 12), (3, 0.3, 2)):
+            g = _graph_with_edge_cases(random.Random(seed))
+            scorer = recommend.scorer(name, k, w)
+            assert scorer.block_scores == budget
+            for target in [*sorted(g.users), "gone", "nobody"]:
+                want = SINGLE_TARGET[name](g, target, w, k)
+                assert scorer(g, target).values.tobytes() == want.values.tobytes(), target
+
+    @pytest.mark.parametrize(
+        "name, k, w, message",
+        [
+            ("magic", 1, 0.5, "unknown algorithm 'magic'; choose from " + ", ".join(ALGORITHMS)),
+            ("cf", 0, 0.5, "k must be >= 1, got 0"),
+            ("tagexp", -2, 0.5, "k must be >= 1, got -2"),
+            ("pliers", 1, -0.1, "lambda must lie in [0, 1], got -0.1"),
+            ("pliers", 1, math.nan, "lambda must lie in [0, 1], got nan"),
+            ("hybrid", 1, 1.5, "lambda must lie in [0, 1], got 1.5"),
+            ("hybrid", 1, math.nan, "lambda must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_bad_values_raise(self, name, k, w, message):
+        with pytest.raises(ValueError) as raised:
+            recommend.scorer(name, k, w)
+        assert str(raised.value) == message
+
+    def test_values_an_algorithm_does_not_use_are_ignored(self):
+        g = eq1_hand_graph()
+        for name in recommend.ALGORITHMS:
+            want = recommend.scorer(name, 3, 0.5)(g, "u_t").values.tobytes()
+            if name not in recommend.K_ALGORITHMS:
+                for k in (0, -2):
+                    assert recommend.scorer(name, k, 0.5)(g, "u_t").values.tobytes() == want
+            if name not in ("pliers", "hybrid"):
+                for w in (-0.1, 1.5, math.nan):
+                    assert recommend.scorer(name, 3, w)(g, "u_t").values.tobytes() == want
 
 
 class TestBlockBudgets:
@@ -759,8 +807,8 @@ MUTATIONS = {
 @pytest.mark.parametrize("name", sorted(EXACT_SCORERS))
 def test_scores_follow_graph_mutation(name, mutation):
     """A mutated graph is scored like a fresh copy: no stale index is served."""
-    scorer = getattr(recommend, name)
-    args = EXACT_SCORERS[name](0.5, 3, 3)
+    scorer, extra = EXACT_SCORERS[name]
+    args = extra(0.5, 3, 3)
     g = build_random_graph(random.Random(5), 10, 12, 6)
     targets = sorted(g.users)
     before = [scorer(g, u, *args).scores for u in targets]

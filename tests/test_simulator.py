@@ -1,16 +1,15 @@
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pliersim import simulator
+from pliersim import recommend, simulator
 from pliersim.evaluation import jaccard
 from pliersim.graph import FolksonomyGraph, GraphIndex
-from pliersim.recommend import Scorer, _tripartite
+from pliersim.recommend import Scorer
 from pliersim.simulator import (
     ContactEvent,
     ContentEvent,
@@ -158,7 +157,7 @@ class TestEncounter:
         assert set(sim.lkgs["c"].items) == {"i1"}
 
     def test_discoveries_not_scored_without_policy(self, monkeypatch):
-        monkeypatch.setattr(simulator, "Scorer", CountedScorer)
+        monkeypatch.setattr(recommend, "Scorer", CountedScorer)
         monkeypatch.setattr(CountedScorer, "targets", [])
         monkeypatch.setattr(simulator, "compute_step_metrics", lambda *args, **kwargs: None)
         contents = [ContentEvent(0, "a", "i1", ("t1",)), ContentEvent(0, "b", "i2", ("t2",))]
@@ -195,9 +194,9 @@ class TestEncounter:
         assert ui.tolist() == want_ui.tolist() and it.tolist() == want_it.tolist()
         assert {a: p.observed for a, p in sim.policies.items()} == {"a": 2, "b": 2, "c": 2}
 
-    def test_a_stacked_index_holds_at_most_one_view_per_agent(self, monkeypatch):
-        # five agents reach six distinct views in one step: the first five
-        # fill one index and the sixth starts the next; the last index built
+    def test_more_views_than_agents_share_one_stacked_index(self, monkeypatch):
+        # five agents reach six distinct views in one step, and all six fill
+        # one index: only the edge cap bounds a batch. The last index built
         # is the metric evaluation's
         built = self._stacked_builds(monkeypatch)
         config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
@@ -206,7 +205,7 @@ class TestEncounter:
         contacts = [ContactEvent(1 + n, a, b) for n, (a, b) in enumerate(pairs)]
         sim = Simulation(config)
         rows = sim.run_windows(contacts, contents, [None])
-        assert [len(ui) for ui, _ in built] == [5, 1, 4]
+        assert [len(ui) for ui, _ in built] == [6, 4]
         _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None])
         assert rows == ref_rows
         assert sim.policies == ref_policies
@@ -757,12 +756,13 @@ def test_agents_outside_both_views_are_not_scored(replay):
     def checked_metrics(gkg, views, holders, weight, top_n, **kwargs):
         CountedScorer.targets.clear()  # discovery scoring after the step's contacts
         row = real_metrics(gkg, views, holders, weight, top_n, **kwargs)
+        scored = set(CountedScorer.targets)
         ui, it = views
         global_graph = view_graph(gkg, (ui[0], it[0]))
         for v, group in enumerate(holders, start=1):
             local_graph = view_graph(gkg, (ui[v], it[v]))
             outside = [a for a in group if a not in local_graph.users | global_graph.users]
-            assert not set(outside) & set(CountedScorer.targets)
+            assert not set(outside) & scored
             # scored, both of their lists would be empty, and the row skips those
             for agent in outside:
                 for graph in (local_graph, global_graph):
@@ -772,7 +772,7 @@ def test_agents_outside_both_views_are_not_scored(replay):
         return row
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "Scorer", CountedScorer)
+        patch.setattr(recommend, "Scorer", CountedScorer)
         patch.setattr(CountedScorer, "targets", [])
         patch.setattr(simulator, "compute_step_metrics", checked_metrics)
         rows = Simulation(config, roster).run_windows(contacts, contents, windows)
@@ -794,7 +794,7 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
     """
     config, contacts, contents, windows = replay
     roster = AGENTS + ["s1", "s2"]
-    pliers = Scorer(partial(_tripartite, affinity_weight=config.affinity_weight))
+    pliers = recommend.scorer("pliers", 1, config.affinity_weight)
     targets = [*roster, "nobody"]
     sim = Simulation(config, roster)
     real_views = sim.window_views

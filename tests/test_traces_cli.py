@@ -520,6 +520,21 @@ class TestCliGenTraces:
             (["--agents", "0"], "need 1 <= n_communities <= n_agents"),
             (["--agents", "4", "--duration-s", "0"], "duration must be >= 1"),
             (["--agents", "4", "--items", "-1"], "need n_agents >= 1, n_items >= 0, n_tags >= 1"),
+            (["--agents", "4", "--extra-tag-p", "1.5"], "extra_tag_p must lie in [0, 1]"),
+            (["--agents", "4", "--extra-tag-p=-1"], "extra_tag_p must lie in [0, 1]"),
+            (["--agents", "4", "--extra-tag-p", "nan"], "extra_tag_p must lie in [0, 1]"),
+            (
+                ["--agents", "4", "--user-exponent=-inf"],
+                "exponent -inf gives power weights that are not finite and > 0",
+            ),
+            (
+                ["--agents", "4", "--tag-exponent=-1e308"],
+                "exponent -1e+308 gives power weights that are not finite and > 0",
+            ),
+            (
+                ["--agents", "4", "--user-exponent", "1e308"],
+                "exponent 1e+308 gives power weights that are not finite and > 0",
+            ),
         ],
     )
     def test_bad_values_exit_3(self, tmp_path, capsys, flags, message):
@@ -528,7 +543,7 @@ class TestCliGenTraces:
         args += ["--contacts-out", str(contacts_out), "--contents-out", str(tmp_path / "m.csv")]
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not contacts_out.exists()
+        assert not any(tmp_path.iterdir())
 
     def test_contents_default_to_the_generators_shape(self, tmp_path):
         # without shape flags, gen-traces writes what the generator's defaults give
