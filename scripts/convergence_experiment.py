@@ -2,36 +2,25 @@
 """Gossip convergence experiment: how fast do local views approach the
 global graph for different crowd sizes?
 
-Generates community-structured contact traces and a Poisson content
-stream, replays them, and writes one metrics CSV per agent count.
+Generates community-structured contact traces and, over the first half
+of the run, a content stream: one content per ``--content-gap-s`` on
+average, at uniform times, from uniformly drawn creators, each with 1 to 3
+of 40 uniformly drawn tags. It replays them and writes one metrics CSV per
+agent count.
 
     python3 scripts/convergence_experiment.py --outdir results/convergence
 """
 
 import argparse
-import random
 from pathlib import Path
 
-from pliersim.simulator import (
-    ContentEvent,
-    SimConfig,
-    agent_name,
-    generate_synthetic_contacts,
-    run,
-)
+from pliersim.simulator import SimConfig, generate_synthetic_contacts, run
+from pliersim.synth import generate_synthetic_contents
 from pliersim.traces import metrics_csv_text
 
-
-def poisson_contents(rng, n_agents, until, mean_gap_s, n_tags):
-    events = []
-    t, idx = 0.0, 0
-    while True:
-        t += rng.expovariate(1.0 / mean_gap_s)
-        if t >= until:
-            return events
-        tags = tuple({f"t{rng.randrange(n_tags):03d}" for _ in range(rng.randint(1, 3))})
-        events.append(ContentEvent(int(t), agent_name(rng.randrange(n_agents)), f"i{idx:05d}", tags))
-        idx += 1
+# uniform creators and tags, 1 to 3 tags an item
+CONTENT_SHAPE = dict(user_exponent=0.0, tag_exponent=0.0, extra_tag_p=0.5, max_tags_per_item=3)
+N_TAGS = 40
 
 
 def main():
@@ -45,20 +34,25 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--outdir", default="results/convergence")
     args = parser.parse_args()
+    if args.content_gap_s <= 0:
+        parser.error("--content-gap-s must be > 0")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     duration = int(args.hours * 3600)
+    until = duration // 2
     for n in args.agents:
         try:
             contacts = generate_synthetic_contacts(
                 n, min(args.communities, n), args.rewiring_p, duration, args.seed
             )
+            contents = []
+            if until > 0:  # the generator needs a duration of at least 1 s
+                contents = generate_synthetic_contents(
+                    n, int(until // args.content_gap_s), N_TAGS, until, args.seed, **CONTENT_SHAPE
+                )
         except ValueError as exc:
             parser.error(f"with {n} agents: {exc}")
-        contents = poisson_contents(
-            random.Random(args.seed), n, duration / 2, args.content_gap_s, 40
-        )
         if not contacts and not contents:
             parser.error(f"with {n} agents: nothing to replay in {args.hours} h")
         metrics = run(SimConfig(metric_cadence=args.cadence), contacts, contents)

@@ -254,7 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-n", type=int, default=None)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("gen-traces", help="generate synthetic contact/content traces")
+    p = sub.add_parser(
+        "gen-traces",
+        help="generate synthetic contact/content traces",
+        epilog="Join -inf or a negative exponent form to its flag: --user-exponent=-1e3",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--communities", type=int, required=True)
     p.add_argument("--rewiring-p", type=float, default=0.1)

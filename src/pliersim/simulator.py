@@ -222,8 +222,9 @@ def compute_step_metrics(
     """Compare every agent's local view and recommendations with the global one.
 
     ``views`` holds one view per row, under whatever expiry window applies:
-    the global view in row 0 and, in row ``v``, the distinct local view
-    that the agents ``holders[v - 1]`` hold. Graph similarity (edge-set
+    the global view in row 0 and, in row ``v``, the local view that the
+    agents ``holders[v - 1]`` share. Two rows may hold the same view; an
+    agent's scores do not depend on its row. Graph similarity (edge-set
     Jaccard) averages over *all* agents (an empty local view scores 0
     against a non-empty global one). Recommendation similarities skip
     agents whose local and global recommendation vectors are both empty;
@@ -318,9 +319,9 @@ class Simulation:
     knowledge is the bitset (a Python ``int``) of the events it has seen, so
     a contact is one integer OR (a grow-only set, merged by union). Every
     edge of ``gkg`` has an id, its position in ``gkg``'s edge maps, which
-    only grow; :meth:`masks` turns a set of events into the edges it holds.
-    Local knowledge and the metric views of an expiry window
-    (:meth:`window_views`) are scored on ``gkg``'s index stacked to those
+    only grow; :meth:`masks` turns sets of events into the edges they hold
+    under an expiry cutoff, and so alone decides what a view holds. Local
+    knowledge and its views are scored on ``gkg``'s index stacked to those
     edges, so no graph is built for them.
     """
 
@@ -329,13 +330,15 @@ class Simulation:
         self.gkg = FolksonomyGraph()
         self.policies: dict[str, DownloadPolicyState] = {}
         self._events: list[ContentEvent] = []
-        # item -> bitset of the events that announce it
-        self._item_events: dict[str, int] = {}
-        # gkg's user-item and item-tag edges -> edge id; the user-item edge
-        # id of each event, and for each tag of each event its event and
-        # item-tag edge id; :meth:`masks` views the arrays only while it runs,
-        # since an array with a live view cannot grow
+        # gkg's user-item and item-tag edges -> edge id, and item -> item id;
+        # the time, item id and user-item edge id of each event, and for each
+        # tag of each event its event and item-tag edge id; :meth:`masks`
+        # views the arrays only while it runs, since an array with a live
+        # view cannot grow
         self._edge_ids: tuple[dict, dict] = ({}, {})
+        self._item_ids: dict[str, int] = {}
+        self._event_time = array("q")
+        self._event_item = array("q")
         self._event_edge = array("q")
         self._tag_event = array("q")
         self._tag_edge = array("q")
@@ -367,11 +370,13 @@ class Simulation:
                     graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
         return MappingProxyType({a: graphs[bits] for a, bits in self._knowledge.items()})
 
-    def masks(self, bitsets: Sequence[int]) -> Masks:
-        """The ``gkg`` edges that the events of each bitset hold.
+    def masks(self, bitsets: Sequence[int], cutoff: int = 0) -> Masks:
+        """The ``gkg`` edges that the events of each bitset hold under an expiry cutoff.
 
-        Returns boolean arrays over the user-item and the item-tag edge ids,
-        one row per bitset.
+        A row drops every event of each item that it knows an event of from
+        before ``cutoff``: its graph pruned by item creation time. The
+        default cutoff expires nothing. Returns boolean arrays over the
+        user-item and the item-tag edge ids, one row per bitset.
         """
         n, width = len(self._events), (len(self._events) + 7) // 8
         # before Python 3.11, int.to_bytes needs both arguments
@@ -379,6 +384,11 @@ class Simulation:
         held = np.unpackbits(
             raw.reshape(len(bitsets), width), axis=1, count=n, bitorder="little"
         ).view(bool)
+        item = np.frombuffer(self._event_item, np.int64)
+        view, event = (held & (np.frombuffer(self._event_time, np.int64) < cutoff)).nonzero()
+        expired = np.zeros((len(bitsets), len(self._item_ids)), bool)
+        expired[view, item[event]] = True
+        held &= ~expired[:, item]
         ui = np.zeros((len(bitsets), len(self._edge_ids[0])), bool)
         view, event = held.nonzero()
         ui[view, np.frombuffer(self._event_edge, np.int64)[event]] = True
@@ -387,31 +397,6 @@ class Simulation:
         it[view, np.frombuffer(self._tag_edge, np.int64)[tag]] = True
         return ui, it
 
-    def window_views(self, now: int, window: int | None) -> tuple[dict[str, int], int]:
-        """Every agent's view and the global view under an expiry window.
-
-        A view is the bitset of its live events. A holder's view is its
-        events minus those of every item it knows an event of from before
-        ``now - window``: its graph pruned by item creation time. The global
-        view is that of all events.
-        """
-        cutoff = 0 if window is None else now - window
-        # announcements of one item -> those of them older than the cutoff
-        old: dict[int, int] = {}
-        for index, ev in enumerate(self._events):
-            if ev.time < cutoff:
-                events = self._item_events[ev.item]
-                old[events] = old.get(events, 0) | 1 << index
-        everything = (1 << len(self._events)) - 1
-        views = {}
-        for bits in {everything, *self._knowledge.values()}:
-            live = bits
-            for events, older in old.items():
-                if bits & older:
-                    live &= ~events
-            views[bits] = live
-        return {a: views[bits] for a, bits in self._knowledge.items()}, views[everything]
-
     def apply_content(self, event: ContentEvent) -> None:
         """Add one content event to its creator's knowledge and to ``gkg``.
 
@@ -419,8 +404,9 @@ class Simulation:
         """
         n = len(self._events)
         self._knowledge[event.creator] |= 1 << n
-        self._item_events[event.item] = self._item_events.get(event.item, 0) | 1 << n
         self._events.append(event)
+        self._event_time.append(event.time)
+        self._event_item.append(self._item_ids.setdefault(event.item, len(self._item_ids)))
         self._items[event.creator].add(event.item)
         self.gkg.add_content(event.creator, event.item, event.tags, event.time)
         # a new edge goes last in gkg's edge map, an edge it has keeps its place
@@ -487,7 +473,8 @@ class Simulation:
 
         Every agent the traces name is registered first. The expiry window
         only affects measurement, never the exchanged knowledge, so one pass
-        over the dynamics serves all windows.
+        over the dynamics serves all windows: at each metric step, agents
+        with equal knowledge share one row of :meth:`masks` in every window.
         """
         length = self.config.step_length
         named = dict.fromkeys(ev.creator for ev in contents)
@@ -518,16 +505,16 @@ class Simulation:
                 self._decide()
             if (step + 1) % cadence == 0 or step == last_step:
                 now = (step + 1) * length
+                everything = (1 << len(self._events)) - 1
+                known: dict[int, list[str]] = {}
+                for agent, bits in self._knowledge.items():
+                    known.setdefault(bits, []).append(agent)
                 for window in windows:
-                    lviews, gview = self.window_views(now, window)
-                    holders: dict[int, list[str]] = {}
-                    for agent, live in lviews.items():
-                        holders.setdefault(live, []).append(agent)
                     out[window].append(
                         compute_step_metrics(
                             self.gkg,
-                            self.masks([gview, *holders]),
-                            list(holders.values()),
+                            self.masks([everything, *known], 0 if window is None else now - window),
+                            list(known.values()),
                             self.config.affinity_weight,
                             self.config.top_n,
                             now=now,

@@ -69,12 +69,15 @@ def fmt(value: float) -> str:
 # ----------------------------------------------------------------------
 
 def _data_lines(path: str | Path, header: str):
+    """Numbered lines, neither blank nor ``#`` comments, less a header as the first of them."""
+    seen = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            if lineno == 1 and line.strip() == header:
+            seen += 1
+            if seen == 1 and line.strip() == header:
                 continue
             yield lineno, line
 

@@ -214,9 +214,23 @@ def rows_over(scorer, graph: FolksonomyGraph, items, targets) -> list[list[float
 
 
 def window_graphs(sim, now: int, window: int | None):
-    """``sim.window_views(now, window)`` as graphs: agent -> view, and the global view."""
-    lviews, gview = sim.window_views(now, window)
-    return {a: graph_of(sim, bits) for a, bits in lviews.items()}, graph_of(sim, gview)
+    """Every agent's view and the global view under an expiry window, as graphs.
+
+    Each view is a row of ``sim.masks`` at the window's cutoff, laid on
+    ``gkg`` by :func:`view_graph`; its edges carry the times of its holder's
+    own graph. Returns agent -> view, and the global view.
+    """
+    everything = (1 << len(sim._events)) - 1
+    cutoff = 0 if window is None else now - window
+    ui, it = sim.masks([everything, *sim._knowledge.values()], cutoff)
+    views = []
+    for graph, view in zip([sim.gkg, *sim.lkgs.values()], zip(ui, it)):
+        held = view_graph(sim.gkg, view)
+        views.append(FolksonomyGraph(
+            {e: graph.user_item_edges[e] for e in held.user_item_edges},
+            {e: graph.item_tag_edges[e] for e in held.item_tag_edges},
+        ))
+    return dict(zip(sim._knowledge, views[1:])), views[0]
 
 
 def reference_step_metrics(lkgs, gkg, affinity_weight, top_n, *, now, **counts) -> StepMetrics:

@@ -150,7 +150,7 @@ class TestMerge:
 
 
 class TestPrune:
-    """Expiry as the window views of a replay: the graphs of the live events."""
+    """Expiry as the mask rows of a replay at a window's cutoff, laid on ``gkg``."""
 
     def test_wide_window_changes_nothing(self, rng):
         for _ in range(20):
@@ -295,7 +295,7 @@ class TestCreationTimes:
         created = creation_times(sim.gkg)[item]
         if created == 0:
             return
-        sim.window_views(created + 1, 1)
+        window_graphs(sim, created + 1, 1)
         before = sim.gkg.index()
         earlier = created - data.draw(st.integers(1, created))
         sim.apply_content(ContentEvent(earlier, "u0", item, ("t9",)))
@@ -305,7 +305,7 @@ class TestCreationTimes:
         assert gview == prune_older_than(sim.gkg, created + 1, created - earlier)
         index = sim.gkg.index()
         assert index is not before and "t9" in index.tags
-        ui, it = sim.masks(list(sim.window_views(created + 1, created - earlier)[0].values()))
+        ui, it = sim.masks(list(sim._knowledge.values()), earlier + 1)
         assert ui.shape[1] == len(sim.gkg.user_item_edges)
         assert it.shape[1] == len(sim.gkg.item_tag_edges)
 

@@ -27,8 +27,9 @@ def run_script(name, *args, cwd):
         ("linkpred_experiment.py", ["--k", "0"], "--k must be >= 1"),
         ("convergence_experiment.py", ["--agents", "0"], "with 0 agents"),
         ("convergence_experiment.py", ["--agents", "30", "--hours", "0"], "nothing to replay"),
+        ("convergence_experiment.py", ["--content-gap-s", "0"], "--content-gap-s must be > 0"),
     ],
-    ids=["linkpred_k_0", "convergence_agents_0", "convergence_hours_0"],
+    ids=["linkpred_k_0", "convergence_agents_0", "convergence_hours_0", "convergence_gap_0"],
 )
 def test_bad_value_is_a_usage_error(tmp_path, script, args, message):
     done = run_script(script, *args, cwd=tmp_path)

@@ -435,8 +435,8 @@ class TestStepMetrics:
         sim = Simulation(SimConfig())
         sim.run_windows(contacts, contents, [None, 20 * 60, 300])
         # one stacked index per evaluation, with a row for the global view
-        # and one per distinct live event set: agents with equal views
-        # share theirs
+        # and one per distinct knowledge: agents with equal knowledge share
+        # theirs
         assert steps and all(built == [1 + distinct] for built, distinct in steps)
         assert min(distinct for _, distinct in steps) < 12
 
@@ -465,8 +465,8 @@ class TestStepMetrics:
             assert lviews[agent] == prune_older_than(sim.lkgs[agent], 540, 100)
         assert gview == prune_older_than(sim.gkg, 540, 100)
         # b, the later-only holder, keeps the edges of its own announcement
-        live, glive = sim.window_views(540, 100)
-        ui, it = sim.masks([glive, live["a"], live["b"]])
+        everything = (1 << len(sim._events)) - 1
+        ui, it = sim.masks([everything, sim._knowledge["a"], sim._knowledge["b"]], 540 - 100)
         held = view_graph(sim.gkg, (ui[2], it[2]))
         assert held.user_item_edges.keys() == {("b", "x")}
         assert held.item_tag_edges.keys() == {("x", "t2")}
@@ -785,39 +785,42 @@ def test_agents_outside_both_views_are_not_scored(replay):
 def test_masked_views_equal_built_graphs(replay, more_windows):
     """Every view scored on the stacked global index as on its own graph's index.
 
-    At every metric step of every window, the distinct live event sets are
-    stacked into one index, as the replay stacks them, and every target is
-    scored on its row of every view in one ``Scorer.rows`` pass. Each row
-    equals with ``==`` the target's row on the index of the set's own
-    graph over its items, every other item scores exactly 0, and the
-    mask-count Jaccard equals the edge-map Jaccard.
+    Each time the replay takes masks, for a metric step of a window or for
+    a batch of discoveries, its rows are stacked into one index, as the
+    replay stacks them, and every target is scored on its row of every view
+    in one ``Scorer.rows`` pass. Each row holds the edges of its event set's
+    own graph pruned at the cutoff; each score row equals with ``==`` the
+    target's row on the index of that graph over its items, every other
+    item scores exactly 0, and the mask-count Jaccard with row 0 equals the
+    edge-map Jaccard.
     """
     config, contacts, contents, windows = replay
     roster = AGENTS + ["s1", "s2"]
     pliers = recommend.scorer("pliers", 1, config.affinity_weight)
     targets = [*roster, "nobody"]
     sim = Simulation(config, roster)
-    real_views = sim.window_views
+    real_masks = sim.masks
     checked = []
 
-    def checked_views(now, window):
-        lviews, gview = real_views(now, window)
-        distinct = [gview, *dict.fromkeys(lviews.values())]
-        ui, it = sim.masks(distinct)
+    def checked_masks(bitsets, cutoff=0):
+        ui, it = real_masks(bitsets, cutoff)
         index = sim.gkg.index()
         n_users = len(index.users)
         user_rows = [index.user_pos.get(t, -1) for t in targets]
-        rows = [v * n_users + u if u >= 0 else -1 for v in range(len(distinct)) for u in user_rows]
+        rows = [v * n_users + u if u >= 0 else -1 for v in range(len(bitsets)) for u in user_rows]
         got = pliers.rows(index.stacked(ui, it), np.array(rows, np.intp))
-        global_graph = graph_of(sim, gview)
-        for bits, graph_sim in zip(distinct, simulator._mask_jaccards((ui, it))):
-            graph = graph_of(sim, bits)
+        # prune_older_than keeps the items created at or after now - window
+        graphs = [prune_older_than(graph_of(sim, bits), cutoff, 0) for bits in bitsets]
+        for v, (graph, graph_sim) in enumerate(zip(graphs, simulator._mask_jaccards((ui, it)))):
+            held = view_graph(sim.gkg, (ui[v], it[v]))
+            assert held.user_item_edges.keys() == graph.user_item_edges.keys()
+            assert held.item_tag_edges.keys() == graph.item_tag_edges.keys()
             for want in rows_over(pliers, graph, index.items, targets):
                 assert next(got).tolist() == want
-            assert graph_sim == jaccard(graph.flatten(), global_graph.flatten())
-            checked.append(bits)
-        return lviews, gview
+            assert graph_sim == jaccard(graph.flatten(), graphs[0].flatten())
+            checked.append(bitsets[v])
+        return ui, it
 
-    sim.window_views = checked_views
+    sim.masks = checked_masks
     sim.run_windows(contacts, contents, [*windows, *more_windows])
     assert checked

@@ -55,9 +55,31 @@ class TestTraceFiles:
         assert parse_contacts(path) == [ContactEvent(10, "a", "b"), ContactEvent(20, "b", "c")]
 
     @pytest.mark.parametrize(
+        "parse,text,events",
+        [
+            (
+                parse_contacts,
+                "# note\n\ntime_s,agent_a,agent_b\n0,a,b\n",
+                [ContactEvent(0, "a", "b")],
+            ),
+            (
+                parse_contents,
+                "\n# generated\ntime_s,agent,item_key,tags\n0,a,i1,t1\n",
+                [ContentEvent(0, "a", "i1", ("t1",))],
+            ),
+        ],
+    )
+    def test_header_after_comments_accepted(self, tmp_path, parse, text, events):
+        # the header is the first line that is neither blank nor a comment
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        assert parse(path) == events
+
+    @pytest.mark.parametrize(
         "text,lineno",
         [
             ("time_s,agent_a,agent_b\n10,a\n", 2),
+            ("10,a,b\ntime_s,agent_a,agent_b\n", 2),
             ("10,a,a\n", 1),
             ("soon,a,b\n", 1),
             ("10,,b\n", 1),
@@ -544,6 +566,19 @@ class TestCliGenTraces:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
+
+    def test_exponent_form_needs_the_joined_flag(self, tmp_path, capsys):
+        # argparse reads "-1e3" as an option, so only "--user-exponent=-1e3"
+        # reaches the generator; the help says so
+        args = ["gen-traces", "--agents", "4", "--communities", "2", "--duration-s", "600",
+                "--contacts-out", str(tmp_path / "c.csv"), "--user-exponent", "-1e3"]
+        with pytest.raises(SystemExit) as done:
+            cli.main(args)
+        assert done.value.code == 2
+        assert "--user-exponent: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main(["gen-traces", "--help"])
+        assert "--user-exponent=-1e3" in capsys.readouterr().out
 
     def test_contents_default_to_the_generators_shape(self, tmp_path):
         # without shape flags, gen-traces writes what the generator's defaults give
