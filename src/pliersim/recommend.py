@@ -10,7 +10,7 @@ Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
 (sorted keys and CSR adjacency arrays), ``graph.index()``. Each scorer is one
 array kernel that scores a block of targets at once, one row per target;
 a :class:`Scorer` feeds it the targets of one index in blocks of at most
-its budget of scores, and the public single-target functions score a block
+one budget of scores, and the public single-target functions score a block
 of one with a :func:`scorer`. The PLIERS kernels also run on a stacked index
 (:meth:`GraphIndex.stacked`), which lays several subgraphs of a larger
 graph side by side as disjoint copies, so that one block may hold targets
@@ -73,20 +73,11 @@ class RecommendationVector:
 # The most scores (targets x items) one block of targets may take, on a
 # stacked index too, whose blocks may mix views. Larger blocks call numpy
 # less often but hold larger temporaries, which grow with the walks of all
-# the block's targets, so each kernel family gets the budget its own
-# temporaries allow. PLIERS (``_tripartite``, the only kernel a replay runs)
-# walks three hops and counts (source item, candidate) pairs: on the
-# half-size criterion-4 graph (400 items, so 5 targets a block) its traced
-# peak over all graded users is 1.02-1.06 MiB (tracemalloc, linkpred
-# benchmark variants 0 and 3), and stacking a gossip evaluation's views
-# (about 30 items, so 68 targets a block) kept the gossip benchmark's median
-# peak at 36.5 MiB, level with scoring each view on its own. The five
-# two-hop kernels (``_cf``, ``_tag_expansion``, ``_probs``, ``_heats``,
-# ``_hybrid``) peak at 0.08-0.17 MiB on that budget and at 0.27-0.55 MiB on
-# four times it (20 targets a block), still under PLIERS, so :func:`scorer`
-# gives them ``_TWO_HOP_BLOCK_SCORES`` (2-CPU VM, Python 3.11, numpy 2.4).
-_BLOCK_SCORES = 1 << 11
-_TWO_HOP_BLOCK_SCORES = 4 * _BLOCK_SCORES
+# the block's targets. On the linkpred benchmark's graph (400 items), the
+# six CLI kernels take 31 ms at 2^12, as with 2^11 for PLIERS and 2^13 for
+# the rest, and PLIERS's traced peak is 1.9 MiB, against 3.3 MiB at 2^13
+# (2-CPU VM, Python 3.11, numpy 2.4).
+_BLOCK_SCORES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -96,11 +87,10 @@ class Scorer:
     ``kernel(index, rows)`` returns one score row per user index in
     ``rows``, every row owning at least one item. Calling a Scorer scores
     one target of a graph; :meth:`rows` scores many user rows of one index
-    with the same floats, in blocks of at most ``block_scores`` scores.
+    with the same floats, in blocks of at most ``_BLOCK_SCORES`` scores.
     """
 
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
-    block_scores: int = _BLOCK_SCORES
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
         index = graph.index()
@@ -112,7 +102,7 @@ class Scorer:
 
         On a stacked index, user ``u`` of view ``v`` is row
         ``v * len(index.users) + u``. Rows that own items are scored in
-        blocks of at most ``block_scores`` scores, so only one block's
+        blocks of at most ``_BLOCK_SCORES`` scores, so only one block's
         temporaries are held while the rows are consumed. A row of -1 or of
         a user owning no item is a cold start and gets an all-zero row
         without the kernel.
@@ -120,7 +110,7 @@ class Scorer:
         # a row of -1 reads the appended degree 0
         warm = np.append(index.user_items.degree, 0)[rows] > 0
         hot = rows[warm]
-        per_block = max(1, self.block_scores // max(1, len(index.items)))
+        per_block = max(1, _BLOCK_SCORES // max(1, len(index.items)))
         scores = (
             row
             for lo in range(0, len(hot), per_block)
@@ -154,7 +144,7 @@ def scorer(name: str, k: int, weight: float) -> Scorer:
         "heats": _heats,
         "hybrid": partial(_hybrid, probs_weight=weight),
     }[name]
-    return Scorer(kernel, _BLOCK_SCORES if name == "pliers" else _TWO_HOP_BLOCK_SCORES)
+    return Scorer(kernel)
 
 
 # The most bins one count array of PLIERS (source item, candidate) pairs may

@@ -207,6 +207,20 @@ class StepMetrics:
 Masks = tuple[np.ndarray, np.ndarray]
 
 
+# The most views times gkg edges (user-item plus item-tag) that one stacked
+# index may hold: each view costs it a copy of the edges it holds. The cap
+# lowers the high-water mark from 176 to 125 MiB on a 1,000-agent, 2 h
+# replay (240 communities, one content per 7.5 s, windows None and 900 s,
+# cadence 20), and from 68.6 to 59.2 MiB on criterion-6 seed 0 with a
+# one-hour step and mean_threshold (2-CPU VM, Python 3.11, numpy 2.4).
+_STACKED_EDGES = 1 << 15
+
+
+def _views_per_stack(gkg: FolksonomyGraph) -> int:
+    """How many views of ``gkg`` one stacked index may hold, at least one."""
+    return max(1, _STACKED_EDGES // max(1, len(gkg.user_item_edges) + len(gkg.item_tag_edges)))
+
+
 def compute_step_metrics(
     gkg: FolksonomyGraph,
     views: Masks,
@@ -231,55 +245,58 @@ def compute_step_metrics(
     when that skips everyone, the averages are 1.0 by convention (nothing
     to recommend, local trivially agrees with global).
 
-    Every view is scored on one index, ``gkg``'s index stacked to all of
-    them: each agent on the row of its own view, then on its row of the
-    global view, all through one block loop. Both lists are ranked against
-    ``gkg``: a replay's view keeps an item only with every event of it that
-    its holders know, their own included, so an item that an agent owns in
-    ``gkg`` and that scores above 0 in a view is owned in that view too.
+    Views are scored on ``gkg``'s index stacked to the global view and at
+    most :func:`_views_per_stack` - 1 local views at a time, but always one:
+    each agent on the row of its own view and on its row of the global view.
+    Both lists are ranked against ``gkg``: a replay's view keeps an item only
+    with every event of it that its holders know, their own included, so an
+    item that an agent owns in ``gkg`` and that scores above 0 in a view is
+    owned in that view too.
     """
     index = gkg.index()
     ui, it = views
-    stacked = index.stacked(ui, it)
-    n_users, degree = len(index.users), stacked.user_items.degree
+    n_users = len(index.users)
     graph_sims: dict[str, float] = {}
-    local_row: dict[str, int] = {}
-    for v, (group, graph_sim) in enumerate(zip(holders, _mask_jaccards(views)[1:]), start=1):
+    for group, graph_sim in zip(holders, _mask_jaccards(views)[1:]):
         graph_sims.update(dict.fromkeys(group, graph_sim))
-        for agent in group:
-            u = index.user_pos.get(agent)
-            # absent from gkg, or a cold start on both views: both lists
-            # would be empty
-            if u is not None and (degree[v * n_users + u] or degree[u]):
-                local_row[agent] = v * n_users + u
-    scored = sorted(local_row)
+    rec_sims: dict[str, tuple[float, float, float]] = {}
     pliers = scorer("pliers", 1, affinity_weight)
-    rows = [local_row[a] for a in scored] + [index.user_pos[a] for a in scored]
-    scores = pliers.rows(stacked, np.array(rows, np.intp))
-    local = [rank(ScoreVector(a, index.items, next(scores)), gkg, top_n) for a in scored]
-
-    rec_jaccards: list[float] = []
-    rec_spear_corr: list[float] = []
-    rec_spear_lit: list[float] = []
-    for agent, local_list in zip(scored, local):
-        global_list = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n)
-        lk, gk = local_list.item_keys(), global_list.item_keys()
-        if not lk and not gk:
-            continue
-        rec_jaccards.append(jaccard(set(lk), set(gk)))
-        rec_spear_corr.append(spearman_similarity(lk, gk, "corrected"))
-        rec_spear_lit.append(spearman_similarity(lk, gk, "literal"))
+    per_stack = max(1, _views_per_stack(gkg) - 1)
+    for lo in range(1, len(ui), per_stack):
+        picked = [0, *range(lo, min(lo + per_stack, len(ui)))]
+        stacked = index.stacked(ui[picked], it[picked])
+        degree = stacked.user_items.degree
+        local_row: dict[str, int] = {}
+        for v, group in enumerate(holders[lo - 1 : lo - 1 + per_stack], start=1):
+            for agent in group:
+                u = index.user_pos.get(agent)
+                # absent from gkg, or a cold start on both views: both lists
+                # would be empty
+                if u is not None and (degree[v * n_users + u] or degree[u]):
+                    local_row[agent] = v * n_users + u
+        rows = [row for a, v_row in local_row.items() for row in (v_row, index.user_pos[a])]
+        scores = pliers.rows(stacked, np.array(rows, np.intp))
+        for agent in local_row:
+            lk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).item_keys()
+            gk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).item_keys()
+            if lk or gk:
+                rec_sims[agent] = (
+                    jaccard(set(lk), set(gk)),
+                    spearman_similarity(lk, gk, "corrected"),
+                    spearman_similarity(lk, gk, "literal"),
+                )
 
     def mean(values: list[float], empty: float) -> float:
         return sum_in_order(values) / len(values) if values else empty
 
+    recs = [rec_sims[a] for a in sorted(rec_sims)]
     return StepMetrics(
         step=step,
         sim_time_s=now,
         avg_graph_jaccard=mean([graph_sims[a] for a in sorted(graph_sims)], 1.0),
-        avg_rec_jaccard=mean(rec_jaccards, 1.0),
-        avg_rec_spearman_corrected=mean(rec_spear_corr, 1.0),
-        avg_rec_spearman_literal=mean(rec_spear_lit, 1.0),
+        avg_rec_jaccard=mean([r[0] for r in recs], 1.0),
+        avg_rec_spearman_corrected=mean([r[1] for r in recs], 1.0),
+        avg_rec_spearman_literal=mean([r[2] for r in recs], 1.0),
         n_contacts=n_contacts,
         n_contents=n_contents,
     )
@@ -296,16 +313,6 @@ def _mask_jaccards(views: Masks) -> list[float]:
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
-
-# The most views times gkg edges (user-item plus item-tag) that one batch of
-# discoveries may stack: each view costs the stacked index a copy of the
-# edges it holds. On criterion-6 seed 0 with a one-hour step and
-# mean_threshold (761 edges at the end, so 43 views a batch against 250
-# without the cap) the high-water mark drops from 68.6 to 59.2-59.4 MiB;
-# most of the rest is the policies' score histories (2-CPU VM, Python 3.11,
-# numpy 2.4).
-_DECIDE_STACKED_EDGES = 1 << 15
-
 
 def _set_bits(bits: int) -> list[int]:
     """Indices of the set bits of ``bits``, lowest first, in time linear in its length."""
@@ -444,11 +451,10 @@ class Simulation:
         Each is scored on what its agent knew right after the contact, a view
         of ``gkg``'s index stacked to their distinct views; ``gkg`` is fixed
         during a step's contacts, so these are the contact's floats. A batch
-        holds at most ``_DECIDE_STACKED_EDGES`` views times ``gkg`` edges, but always one view.
+        holds at most :func:`_views_per_stack` views, but always one.
         """
         index, views, rows = self.gkg.index(), {}, []
-        edges = len(self.gkg.user_item_edges) + len(self.gkg.item_tag_edges)
-        most = max(1, _DECIDE_STACKED_EDGES // edges)
+        most = _views_per_stack(self.gkg)
         for agent, known, _, _ in self._discoveries:
             if known not in views and len(views) == most:
                 break
@@ -475,7 +481,10 @@ class Simulation:
         only affects measurement, never the exchanged knowledge, so one pass
         over the dynamics serves all windows: at each metric step, agents
         with equal knowledge share one row of :meth:`masks` in every window.
+        A window listed twice, or of 0 s or less, raises ValueError up front.
         """
+        if len(set(windows)) < len(windows) or any(w is not None and w <= 0 for w in windows):
+            raise ValueError(f"expiry windows must be distinct and positive, got {list(windows)}")
         length = self.config.step_length
         named = dict.fromkeys(ev.creator for ev in contents)
         for ev in contacts:

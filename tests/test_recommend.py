@@ -1,7 +1,7 @@
+import contextlib
 import dataclasses
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,21 +529,23 @@ class TestExactReference:
         users = random.Random(4).sample(sorted(removal.removals), 20)
         assert_same_floats(pruned, users)
 
-    def test_pair_counts_over_several_blocks(self):
+    def test_pair_counts_over_several_blocks(self, monkeypatch):
         """PLIERS pair counts split into blocks neither drop nor repeat a pair."""
         rng = random.Random(6)
-        n_items, n_owned = 1050, 1030
-        tags = [f"t{k}" for k in range(40)]
+        n_items, n_owned = 60, 50
+        tags = [f"t{k}" for k in range(12)]
         g = FolksonomyGraph()
         for idx in range(n_items):
             item_tags = rng.sample(tags, 2)
             if idx < n_owned:
                 g.add_content("u_t", f"i{idx}", item_tags, idx)
             for user in ("u0", "u1", "u2", "u3", "u4", "u5"):
-                if rng.random() < 0.1 or (idx >= n_owned and user == "u0"):
+                if rng.random() < 0.3 or (idx >= n_owned and user == "u0"):
                     g.add_content(user, f"i{idx}", item_tags, n_items + idx)
+        # 20 sources a block
+        monkeypatch.setattr(recommend, "_PAIR_BINS", 20 * n_items)
         n_blocks = -(-n_owned // (recommend._PAIR_BINS // n_items))
-        assert n_blocks == 2 and len(g.items) == n_items
+        assert n_blocks == 3 and len(g.items) == n_items
         for name in ("affinity_scores", "similarity_scores", "pliers_tripartite"):
             got = EXACT_SCORERS[name][0](g, "u_t")
             want = getattr(reference_scorers, name)(g, "u_t")
@@ -572,11 +574,13 @@ SINGLE_TARGET = {
 }
 
 
-def _in_blocks_of(scorer, targets_per_block, n_items):
-    """``scorer`` scoring ``targets_per_block`` targets a block, or as it is for None."""
-    if targets_per_block is None:
-        return scorer
-    return dataclasses.replace(scorer, block_scores=targets_per_block * n_items)
+@contextlib.contextmanager
+def _in_blocks_of(targets_per_block, n_items):
+    """Every scorer scoring ``targets_per_block`` targets a block, or as it does for None."""
+    with pytest.MonkeyPatch.context() as patch:
+        if targets_per_block is not None:
+            patch.setattr(recommend, "_BLOCK_SCORES", targets_per_block * n_items)
+        yield
 
 
 class TestManyTargets:
@@ -601,8 +605,8 @@ class TestManyTargets:
         index = g.index()
         rows = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
         for name, make in MANY_TARGET_SCORERS.items():
-            scorer = _in_blocks_of(make(w, k), targets_per_block, len(index.items))
-            got = list(scorer.rows(index, rows))
+            with _in_blocks_of(targets_per_block, len(index.items)):
+                got = list(make(w, k).rows(index, rows))
             assert len(got) == len(targets)
             for values, target in zip(got, targets):
                 want = SINGLE_TARGET[name](g, target, w, k)
@@ -631,15 +635,13 @@ class TestManyTargets:
 
 
 class TestScorerTable:
-    """``recommend.scorer`` binds each name to its kernel, parameter and block budget."""
+    """``recommend.scorer`` binds each name to its kernel and parameter."""
 
     @pytest.mark.parametrize("name", recommend.ALGORITHMS)
     def test_same_floats_as_the_single_target_function(self, name):
-        budget = recommend._BLOCK_SCORES if name == "pliers" else recommend._TWO_HOP_BLOCK_SCORES
         for seed, w, k in ((0, 0.5, 1), (1, 0.0, 3), (2, 1.0, 12), (3, 0.3, 2)):
             g = _graph_with_edge_cases(random.Random(seed))
             scorer = recommend.scorer(name, k, w)
-            assert scorer.block_scores == budget
             for target in [*sorted(g.users), "gone", "nobody"]:
                 want = SINGLE_TARGET[name](g, target, w, k)
                 assert scorer(g, target).values.tobytes() == want.values.tobytes(), target
@@ -674,24 +676,18 @@ class TestScorerTable:
 
 
 class TestBlockBudgets:
-    """The two-hop CLI scorers take blocks 4 times PLIERS's, at no higher memory peak.
+    def test_every_cli_scorer_takes_blocks_of_one_budget(self):
+        """Each CLI scorer scores ``_BLOCK_SCORES // n_items`` targets a block.
 
-    Measured on the half-size criterion-4 graph the linkpred benchmark
-    grades, every user with a removed link.
-    """
-
-    TWO_HOP = [name for name in cli.ALGORITHMS if name != "pliers"]
-
-    @pytest.fixture(scope="class")
-    def graded(self):
+        On the half-size criterion-4 graph the linkpred benchmark grades,
+        every user with a removed link.
+        """
         pruned, removal = prune_for_link_prediction(generate_folksonomy(250, 400, 150, 0), 0)
         index = pruned.index()
-        return index, np.array([index.user_pos[u] for u in sorted(removal.removals)], np.intp)
-
-    def test_two_hop_scorers_make_a_quarter_of_the_kernel_calls(self, graded):
-        index, rows = graded
-
-        def kernel_calls(name):
+        rows = np.array([index.user_pos[u] for u in sorted(removal.removals)], np.intp)
+        per_block = recommend._BLOCK_SCORES // len(index.items)
+        assert 1 < per_block < len(rows)
+        for name in cli.ALGORITHMS:
             scorer = cli.make_scorer(name, 10, 0.5)
             calls = []
 
@@ -701,29 +697,9 @@ class TestBlockBudgets:
 
             for _ in dataclasses.replace(scorer, kernel=counted).rows(index, rows):
                 pass
-            assert sum(calls) == len(rows)
-            return len(calls)
-
-        pliers = kernel_calls("pliers")
-        assert pliers > 4
-        for name in self.TWO_HOP:
-            assert kernel_calls(name) == -(-pliers // 4), name
-
-    def test_two_hop_peaks_stay_within_pliers(self, graded):
-        index, rows = graded
-
-        def traced_peak(name):
-            tracemalloc.start()
-            try:
-                for _ in cli.make_scorer(name, 10, 0.5).rows(index, rows):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        pliers = traced_peak("pliers")
-        for name in self.TWO_HOP:
-            assert traced_peak(name) <= pliers, name
+            assert sum(calls) == len(rows), name
+            assert len(calls) == -(-len(rows) // per_block), name
+            assert set(calls[:-1]) == {per_block}, name
 
 
 def _random_view(rng, graph, density):
@@ -768,13 +744,13 @@ class TestStackedIndex:
             "affinity": Scorer(recommend._affinity),
             "similarity": Scorer(recommend._similarity),
         }
-        for name, scorer in scorers.items():
-            scorer = _in_blocks_of(scorer, targets_per_block, len(index.items))
-            got = scorer.rows(index.stacked(ui, it), np.array(rows, np.intp))
-            for view in views:
-                for want in rows_over(scorer, view_graph(g, view), index.items, targets):
-                    assert next(got).tolist() == want, name
-            assert next(got, None) is None
+        with _in_blocks_of(targets_per_block, len(index.items)):
+            for name, scorer in scorers.items():
+                got = scorer.rows(index.stacked(ui, it), np.array(rows, np.intp))
+                for view in views:
+                    for want in rows_over(scorer, view_graph(g, view), index.items, targets):
+                        assert next(got).tolist() == want, name
+                assert next(got, None) is None
 
 
 def _merge_new_item(graph):

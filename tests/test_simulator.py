@@ -178,6 +178,13 @@ class TestEncounter:
         monkeypatch.setattr(GraphIndex, "stacked", counted_stacked)
         return built
 
+    @staticmethod
+    def _six_views():
+        """Five creators and six contacts: 10 gkg edges, six distinct discovered views."""
+        contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in "abcde"]
+        pairs = ("ab", "cb", "da", "ec", "ed", "ab")
+        return contents, [ContactEvent(1 + n, a, b) for n, (a, b) in enumerate(pairs)]
+
     def test_one_stacked_index_per_step(self, monkeypatch):
         # a step's discoveries are scored once, on one index stacked to each
         # distinct post-contact view; policies decide after the step's contacts
@@ -200,9 +207,7 @@ class TestEncounter:
         # is the metric evaluation's
         built = self._stacked_builds(monkeypatch)
         config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
-        contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in "abcde"]
-        pairs = ("ab", "cb", "da", "ec", "ed", "ab")
-        contacts = [ContactEvent(1 + n, a, b) for n, (a, b) in enumerate(pairs)]
+        contents, contacts = self._six_views()
         sim = Simulation(config)
         rows = sim.run_windows(contacts, contents, [None])
         assert [len(ui) for ui, _ in built] == [6, 4]
@@ -212,23 +217,37 @@ class TestEncounter:
 
     @pytest.mark.parametrize("cap", [1, 25])
     def test_a_batch_stacks_at_most_the_edge_cap(self, monkeypatch, cap):
-        # the same six views over 10 gkg edges: a cap of 25 takes two views
-        # a batch, a cap below one view's edges still takes one
-        monkeypatch.setattr(simulator, "_DECIDE_STACKED_EDGES", cap)
+        # a cap of 25 takes two views a batch, a cap below one view's edges
+        # still takes one
+        monkeypatch.setattr(simulator, "_STACKED_EDGES", cap)
         built = self._stacked_builds(monkeypatch)
+        monkeypatch.setattr(simulator, "compute_step_metrics", lambda *args, **kwargs: None)
         config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
-        contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in "abcde"]
-        pairs = ("ab", "cb", "da", "ec", "ed", "ab")
-        contacts = [ContactEvent(1 + n, a, b) for n, (a, b) in enumerate(pairs)]
+        contents, contacts = self._six_views()
         sim = Simulation(config)
-        rows = sim.run_windows(contacts, contents, [None])
-        batches = [len(ui) for ui, _ in built[:-1]]
-        assert batches == ([1] * 6 if cap == 1 else [2, 2, 2])
-        for ui, it in built[:-1]:
+        sim.run_windows(contacts, contents, [None])
+        assert [len(ui) for ui, _ in built] == ([1] * 6 if cap == 1 else [2, 2, 2])
+        for ui, it in built:
             assert len(ui) * (ui.shape[1] + it.shape[1]) <= max(cap, ui.shape[1] + it.shape[1])
-        _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None])
-        assert rows == ref_rows
+        _, _, _, ref_policies = merge_replay(config, contacts, contents, [None])
         assert sim.policies == ref_policies
+
+    @pytest.mark.parametrize("cap, stacks", [(1, [2, 2, 2]), (30, [3, 2])])
+    def test_an_evaluation_stacks_at_most_the_edge_cap(self, monkeypatch, cap, stacks):
+        # the global view and three local views over 10 gkg edges: a cap of
+        # 30 takes three views a stack, a cap below two views' edges still
+        # takes the global view and one local view. Without a policy, every
+        # stack is an evaluation's
+        monkeypatch.setattr(simulator, "_STACKED_EDGES", cap)
+        built = self._stacked_builds(monkeypatch)
+        contents, contacts = self._six_views()
+        sim = Simulation(SimConfig())
+        rows = sim.run_windows(contacts, contents, [None])
+        assert [len(ui) for ui, _ in built] == stacks
+        for ui, it in built:
+            assert ui[0].all() and it[0].all()
+        _, _, ref_rows, _ = merge_replay(SimConfig(), contacts, contents, [None])
+        assert rows == ref_rows
 
     def test_content_applies_after_masks(self):
         # masks views the per-event edge-id arrays, which apply_content
@@ -513,6 +532,41 @@ class TestExpiryRuns:
         ]
         assert expiry_only == separate
 
+    @pytest.mark.parametrize("windows", [[300, 300], [None, None], [0], [None, -60]])
+    def test_bad_windows_raise_before_any_agent_registers(self, windows):
+        contacts, contents = self._fixture()
+        sim = Simulation(SimConfig())
+        with pytest.raises(ValueError, match="must be distinct and positive"):
+            sim.run_windows(contacts, contents, windows)
+        assert not sim.lkgs
+
+    def test_two_views_a_stack_give_the_rows_of_one_stack(self, monkeypatch):
+        # every stack of an evaluation holds its global view in row 0 and
+        # the next local view in row 1, and the rows are those of a replay
+        # that stacks all views at once
+        contacts, contents = self._fixture()
+        config = SimConfig(metric_cadence=2)
+        want = Simulation(config).run_windows(contacts, contents, [None, 300])
+        built = TestEncounter._stacked_builds(monkeypatch)
+        real_metrics = simulator.compute_step_metrics
+        evaluations = []
+
+        def two_views_a_stack(gkg, views, *args, **kwargs):
+            edges = len(gkg.user_item_edges) + len(gkg.item_tag_edges)
+            monkeypatch.setattr(simulator, "_STACKED_EDGES", 2 * edges)
+            start = len(built)
+            row = real_metrics(gkg, views, *args, **kwargs)
+            evaluations.append((views, built[start:]))
+            return row
+
+        monkeypatch.setattr(simulator, "compute_step_metrics", two_views_a_stack)
+        assert Simulation(config).run_windows(contacts, contents, [None, 300]) == want
+        for (ui, it), stacks in evaluations:
+            assert len(stacks) == len(ui) - 1
+            for v, (stack_ui, stack_it) in enumerate(stacks, start=1):
+                assert np.array_equal(stack_ui, ui[[0, v]]) and np.array_equal(stack_it, it[[0, v]])
+        assert max(len(np.unique(np.hstack(views), axis=0)) for views, _ in evaluations) >= 4
+
 
 class TestDownloadPolicies:
     def test_cold_start_downloads(self):
@@ -786,13 +840,12 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
     """Every view scored on the stacked global index as on its own graph's index.
 
     Each time the replay takes masks, for a metric step of a window or for
-    a batch of discoveries, its rows are stacked into one index, as the
-    replay stacks them, and every target is scored on its row of every view
-    in one ``Scorer.rows`` pass. Each row holds the edges of its event set's
-    own graph pruned at the cutoff; each score row equals with ``==`` the
-    target's row on the index of that graph over its items, every other
-    item scores exactly 0, and the mask-count Jaccard with row 0 equals the
-    edge-map Jaccard.
+    a batch of discoveries, its rows are stacked into one index, and every
+    target is scored on its row of every view in one ``Scorer.rows`` pass.
+    Each row holds the edges of its event set's own graph pruned at the
+    cutoff; each score row equals with ``==`` the target's row on the index
+    of that graph over its items, every other item scores exactly 0, and
+    the mask-count Jaccard with row 0 equals the edge-map Jaccard.
     """
     config, contacts, contents, windows = replay
     roster = AGENTS + ["s1", "s2"]
@@ -822,5 +875,5 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
         return ui, it
 
     sim.masks = checked_masks
-    sim.run_windows(contacts, contents, [*windows, *more_windows])
+    sim.run_windows(contacts, contents, list(dict.fromkeys([*windows, *more_windows])))
     assert checked
