@@ -11,13 +11,12 @@ import logging
 import os
 import sys
 from dataclasses import asdict
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import evaluation, recommend, simulator, synth, traces
-from .graph import GraphFormatError, load_graph_tsv
+from .graph import ParseError, load_graph_tsv
 from .recommend import ALGORITHMS, K_ALGORITHMS
-from .traces import ConfigError, TraceParseError
+from .traces import ConfigError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -25,10 +24,6 @@ EXIT_CONFIG = 3
 EXIT_NO_USER = 4
 
 log = logging.getLogger("pliersim")
-
-
-def _now_utc() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def make_scorer(name: str, k: int, affinity_weight: float) -> recommend.Scorer:
@@ -55,7 +50,7 @@ def _check_top_n(top_n: int | None) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    started = _now_utc()
+    started = traces.now_utc()
     if args.config:
         config = traces.parse_config_file(args.config)
     else:
@@ -73,31 +68,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traces.correlation_csv_text(traces.correlation_for_run(metrics)),
         encoding="utf-8",
     )
-    inputs = {
-        str(args.contacts): traces.file_digest(args.contacts),
-        str(args.contents): traces.file_digest(args.contents),
-    }
-    if args.config:
-        inputs[str(args.config)] = traces.file_digest(args.config)
     traces.write_manifest(
         outdir / "manifest.json",
         "simulate",
         asdict(config),
-        inputs,
+        [p for p in (args.contacts, args.contents, args.config) if p],
         None,
         started,
-        _now_utc(),
-        outputs={
-            "metrics.csv": traces.file_digest(metrics_path),
-            "correlation.csv": traces.file_digest(correlation_path),
-        },
+        {"metrics.csv": metrics_path, "correlation.csv": correlation_path},
     )
     log.info("wrote %s (%d rows)", metrics_path, len(metrics))
     return EXIT_OK
 
 
 def cmd_linkpred(args: argparse.Namespace) -> int:
-    started = _now_utc()
+    started = traces.now_utc()
     _check_top_n(args.top_n)
     scorers = [
         (name, k, make_scorer(name, 1 if k is None else k, args.lambda_weight))
@@ -107,21 +92,11 @@ def cmd_linkpred(args: argparse.Namespace) -> int:
     graph = load_graph_tsv(args.graph)
     pruned, removal = evaluation.prune_for_link_prediction(graph, args.seed)
 
-    rows = [traces.LINKPRED_HEADER]
-    for name, k, scorer in scorers:
-        report = evaluation.evaluate_on_pruned(pruned, removal, scorer, args.top_n)
-        rows.append(
-            ",".join(
-                (
-                    name,
-                    "" if k is None else str(k),
-                    traces.fmt(report.precision),
-                    traces.fmt(report.recall),
-                    traces.fmt(removal.removed_fraction),
-                )
-            )
-        )
-    text = "\n".join(rows) + "\n"
+    reports = [
+        (name, k, evaluation.evaluate_on_pruned(pruned, removal, scorer, args.top_n))
+        for name, k, scorer in scorers
+    ]
+    text = traces.linkpred_csv_text(reports, removal.removed_fraction)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -135,11 +110,10 @@ def cmd_linkpred(args: argparse.Namespace) -> int:
                 "lambda": args.lambda_weight,
                 "top_n": args.top_n,
             },
-            {str(args.graph): traces.file_digest(args.graph)},
+            [args.graph],
             args.seed,
             started,
-            _now_utc(),
-            outputs={str(args.out): traces.file_digest(args.out)},
+            {str(args.out): args.out},
         )
     return EXIT_OK
 
@@ -152,14 +126,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print(f"user {args.user!r} not present in graph", file=sys.stderr)
         return EXIT_NO_USER
     rec = recommend.rank(scorer(graph, args.user), graph, args.top_n)
-    sys.stdout.write("rank,item,score\n")
-    for position, (item, score) in enumerate(rec.ranked, start=1):
-        sys.stdout.write(f"{position},{item},{traces.fmt(score)}\n")
+    sys.stdout.write(traces.ranking_csv_text(rec))
     return EXIT_OK
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
-    started = _now_utc()
+    started = traces.now_utc()
     # every value is checked before the first file is written
     try:
         contacts = simulator.generate_synthetic_contacts(
@@ -180,7 +152,7 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     traces.write_contacts(args.contacts_out, contacts)
-    outputs = {str(args.contacts_out): traces.file_digest(args.contacts_out)}
+    outputs = {str(args.contacts_out): args.contacts_out}
     config = {
         "agents": args.agents,
         "communities": args.communities,
@@ -189,7 +161,7 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     }
     if args.contents_out:
         traces.write_contents(args.contents_out, contents)
-        outputs[str(args.contents_out)] = traces.file_digest(args.contents_out)
+        outputs[str(args.contents_out)] = args.contents_out
         config.update(
             items=args.items,
             tags=args.tags,
@@ -202,11 +174,10 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
         str(args.contacts_out) + ".manifest.json",
         "gen-traces",
         config,
-        {},
+        [],
         args.seed,
         started,
-        _now_utc(),
-        outputs=outputs,
+        outputs,
     )
     return EXIT_OK
 
@@ -284,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TraceParseError, GraphFormatError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConfigError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,47 +89,6 @@ class EvalReport:
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = field(default_factory=dict)
 
 
-def precision(
-    recommendations: Mapping[str, Sequence[str]],
-    removals: Mapping[str, Iterable[str]],
-) -> float:
-    """Mean reciprocal-rank style precision of recovered links.
-
-    Per user: average of 1/position over her removed items, with 0 for items
-    missing from the list; then the mean over users.
-    """
-    if not removals:
-        return 0.0
-    total = 0.0
-    for user in sorted(removals):
-        removed = list(removals[user])
-        if not removed:
-            raise ValueError(f"user {user!r} listed with no removed links")
-        if user not in recommendations:
-            raise ValueError(f"user {user!r} has removals but no recommendation list")
-        pos = {item: p for p, item in enumerate(recommendations[user], start=1)}
-        total += sum_in_order(1.0 / pos[t] for t in removed if t in pos) / len(removed)
-    return total / len(removals)
-
-
-def recall(
-    recommendations: Mapping[str, Sequence[str]],
-    removals: Mapping[str, Iterable[str]],
-) -> float:
-    """Mean fraction of removed links present anywhere in the list."""
-    if not removals:
-        return 0.0
-    total = 0.0
-    for user in sorted(removals):
-        removed = set(removals[user])
-        if not removed:
-            raise ValueError(f"user {user!r} listed with no removed links")
-        if user not in recommendations:
-            raise ValueError(f"user {user!r} has removals but no recommendation list")
-        total += len(set(recommendations[user]) & removed) / len(removed)
-    return total / len(removals)
-
-
 def evaluate_on_pruned(
     pruned: FolksonomyGraph,
     removal: LinkRemovalSet,
@@ -138,13 +97,12 @@ def evaluate_on_pruned(
 ) -> EvalReport:
     """Score every user with removals on the pruned graph and grade recovery.
 
-    Gives what :func:`precision` and :func:`recall` give on every user's
-    ranked list, bit for bit, grading each list as it is ranked. The users'
-    rows are scored together with ``scorer.rows``, block by block, and each
-    user's scores go through the module global ``rank`` once, in sorted
-    user order. Each user has one removed item, listed at position ``p`` or
-    not at all, so the user's precision term is ``1.0 / p`` or 0 and the
-    recall term 1 or 0, added in sorted user order.
+    The users' rows are scored together with ``scorer.rows``, block by
+    block, and each user's scores go through the module global ``rank``
+    once, in sorted user order. Each user has one removed item, listed at
+    position ``p`` or not at all, so the user's precision term is ``1.0 / p``
+    or 0 and the recall term 1 or 0, added in sorted user order; the report
+    holds their means over the users.
     """
     per_user: dict[str, tuple[tuple[int, ...], int, int]] = {}
     total_precision = total_recall = 0.0
@@ -230,13 +188,6 @@ class CorrelationReport:
     beta2: float
     n: int
     zero_variance: tuple[str, ...] = ()
-
-    def csv_row(self) -> str:
-        flags = ";".join(self.zero_variance)
-        vals = [self.r_squared, self.r_yx1, self.r_yx2, self.beta1, self.beta2]
-        return ",".join(format(v, ".9g") for v in vals) + f",{self.n},{flags}"
-
-    CSV_HEADER = "r_squared,r_yx1,r_yx2,beta1,beta2,n,flags"
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

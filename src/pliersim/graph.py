@@ -263,25 +263,41 @@ class GraphIndex:
 
 
 # ----------------------------------------------------------------------
-# flat-file snapshots
+# input files and flat-file snapshots
 # ----------------------------------------------------------------------
 
-class GraphFormatError(ValueError):
-    """Raised when a graph snapshot file is malformed or dangling."""
+class ParseError(ValueError):
+    """A malformed trace or snapshot line, or an input line that is not UTF-8.
 
-    def __init__(self, message: str, path: str | Path = "", line: int = 0):
+    The message cites ``path:line``, or ``path:`` when ``line`` is 0: a
+    fault of the whole file.
+    """
+
+    def __init__(self, message: str, path: str | Path, line: int = 0):
         self.path = str(path)
         self.line = line
-        where = f"{path}:{line}: " if line else (f"{path}: " if path else "")
-        super().__init__(f"{where}{message}")
+        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
 
 
-def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line.split("\t")
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a text input, less line ends, blank lines and ``#`` comments.
+
+    Every input file is read here. The text is UTF-8, after an optional
+    byte-order mark, with LF or CRLF line ends; a line that is not UTF-8,
+    a comment included, raises :class:`ParseError` citing it.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode()
+                except UnicodeEncodeError as exc:
+                    # surrogateescape decodes a byte b that is not UTF-8 as U+DC00 + b
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise ParseError(f"byte 0x{byte:02x} is not UTF-8", path, lineno) from None
+            line = raw.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
 
 
 def load_graph_tsv(path: str | Path) -> FolksonomyGraph:
@@ -293,29 +309,29 @@ def load_graph_tsv(path: str | Path) -> FolksonomyGraph:
     """
     ui: dict[tuple[str, str], int] = {}
     it: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, fields in _records(fh):
-            if len(fields) != 4:
-                raise GraphFormatError("expected 4 tab-separated fields", path, lineno)
-            kind, a, b, time_s = (f.strip() for f in fields)
-            if not a or not b:
-                raise GraphFormatError("empty node key", path, lineno)
-            try:
-                time = int(time_s)
-            except ValueError:
-                raise GraphFormatError(f"bad time {time_s!r}", path, lineno) from None
-            if kind == "UI":
-                _link(ui, (sys.intern(a), sys.intern(b)), time)
-            elif kind == "IT":
-                _link(it, (sys.intern(a), sys.intern(b)), time)
-            else:
-                raise GraphFormatError(f"unknown record kind {kind!r}", path, lineno)
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ParseError("expected 4 tab-separated fields", path, lineno)
+        kind, a, b, time_s = (f.strip() for f in fields)
+        if not a or not b:
+            raise ParseError("empty node key", path, lineno)
+        try:
+            time = int(time_s)
+        except ValueError:
+            raise ParseError(f"bad time {time_s!r}", path, lineno) from None
+        if kind == "UI":
+            _link(ui, (sys.intern(a), sys.intern(b)), time)
+        elif kind == "IT":
+            _link(it, (sys.intern(a), sys.intern(b)), time)
+        else:
+            raise ParseError(f"unknown record kind {kind!r}", path, lineno)
 
     owned = {item for _, item in ui}
     tagged = {item for item, _ in it}
     dangling = sorted(owned ^ tagged)
     if dangling:
-        raise GraphFormatError(
+        raise ParseError(
             "dangling items (need both a user link and a tag link): "
             + ", ".join(dangling),
             path,

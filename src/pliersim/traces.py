@@ -1,19 +1,29 @@
 """File formats: trace CSVs, the key=value config file, CSV reports, manifests.
 
-All text I/O is UTF-8 with LF line endings and floats at 9 significant
-digits, so equal inputs produce byte-identical outputs.
+Every input file is read by :func:`pliersim.graph.read_lines`: UTF-8 with
+or without a byte-order mark, LF or CRLF line ends, blank lines and ``#``
+comments skipped. A malformed line, or one that is not UTF-8, raises
+:class:`~pliersim.graph.ParseError` citing ``path:line``. Every output is
+UTF-8 with LF line ends, and every CSV row goes through :func:`csv_row`
+(floats at 9 significant digits), so equal inputs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from dataclasses import replace
+import dataclasses
+import sys
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import __version__
-from .evaluation import CorrelationReport, correlation_analysis
+from .evaluation import CorrelationReport, EvalReport, correlation_analysis
+from .graph import ParseError, read_lines
+from .recommend import RecommendationVector
 from .simulator import (
     ContactEvent,
     ContentEvent,
@@ -26,10 +36,6 @@ T = TypeVar("T")
 
 CONTACT_HEADER = "time_s,agent_a,agent_b"
 CONTENT_HEADER = "time_s,agent,item_key,tags"
-METRICS_HEADER = (
-    "step,sim_time_s,avg_graph_jaccard,avg_rec_jaccard,"
-    "avg_rec_spearman_corrected,avg_rec_spearman_literal,n_contacts,n_contents"
-)
 METRICS_COMMENTS = (
     "# pliersim metrics v1",
     "# avg_graph_jaccard: mean over all agents; an empty local graph scores 0 "
@@ -41,14 +47,9 @@ CORRELATION_COMMENT = (
     "# y: delta of avg_graph_jaccard between consecutive metric rows; "
     "x1: n_contents; x2: n_contacts"
 )
+CORRELATION_HEADER = "r_squared,r_yx1,r_yx2,beta1,beta2,n,flags"
 LINKPRED_HEADER = "algorithm,k,precision,recall,removed_fraction"
-
-
-class TraceParseError(ValueError):
-    def __init__(self, message: str, path: str | Path, line: int):
-        self.path = str(path)
-        self.line = line
-        super().__init__(f"{path}:{line}: {message}")
+RANKING_HEADER = "rank,item,score"
 
 
 class ConfigError(ValueError):
@@ -64,31 +65,36 @@ def fmt(value: float) -> str:
     return format(value, ".9g")
 
 
+def csv_row(values: Iterable[object]) -> str:
+    """One CSV row: floats by :func:`fmt`, everything else by ``str``."""
+    return ",".join(fmt(v) if isinstance(v, float) else str(v) for v in values)
+
+
+def _text(lines: Iterable[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
 # ----------------------------------------------------------------------
 # trace files
 # ----------------------------------------------------------------------
 
-def _data_lines(path: str | Path, header: str):
-    """Numbered lines, neither blank nor ``#`` comments, less a header as the first of them."""
-    seen = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            seen += 1
-            if seen == 1 and line.strip() == header:
-                continue
-            yield lineno, line
+def _data_lines(path: str | Path, header: str) -> Iterator[tuple[int, str]]:
+    """The lines of :func:`read_lines`, less a header as the first of them."""
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None or first[1].strip() == header:
+        return lines
+    return itertools.chain([first], lines)
 
 
 def _check_key(value: str, what: str, path: str | Path, lineno: int) -> str:
+    """``value`` stripped and interned, so that every event naming a key shares it."""
     value = value.strip()
     if not value:
-        raise TraceParseError(f"empty {what}", path, lineno)
+        raise ParseError(f"empty {what}", path, lineno)
     if "," in value or ";" in value or "\t" in value:
-        raise TraceParseError(f"{what} {value!r} contains a separator", path, lineno)
-    return value
+        raise ParseError(f"{what} {value!r} contains a separator", path, lineno)
+    return sys.intern(value)
 
 
 def parse_contacts(path: str | Path) -> list[ContactEvent]:
@@ -96,17 +102,17 @@ def parse_contacts(path: str | Path) -> list[ContactEvent]:
     for lineno, line in _data_lines(path, CONTACT_HEADER):
         fields = line.split(",")
         if len(fields) != 3:
-            raise TraceParseError("expected time_s,agent_a,agent_b", path, lineno)
+            raise ParseError("expected time_s,agent_a,agent_b", path, lineno)
         try:
             time = int(fields[0])
         except ValueError:
-            raise TraceParseError(f"bad time {fields[0]!r}", path, lineno) from None
+            raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
         a = _check_key(fields[1], "agent", path, lineno)
         b = _check_key(fields[2], "agent", path, lineno)
         try:
             events.append(ContactEvent(time, a, b))
         except ValueError as exc:
-            raise TraceParseError(str(exc), path, lineno) from None
+            raise ParseError(str(exc), path, lineno) from None
     return events
 
 
@@ -115,20 +121,20 @@ def parse_contents(path: str | Path) -> list[ContentEvent]:
     for lineno, line in _data_lines(path, CONTENT_HEADER):
         fields = line.split(",")
         if len(fields) != 4:
-            raise TraceParseError("expected time_s,agent,item_key,tags", path, lineno)
+            raise ParseError("expected time_s,agent,item_key,tags", path, lineno)
         try:
             time = int(fields[0])
         except ValueError:
-            raise TraceParseError(f"bad time {fields[0]!r}", path, lineno) from None
+            raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
         agent = _check_key(fields[1], "agent", path, lineno)
         item = _check_key(fields[2], "item key", path, lineno)
         tags = tuple(t.strip() for t in fields[3].split(";"))
         if not all(tags):
-            raise TraceParseError("empty tag in tag list", path, lineno)
+            raise ParseError("empty tag in tag list", path, lineno)
         try:
             events.append(ContentEvent(time, agent, item, tags))
         except ValueError as exc:
-            raise TraceParseError(str(exc), path, lineno) from None
+            raise ParseError(str(exc), path, lineno) from None
     return events
 
 
@@ -174,23 +180,19 @@ def parse_config_file(path: str | Path) -> SimConfig:
     """
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} is given twice (first on line {lines[key]})", key
-                )
-            raw[key] = value
-            lines[key] = lineno
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} is given twice (first on line {lines[key]})", key
+            )
+        raw[key] = value
+        lines[key] = lineno
     try:
         return build_config(raw)
     except ConfigError as exc:
@@ -211,7 +213,7 @@ def _with_fields(obj: T, raw: dict[str, str]) -> T:
                 raise ConfigError(f"{key} must be {_EXPECTED[parse]}, got {text!r}", key) from None
             raise ConfigError(str(exc), key) from None
         try:
-            obj = replace(obj, **{field_name: value})
+            obj = dataclasses.replace(obj, **{field_name: value})
         except ValueError as exc:
             raise ConfigError(str(exc), key) from None
     return obj
@@ -230,7 +232,8 @@ def build_config(raw: dict[str, str]) -> SimConfig:
                     f"{key} is read only by download_policy = {' or '.join(kinds)}", key
                 )
     if config.download_policy is not None:
-        config = replace(config, download_policy=_with_fields(config.download_policy, raw))
+        policy = _with_fields(config.download_policy, raw)
+        config = dataclasses.replace(config, download_policy=policy)
     return config
 
 
@@ -239,24 +242,10 @@ def build_config(raw: dict[str, str]) -> SimConfig:
 # ----------------------------------------------------------------------
 
 def metrics_csv_text(metrics: Sequence[StepMetrics]) -> str:
-    lines = list(METRICS_COMMENTS)
-    lines.append(METRICS_HEADER)
-    for m in metrics:
-        lines.append(
-            ",".join(
-                (
-                    str(m.step),
-                    str(m.sim_time_s),
-                    fmt(m.avg_graph_jaccard),
-                    fmt(m.avg_rec_jaccard),
-                    fmt(m.avg_rec_spearman_corrected),
-                    fmt(m.avg_rec_spearman_literal),
-                    str(m.n_contacts),
-                    str(m.n_contents),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """The comments, a header of the StepMetrics fields, and one row per step."""
+    names = [f.name for f in dataclasses.fields(StepMetrics)]
+    rows = (csv_row(getattr(m, name) for name in names) for m in metrics)
+    return _text([*METRICS_COMMENTS, ",".join(names), *rows])
 
 
 def correlation_for_run(metrics: Sequence[StepMetrics]) -> CorrelationReport | None:
@@ -271,12 +260,31 @@ def correlation_for_run(metrics: Sequence[StepMetrics]) -> CorrelationReport | N
 
 
 def correlation_csv_text(report: CorrelationReport | None) -> str:
-    lines = [CORRELATION_COMMENT, CorrelationReport.CSV_HEADER]
     if report is None:
-        lines.append(",,,,,0,insufficient_data")
+        row = ("",) * 5 + (0, "insufficient_data")
     else:
-        lines.append(report.csv_row())
-    return "\n".join(lines) + "\n"
+        row = (
+            report.r_squared, report.r_yx1, report.r_yx2, report.beta1, report.beta2,
+            report.n, ";".join(report.zero_variance),
+        )
+    return _text([CORRELATION_COMMENT, CORRELATION_HEADER, csv_row(row)])
+
+
+def linkpred_csv_text(
+    reports: Iterable[tuple[str, int | None, EvalReport]], removed_fraction: float
+) -> str:
+    """One row per (algorithm, k or None, report) of a link-prediction run."""
+    rows = (
+        csv_row((name, "" if k is None else k, r.precision, r.recall, removed_fraction))
+        for name, k, r in reports
+    )
+    return _text([LINKPRED_HEADER, *rows])
+
+
+def ranking_csv_text(rec: RecommendationVector) -> str:
+    """The 1-based rank, item and score of each item of ``rec``."""
+    rows = (csv_row((p, item, score)) for p, (item, score) in enumerate(rec.ranked, start=1))
+    return _text([RANKING_HEADER, *rows])
 
 
 # ----------------------------------------------------------------------
@@ -291,26 +299,33 @@ def file_digest(path: str | Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def now_utc() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
 def write_manifest(
     path: str | Path,
     command: str,
     config: dict,
-    inputs: dict[str, str],
+    inputs: Iterable[str | Path],
     seed: int | None,
     started_utc: str,
-    finished_utc: str,
-    outputs: dict[str, str] | None = None,
+    outputs: Mapping[str, str | Path],
 ) -> None:
+    """Write a run's manifest, finished now: the digest of each input path and output.
+
+    ``outputs`` maps the name a manifest lists an output under to its path.
+    """
     manifest = {
         "tool": "pliersim",
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": inputs,
+        "inputs": {str(p): file_digest(p) for p in inputs},
         "seed": seed,
         "started_utc": started_utc,
-        "finished_utc": finished_utc,
-        "outputs": outputs or {},
+        "finished_utc": now_utc(),
+        "outputs": {name: file_digest(p) for name, p in outputs.items()},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -13,20 +13,20 @@ interpreter.
 
 :func:`evaluate_on_pruned` is the reference for
 ``pliersim.evaluation.evaluate_on_pruned``: it keeps every user's ranked
-list (from this module's :func:`rank`) and grades them all with the public
-``precision`` and ``recall``. The production version must return an equal
-``EvalReport``.
+list (from this module's :func:`rank`) and grades them all with
+:func:`precision` and :func:`recall`, the definitions of the two measures.
+The production version must return an equal ``EvalReport``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from pliersim.evaluation import EvalReport, LinkRemovalSet, Scorer, precision, recall
+from pliersim.evaluation import EvalReport, LinkRemovalSet, Scorer
 from pliersim.graph import FolksonomyGraph
 from pliersim.recommend import RecommendationVector, ScoreVector
 
@@ -295,6 +295,48 @@ def rank(
     if top_n is not None:
         ranked = ranked[:top_n]
     return RecommendationVector(scores.target, ranked)
+
+
+def precision(
+    recommendations: Mapping[str, Sequence[str]],
+    removals: Mapping[str, Iterable[str]],
+) -> float:
+    """Mean reciprocal-rank style precision of recovered links.
+
+    Per user: average of 1/position over her removed items, with 0 for items
+    missing from the list; then the mean over users.
+    """
+    if not removals:
+        return 0.0
+    total = 0.0
+    for user in sorted(removals):
+        removed = list(removals[user])
+        if not removed:
+            raise ValueError(f"user {user!r} listed with no removed links")
+        if user not in recommendations:
+            raise ValueError(f"user {user!r} has removals but no recommendation list")
+        pos = {item: p for p, item in enumerate(recommendations[user], start=1)}
+        total += _left_sum(1.0 / pos[t] for t in removed if t in pos) / len(removed)
+    return total / len(removals)
+
+
+def recall(
+    recommendations: Mapping[str, Sequence[str]],
+    removals: Mapping[str, Iterable[str]],
+) -> float:
+    """Mean fraction of removed links present anywhere in the list."""
+    if not removals:
+        return 0.0
+    total = 0.0
+    for user in sorted(removals):
+        removed = set(removals[user])
+        if not removed:
+            raise ValueError(f"user {user!r} listed with no removed links")
+        if user not in recommendations:
+            raise ValueError(f"user {user!r} has removals but no recommendation list")
+        total += len(set(recommendations[user]) & removed) / len(removed)
+    return total / len(removals)
+
 
 
 def evaluate_on_pruned(

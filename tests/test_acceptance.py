@@ -15,9 +15,7 @@ from pliersim import cli
 from pliersim.evaluation import (
     evaluate_on_pruned,
     jaccard,
-    precision,
     prune_for_link_prediction,
-    recall,
     spearman_similarity,
 )
 from pliersim.graph import save_graph_tsv
@@ -45,6 +43,7 @@ from pliersim.traces import write_contacts, write_contents
 
 from conftest import build_random_graph, random_target
 from oracles import heats_oracle, pliers_oracle, probs_oracle, similarity_oracle
+from reference_scorers import precision, recall
 
 # the two PLIERS indices are kernels, with no single-target function of their own
 affinity_scores = Scorer(_affinity)

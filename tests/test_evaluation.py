@@ -12,9 +12,7 @@ from pliersim.evaluation import (
     correlation_analysis,
     evaluate_on_pruned,
     jaccard,
-    precision,
     prune_for_link_prediction,
-    recall,
     spearman_similarity,
 )
 from pliersim.graph import FolksonomyGraph, GraphIndex
@@ -23,6 +21,7 @@ from pliersim.synth import generate_folksonomy
 
 from conftest import build_random_graph
 from oracles import tripartite_oracle_exact
+from reference_scorers import precision, recall
 
 
 class TestPrecisionRecall:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from pliersim.graph import (
     FolksonomyGraph,
-    GraphFormatError,
     GraphIndex,
+    ParseError,
     load_graph_tsv,
     save_graph_tsv,
 )
@@ -449,13 +449,13 @@ class TestSnapshotFile:
     def test_dangling_item_without_tags_rejected(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_text("UI\tu1\ti1\t5\n")
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(ParseError):
             load_graph_tsv(path)
 
     def test_dangling_item_without_user_rejected(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_text("UI\tu1\ti1\t5\nIT\ti1\tt1\t5\nIT\ti2\tt1\t6\n")
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(ParseError):
             load_graph_tsv(path)
 
     @pytest.mark.parametrize(
@@ -465,5 +465,5 @@ class TestSnapshotFile:
     def test_malformed_records_rejected(self, tmp_path, line):
         path = tmp_path / "graph.tsv"
         path.write_text(line + "\n")
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(ParseError):
             load_graph_tsv(path)

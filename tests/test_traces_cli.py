@@ -9,12 +9,11 @@ import pytest
 
 import pliersim
 from pliersim import cli
-from pliersim.graph import save_graph_tsv
+from pliersim.graph import ParseError, load_graph_tsv, save_graph_tsv
 from pliersim.simulator import ContactEvent, ContentEvent
 from pliersim.synth import generate_synthetic_contents
 from pliersim.traces import (
     ConfigError,
-    TraceParseError,
     correlation_csv_text,
     correlation_for_run,
     fmt,
@@ -88,7 +87,7 @@ class TestTraceFiles:
     def test_contact_errors_cite_line(self, tmp_path, text, lineno):
         path = tmp_path / "contacts.csv"
         path.write_text(text)
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(ParseError) as err:
             parse_contacts(path)
         assert err.value.line == lineno
 
@@ -103,7 +102,7 @@ class TestTraceFiles:
     def test_separator_in_key_cites_line(self, tmp_path, parse, text, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(ParseError) as err:
             parse(path)
         assert str(err.value) == f"{path}:1: {message}"
 
@@ -114,7 +113,7 @@ class TestTraceFiles:
     def test_content_errors(self, tmp_path, text):
         path = tmp_path / "contents.csv"
         path.write_text(text)
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ParseError):
             parse_contents(path)
 
 
@@ -312,6 +311,62 @@ class TestCliSimulate:
         )
         assert code == 3
         assert capsys.readouterr().err == f"error: {cfg}:2: history span must be >= 0\n"
+
+
+class TestInputEncoding:
+    """Every input file is UTF-8, with or without a BOM, with LF or CRLF line ends."""
+
+    TEXTS = {
+        "contacts": "time_s,agent_a,agent_b\n60,a1,a3\n# seen on site\n240,a2,a3\n",
+        "contents": "time_s,agent,item_key,tags\n0,a1,i1,x;café\n120,a2,i2,y\n",
+        "config": "# run\nmetric_cadence = 2\ntop_n = 3\n",
+        "graph": "# snapshot\nUI\tu1\ti1\t5\nIT\ti1\tcafé\t5\n",
+    }
+    READERS = {
+        "contacts": parse_contacts,
+        "contents": parse_contents,
+        "config": parse_config_file,
+        "graph": load_graph_tsv,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    def test_bom_and_crlf_read_as_plain(self, tmp_path, kind):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(self.TEXTS[kind].encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + self.TEXTS[kind].replace("\n", "\r\n").encode())
+        read = self.READERS[kind]
+        assert read(marked) == read(plain)
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    @pytest.mark.parametrize("lineno", [1, 2, 3])
+    def test_non_utf8_byte_exits_2_citing_its_line(
+        self, tmp_path, sim_fixture, capsys, kind, lineno
+    ):
+        # a Latin-1 e-acute on line ``lineno`` and on a comment after it
+        lines = self.TEXTS[kind].encode().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(b"\n", b"\xe9\n")
+        lines.append(b"# caf\xe9\n")
+        path = tmp_path / f"input.{kind}"
+        path.write_bytes(b"".join(lines))
+        contacts, contents = map(str, sim_fixture)
+        simulate = ["simulate", "--outdir", str(tmp_path / "out")]
+        argv = {
+            "contacts": [*simulate, str(path), contents],
+            "contents": [*simulate, contacts, str(path)],
+            "config": [*simulate, contacts, contents, "--config", str(path)],
+            "graph": ["recommend", str(path), "u1"],
+        }[kind]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: byte 0xe9 is not UTF-8\n"
+
+    def test_parsed_keys_are_shared(self, tmp_path):
+        contacts, contents = tmp_path / "contacts.csv", tmp_path / "contents.csv"
+        contacts.write_text("10,agent1,agent2\n20,agent2,agent1\n")
+        contents.write_text("0,agent1,item1,t1\n5,agent1,item1,t2\n")
+        first, second = parse_contacts(contacts)
+        assert first.a is second.b and first.b is second.a
+        first, second = parse_contents(contents)
+        assert first.creator is second.creator and first.item is second.item
 
 
 class TestCliRecommend:
