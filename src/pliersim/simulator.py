@@ -68,41 +68,6 @@ class ContentEvent:
             raise ValueError("content time must be >= 0")
 
 
-@dataclass(frozen=True)
-class DownloadPolicySpec:
-    """Which automatic download rule agents apply to newly discovered items.
-
-    ``mean_threshold`` downloads scores strictly above the mean of the score
-    history, ``percentile_threshold`` above the given percentile of it, and
-    ``bounded_buffer`` keeps the ``capacity`` best-scored items seen so far.
-    ``history_span_s`` limits the threshold history to a sliding span of
-    simulation seconds.
-    """
-
-    kind: str
-    percentile: float = 50.0
-    capacity: int = 16
-    history_span_s: int | None = None
-
-    KINDS = ("mean_threshold", "percentile_threshold", "bounded_buffer")
-    # field -> the kinds that read it
-    READERS = {
-        "percentile": ("percentile_threshold",),
-        "capacity": ("bounded_buffer",),
-        "history_span_s": ("mean_threshold", "percentile_threshold"),
-    }
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown download policy {self.kind!r}")
-        if self.kind == "bounded_buffer" and self.capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
-        if not 0.0 <= self.percentile <= 100.0:
-            raise ValueError("percentile must lie in [0, 100]")
-        if self.history_span_s is not None and self.history_span_s < 0:
-            raise ValueError("history span must be >= 0")
-
-
 @dataclass
 class DownloadPolicyState:
     """Per-agent mutable policy state.
@@ -111,7 +76,7 @@ class DownloadPolicyState:
     ``bounded_buffer`` keeps only its item buffer.
     """
 
-    spec: DownloadPolicySpec
+    config: SimConfig
     history: deque = field(default_factory=deque)  # (time, score) pairs
     buffer: dict[str, float] = field(default_factory=dict)
     observed: int = 0
@@ -130,9 +95,9 @@ def apply_download_policy(
     """
     if score < 0.0:
         raise ValueError("score must be >= 0")
-    spec = state.spec
-    if spec.kind == "bounded_buffer":
-        if len(state.buffer) < spec.capacity:
+    config = state.config
+    if config.download_policy == "bounded_buffer":
+        if len(state.buffer) < config.download_buffer_capacity:
             state.buffer[item] = score
             decision = True
         else:
@@ -146,16 +111,16 @@ def apply_download_policy(
             else:
                 decision = False
     else:
-        if spec.history_span_s is not None:
-            while state.history and now - state.history[0][0] > spec.history_span_s:
+        if config.download_history_s is not None:
+            while state.history and now - state.history[0][0] > config.download_history_s:
                 state.history.popleft()
         values = [s for _, s in state.history]
         if not values:
             decision = True
-        elif spec.kind == "mean_threshold":
+        elif config.download_policy == "mean_threshold":
             decision = score > sum_in_order(values) / len(values)
         else:
-            decision = score > float(np.percentile(values, spec.percentile))
+            decision = score > float(np.percentile(values, config.download_percentile))
         state.history.append((now, score))
 
     state.observed += 1
@@ -163,14 +128,37 @@ def apply_download_policy(
     return decision
 
 
+# download_policy kind -> the SimConfig fields it reads
+POLICY_FIELDS = {
+    "mean_threshold": ("download_history_s",),
+    "percentile_threshold": ("download_percentile", "download_history_s"),
+    "bounded_buffer": ("download_buffer_capacity",),
+}
+
+
 @dataclass
 class SimConfig:
+    """The settings of one replay.
+
+    ``download_policy`` names the automatic download rule that agents apply
+    to newly discovered items, or None for none: ``mean_threshold``
+    downloads scores strictly above the mean of the score history,
+    ``percentile_threshold`` above its ``download_percentile``, and
+    ``bounded_buffer`` keeps the ``download_buffer_capacity`` best-scored
+    items seen so far. ``download_history_s`` limits the threshold history
+    to a sliding span of simulation seconds. :data:`POLICY_FIELDS` names the
+    fields that each kind reads.
+    """
+
     step_length: int = 60
     affinity_weight: float = 0.5
     expiry_window: int | None = None
     metric_cadence: int = 1
     top_n: int | None = None
-    download_policy: DownloadPolicySpec | None = None
+    download_policy: str | None = None
+    download_percentile: float = 50.0
+    download_buffer_capacity: int = 16
+    download_history_s: int | None = None
 
     def __post_init__(self):
         if self.step_length <= 0:
@@ -183,6 +171,14 @@ class SimConfig:
             raise ValueError("affinity_weight must lie in [0, 1]")
         if self.top_n is not None and self.top_n < 0:
             raise ValueError("top_n must be >= 0")
+        if self.download_policy is not None and self.download_policy not in POLICY_FIELDS:
+            raise ValueError(f"unknown download policy {self.download_policy!r}")
+        if self.download_policy == "bounded_buffer" and self.download_buffer_capacity < 1:
+            raise ValueError("buffer capacity must be >= 1")
+        if not 0.0 <= self.download_percentile <= 100.0:
+            raise ValueError("percentile must lie in [0, 100]")
+        if self.download_history_s is not None and self.download_history_s < 0:
+            raise ValueError("history span must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -360,7 +356,7 @@ class Simulation:
             self._knowledge[agent] = 0
             self._items[agent] = set()
             if self.config.download_policy is not None:
-                self.policies[agent] = DownloadPolicyState(self.config.download_policy)
+                self.policies[agent] = DownloadPolicyState(self.config)
 
     @property
     def lkgs(self) -> Mapping[str, FolksonomyGraph]:
@@ -572,12 +568,14 @@ def generate_synthetic_contacts(
     picks a partner inside its community with probability ``1 - rewiring_p``
     and outside it otherwise. An agent whose candidate pool for the drawn
     side is empty (singleton community, or a single community and an outside
-    draw) simply skips that minute.
+    draw) simply skips that minute. A duration under a minute draws nothing.
     """
     if n_communities < 1 or n_communities > n_agents:
         raise ValueError("need 1 <= n_communities <= n_agents")
     if not 0.0 <= rewiring_p <= 1.0:
         raise ValueError("rewiring_p must lie in [0, 1]")
+    if duration < 0:
+        raise ValueError("duration must be >= 0")
     rng = random.Random(rng_seed)
     agents = [agent_name(i) for i in range(n_agents)]
     community = {a: i % n_communities for i, a in enumerate(agents)}

@@ -18,21 +18,13 @@ import dataclasses
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .evaluation import CorrelationReport, EvalReport, correlation_analysis
 from .graph import ParseError, read_lines
 from .recommend import RecommendationVector
-from .simulator import (
-    ContactEvent,
-    ContentEvent,
-    DownloadPolicySpec,
-    SimConfig,
-    StepMetrics,
-)
-
-T = TypeVar("T")
+from .simulator import POLICY_FIELDS, ContactEvent, ContentEvent, SimConfig, StepMetrics
 
 CONTACT_HEADER = "time_s,agent_a,agent_b"
 CONTENT_HEADER = "time_s,agent,item_key,tags"
@@ -142,32 +134,32 @@ def write_contacts(path: str | Path, events: Iterable[ContactEvent]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CONTACT_HEADER + "\n")
         for ev in events:
-            fh.write(f"{ev.time},{ev.a},{ev.b}\n")
+            fh.write(csv_row((ev.time, ev.a, ev.b)) + "\n")
 
 
 def write_contents(path: str | Path, events: Iterable[ContentEvent]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CONTENT_HEADER + "\n")
         for ev in events:
-            fh.write(f"{ev.time},{ev.creator},{ev.item},{';'.join(ev.tags)}\n")
+            fh.write(csv_row((ev.time, ev.creator, ev.item, ";".join(ev.tags))) + "\n")
 
 
 # ----------------------------------------------------------------------
 # config file
 # ----------------------------------------------------------------------
 
-# config key -> (dataclass, field, parser); an absent key or "none" keeps the
-# dataclass default; a DownloadPolicySpec key needs a policy kind that reads it
-_CONFIG_FIELDS: dict[str, tuple[type, str, Callable[[str], object]]] = {
-    "step_length_s": (SimConfig, "step_length", int),
-    "lambda": (SimConfig, "affinity_weight", float),
-    "expiry_window_s": (SimConfig, "expiry_window", int),
-    "metric_cadence": (SimConfig, "metric_cadence", int),
-    "top_n": (SimConfig, "top_n", int),
-    "download_policy": (SimConfig, "download_policy", DownloadPolicySpec),
-    "download_percentile": (DownloadPolicySpec, "percentile", float),
-    "download_buffer_capacity": (DownloadPolicySpec, "capacity", int),
-    "download_history_s": (DownloadPolicySpec, "history_span_s", int),
+# config key -> (SimConfig field, parser); an absent key or "none" keeps the
+# default, and a key of a policy field needs a download_policy that reads it
+_CONFIG_FIELDS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "step_length_s": ("step_length", int),
+    "lambda": ("affinity_weight", float),
+    "expiry_window_s": ("expiry_window", int),
+    "metric_cadence": ("metric_cadence", int),
+    "top_n": ("top_n", int),
+    "download_policy": ("download_policy", str),
+    "download_percentile": ("download_percentile", float),
+    "download_buffer_capacity": ("download_buffer_capacity", int),
+    "download_history_s": ("download_history_s", int),
 }
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -187,6 +179,8 @@ def parse_config_file(path: str | Path) -> SimConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: {key} has no value", key)
         if key in lines:
             raise ConfigError(
                 f"{path}:{lineno}: {key} is given twice (first on line {lines[key]})", key
@@ -200,40 +194,34 @@ def parse_config_file(path: str | Path) -> SimConfig:
         raise ConfigError(f"{where}: {exc}", exc.key) from None
 
 
-def _with_fields(obj: T, raw: dict[str, str]) -> T:
-    """``obj`` with each field of its class that ``raw`` sets; errors blame the key."""
-    for key, (cls, field_name, parse) in _CONFIG_FIELDS.items():
-        text = raw.get(key, "")
-        if type(obj) is not cls or text in ("", "none"):
-            continue
-        try:
-            value = parse(text)
-        except ValueError as exc:
-            if parse in _EXPECTED:
-                raise ConfigError(f"{key} must be {_EXPECTED[parse]}, got {text!r}", key) from None
-            raise ConfigError(str(exc), key) from None
-        try:
-            obj = dataclasses.replace(obj, **{field_name: value})
-        except ValueError as exc:
-            raise ConfigError(str(exc), key) from None
-    return obj
-
-
 def build_config(raw: dict[str, str]) -> SimConfig:
-    # each check of SimConfig and DownloadPolicySpec is on one field, and the
-    # defaults pass them all, so setting one field at a time finds the key at fault
-    config = _with_fields(SimConfig(), raw)
-    kind = config.download_policy and config.download_policy.kind
-    for key, (cls, field_name, _) in _CONFIG_FIELDS.items():
-        if cls is DownloadPolicySpec and key in raw:
-            kinds = DownloadPolicySpec.READERS[field_name]
-            if kind not in kinds:
-                raise ConfigError(
-                    f"{key} is read only by download_policy = {' or '.join(kinds)}", key
-                )
-    if config.download_policy is not None:
-        policy = _with_fields(config.download_policy, raw)
-        config = dataclasses.replace(config, download_policy=policy)
+    """A SimConfig with the field of each key that ``raw`` sets; errors blame the key.
+
+    Fields are set one at a time in table order. The defaults pass every
+    check, and a check on two fields reads the kind, which is set first, so
+    the check that fails is on the key being set. The policy keys are
+    checked against the kind as soon as it is set.
+    """
+    config = SimConfig()
+    for key, (name, parse) in _CONFIG_FIELDS.items():
+        text = raw.get(key, "none")
+        if text != "none":
+            try:
+                value = parse(text)
+            except ValueError:
+                raise ConfigError(f"{key} must be {_EXPECTED[parse]}, got {text!r}", key) from None
+            try:
+                config = dataclasses.replace(config, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(str(exc), key) from None
+        if name == "download_policy":
+            for policy_key, (policy_name, _) in _CONFIG_FIELDS.items():
+                kinds = [kind for kind, read in POLICY_FIELDS.items() if policy_name in read]
+                if policy_key in raw and kinds and config.download_policy not in kinds:
+                    raise ConfigError(
+                        f"{policy_key} is read only by download_policy = {' or '.join(kinds)}",
+                        policy_key,
+                    )
     return config
 
 

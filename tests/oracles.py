@@ -279,7 +279,7 @@ def merge_replay(config, contacts, contents, windows, agents=()):
     lkgs = {agent: FolksonomyGraph() for agent in dict.fromkeys(roster)}
     policies = {}
     if config.download_policy is not None:
-        policies = {a: DownloadPolicyState(config.download_policy) for a in lkgs}
+        policies = {a: DownloadPolicyState(config) for a in lkgs}
     gkg = FolksonomyGraph()
     length = config.step_length
     last_step = max((ev.time // length for ev in [*contents, *contacts]), default=-1)

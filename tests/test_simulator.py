@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,7 +14,6 @@ from pliersim.recommend import Scorer
 from pliersim.simulator import (
     ContactEvent,
     ContentEvent,
-    DownloadPolicySpec,
     DownloadPolicyState,
     SimConfig,
     Simulation,
@@ -116,7 +116,7 @@ class TestEncounter:
             indexes.append((graph is sim.gkg, states[0]))
             real_index(index, graph)
 
-        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        config = SimConfig(download_policy="mean_threshold")
         contacts, contents = TestExpiryRuns._fixture()
         sim = Simulation(config)
         monkeypatch.setattr(FolksonomyGraph, "__init__", counted_init)
@@ -190,7 +190,7 @@ class TestEncounter:
         # distinct post-contact view; policies decide after the step's contacts
         built = self._stacked_builds(monkeypatch)
         monkeypatch.setattr(simulator, "compute_step_metrics", lambda *args, **kwargs: None)
-        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        config = SimConfig(download_policy="mean_threshold")
         contents = [ContentEvent(0, agent, f"i_{agent}", ("t1",)) for agent in ("a", "b", "c")]
         # both sides learn, both learn, only a learns: two distinct views
         contacts = [ContactEvent(60 + n, a, b) for n, (a, b) in enumerate(("ab", "bc", "ac"))]
@@ -206,7 +206,7 @@ class TestEncounter:
         # one index: only the edge cap bounds a batch. The last index built
         # is the metric evaluation's
         built = self._stacked_builds(monkeypatch)
-        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        config = SimConfig(download_policy="mean_threshold")
         contents, contacts = self._six_views()
         sim = Simulation(config)
         rows = sim.run_windows(contacts, contents, [None])
@@ -222,7 +222,7 @@ class TestEncounter:
         monkeypatch.setattr(simulator, "_STACKED_EDGES", cap)
         built = self._stacked_builds(monkeypatch)
         monkeypatch.setattr(simulator, "compute_step_metrics", lambda *args, **kwargs: None)
-        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        config = SimConfig(download_policy="mean_threshold")
         contents, contacts = self._six_views()
         sim = Simulation(config)
         sim.run_windows(contacts, contents, [None])
@@ -278,7 +278,7 @@ class TestEncounter:
     def test_population_order(self):
         # the roster, then creators in content order, then contact agents
         # as first seen
-        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        config = SimConfig(download_policy="mean_threshold")
         sim = Simulation(config, ["r", "c2"])
         contents = [
             ContentEvent(0, "c2", "i1", ("t1",)),
@@ -571,11 +571,11 @@ class TestExpiryRuns:
 class TestDownloadPolicies:
     def test_cold_start_downloads(self):
         for kind in ("mean_threshold", "percentile_threshold"):
-            state = DownloadPolicyState(DownloadPolicySpec(kind))
+            state = DownloadPolicyState(SimConfig(download_policy=kind))
             assert apply_download_policy(state, "i1", 0.0, now=0) is True
 
     def test_mean_threshold_is_strict(self):
-        state = DownloadPolicyState(DownloadPolicySpec("mean_threshold"))
+        state = DownloadPolicyState(SimConfig(download_policy="mean_threshold"))
         for n, score in enumerate((1.0, 2.0, 3.0)):
             apply_download_policy(state, f"h{n}", score, now=0)
         assert apply_download_policy(state, "i1", 2.0, now=0) is False
@@ -584,14 +584,14 @@ class TestDownloadPolicies:
     def test_mean_threshold_adds_left_to_right(self):
         # added in order the mean is 0.3333333333333333; a compensated sum,
         # such as builtin sum from Python 3.12 on, gives 0.3333333333333334
-        state = DownloadPolicyState(DownloadPolicySpec("mean_threshold"))
+        state = DownloadPolicyState(SimConfig(download_policy="mean_threshold"))
         for n, score in enumerate((1.0, 1e-16, 1e-16)):
             apply_download_policy(state, f"h{n}", score, now=0)
         assert apply_download_policy(state, "i1", math.nextafter(1 / 3, 1), now=0) is True
 
     def test_percentile_threshold(self):
         state = DownloadPolicyState(
-            DownloadPolicySpec("percentile_threshold", percentile=90.0)
+            SimConfig(download_policy="percentile_threshold", download_percentile=90.0)
         )
         for n in range(10):
             apply_download_policy(state, f"h{n}", float(n), now=0)
@@ -599,7 +599,7 @@ class TestDownloadPolicies:
         assert apply_download_policy(state, "high", 9.5, now=0) is True
 
     def test_bounded_buffer_replaces_minimum(self):
-        state = DownloadPolicyState(DownloadPolicySpec("bounded_buffer", capacity=2))
+        state = DownloadPolicyState(SimConfig(download_policy="bounded_buffer", download_buffer_capacity=2))
         assert apply_download_policy(state, "i1", 1.0, now=0) is True
         assert apply_download_policy(state, "i2", 2.0, now=0) is True
         assert apply_download_policy(state, "i3", 3.0, now=0) is True
@@ -610,22 +610,22 @@ class TestDownloadPolicies:
         assert not state.history and state.observed == 4
 
     def test_history_span_eviction(self):
-        spec = DownloadPolicySpec("mean_threshold", history_span_s=100)
-        state = DownloadPolicyState(spec)
+        config = SimConfig(download_policy="mean_threshold", download_history_s=100)
+        state = DownloadPolicyState(config)
         apply_download_policy(state, "i1", 10.0, now=0)
         # the old high score leaves the window, so 5 > mean({1}) succeeds
         apply_download_policy(state, "i2", 1.0, now=150)
         assert apply_download_policy(state, "i3", 5.0, now=200) is True
 
     def test_history_records_skips_too(self):
-        state = DownloadPolicyState(DownloadPolicySpec("mean_threshold"))
+        state = DownloadPolicyState(SimConfig(download_policy="mean_threshold"))
         apply_download_policy(state, "i1", 4.0, now=0)
         apply_download_policy(state, "i2", 1.0, now=0)  # skipped
         assert [s for _, s in state.history] == [4.0, 1.0]
         assert state.downloaded == 1 and state.observed == 2
 
     def test_policy_wired_into_simulation(self):
-        config = SimConfig(download_policy=DownloadPolicySpec("mean_threshold"))
+        config = SimConfig(download_policy="mean_threshold")
         contents = [ContentEvent(0, "a", "i1", ("t1",)), ContentEvent(0, "b", "i2", ("t1",))]
         contacts = [ContactEvent(60, "a", "b")]
         sim = Simulation(config)
@@ -636,18 +636,18 @@ class TestDownloadPolicies:
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
-            DownloadPolicySpec("shiny")
+            SimConfig(download_policy="shiny")
         with pytest.raises(ValueError):
-            DownloadPolicySpec("bounded_buffer", capacity=0)
+            SimConfig(download_policy="bounded_buffer", download_buffer_capacity=0)
         with pytest.raises(ValueError):
-            DownloadPolicySpec("percentile_threshold", percentile=120.0)
+            SimConfig(download_policy="percentile_threshold", download_percentile=120.0)
 
     def test_negative_history_span_rejected(self):
         # with a span of -10 every observation emptied the history, so this
         # policy downloaded all five items instead of the first one only
         with pytest.raises(ValueError, match="history span"):
-            DownloadPolicySpec("mean_threshold", history_span_s=-10)
-        state = DownloadPolicyState(DownloadPolicySpec("mean_threshold", history_span_s=0))
+            SimConfig(download_policy="mean_threshold", download_history_s=-10)
+        state = DownloadPolicyState(SimConfig(download_policy="mean_threshold", download_history_s=0))
         decisions = [apply_download_policy(state, f"i{n}", s, now=0)
                      for n, s in enumerate((5.0, 1.0, 0.5, 0.2, 0.1))]
         assert decisions == [True, False, False, False, False]
@@ -697,6 +697,11 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_policy_table_names_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        for kind, read in simulator.POLICY_FIELDS.items():
+            assert read and set(read) <= fields, kind
 
 
 def test_gossip_convergence_hundred_agents():
@@ -753,16 +758,13 @@ def replays(draw):
         ContactEvent(hop + 2, "b", "c"),
         ContactEvent(hop + 3, "c", "d"),
     ]
-    policy = DownloadPolicySpec(
-        draw(st.sampled_from(DownloadPolicySpec.KINDS)),
-        percentile=draw(st.floats(0.0, 100.0)),
-        capacity=draw(st.integers(1, 3)),
-        history_span_s=draw(st.none() | st.integers(30, 300)),
-    )
     config = SimConfig(
+        download_policy=draw(st.sampled_from(list(simulator.POLICY_FIELDS))),
+        download_percentile=draw(st.floats(0.0, 100.0)),
+        download_buffer_capacity=draw(st.integers(1, 3)),
+        download_history_s=draw(st.none() | st.integers(30, 300)),
         metric_cadence=draw(st.integers(1, 3)),
         top_n=draw(st.none() | st.integers(1, 3)),
-        download_policy=policy,
     )
     window = draw(st.integers(30, 400))
     return config, contacts, contents, [None, window]

@@ -136,8 +136,8 @@ class TestConfigFile:
         assert config.expiry_window == 3600
         assert config.metric_cadence == 5
         assert config.top_n == 10
-        assert config.download_policy.kind == "bounded_buffer"
-        assert config.download_policy.capacity == 4
+        assert config.download_policy == "bounded_buffer"
+        assert config.download_buffer_capacity == 4
 
     def test_defaults_from_empty_file(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -271,6 +271,9 @@ class TestCliSimulate:
                 "download_percentile is read only by download_policy = percentile_threshold",
             ),
             ("top_n = -1", "top_n must be >= 0"),
+            # an empty value used to keep the default silently; "none" does that
+            ("top_n =", "top_n has no value"),
+            ("download_policy =", "download_policy has no value"),
         ],
     )
     def test_config_value_error_cites_file_and_line(
@@ -311,6 +314,18 @@ class TestCliSimulate:
         )
         assert code == 3
         assert capsys.readouterr().err == f"error: {cfg}:2: history span must be >= 0\n"
+
+    def test_manifest_config_is_flat(self, tmp_path, sim_fixture):
+        contacts, contents = sim_fixture
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("download_policy = percentile_threshold\ndownload_percentile = 90\n")
+        out = tmp_path / "out"
+        assert cli.main(
+            ["simulate", str(contacts), str(contents), "--config", str(cfg), "--outdir", str(out)]
+        ) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["download_policy"] == "percentile_threshold"
+        assert config["download_percentile"] == 90.0
 
 
 class TestInputEncoding:
@@ -620,6 +635,14 @@ class TestCliGenTraces:
         args += ["--contacts-out", str(contacts_out), "--contents-out", str(tmp_path / "m.csv")]
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_duration_exits_3(self, tmp_path, capsys):
+        # without --contents-out this wrote a header-only trace and exited 0
+        args = ["gen-traces", "--agents", "4", "--communities", "2", "--duration-s=-60",
+                "--contacts-out", str(tmp_path / "c.csv")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: duration must be >= 0\n"
         assert not any(tmp_path.iterdir())
 
     def test_exponent_form_needs_the_joined_flag(self, tmp_path, capsys):
