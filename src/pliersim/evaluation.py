@@ -110,13 +110,13 @@ def evaluate_on_pruned(
     index = pruned.index()
     rows = np.array([index.user_pos.get(user, -1) for user in users], np.intp)
     for user, values in zip(users, scorer.rows(index, rows)):
-        keys = rank(ScoreVector(user, index.items, values), pruned, top_n).item_keys()
+        items = rank(ScoreVector(user, index.items, values), pruned, top_n).items
         try:
-            position = keys.index(removal.removals[user]) + 1
+            position = items.index(removal.removals[user]) + 1
         except ValueError:
-            per_user[user] = ((), len(keys), 1)
+            per_user[user] = ((), len(items), 1)
             continue
-        per_user[user] = ((position,), len(keys), 1)
+        per_user[user] = ((position,), len(items), 1)
         total_precision += 1.0 / position
         total_recall += 1.0
     n = len(removal.removals)

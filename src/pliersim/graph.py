@@ -210,11 +210,13 @@ class GraphIndex:
     ``user_items.degree`` is the user degree, ``item_users.degree`` the item
     popularity, ``item_tags.degree`` an item's tag count and
     ``tag_items.degree`` the tag degree. Edge ids are positions in
-    ``graph.user_item_edges`` and ``graph.item_tag_edges``.
+    ``graph.user_item_edges`` and ``graph.item_tag_edges``. ``item_array``
+    holds the keys of ``items`` as a numpy object array, so that an array
+    of item indices picks their keys in one step.
     """
 
     __slots__ = (
-        "users", "items", "tags", "user_pos", "item_pos", "tag_pos",
+        "users", "items", "tags", "user_pos", "item_pos", "tag_pos", "item_array",
         "user_items", "item_users", "item_tags", "tag_items",
     )
 
@@ -226,6 +228,7 @@ class GraphIndex:
         self.user_pos = {u: n for n, u in enumerate(self.users)}
         self.item_pos = {i: n for n, i in enumerate(self.items)}
         self.tag_pos = {t: n for n, t in enumerate(self.tags)}
+        self.item_array = np.array(self.items, dtype=object)
 
         u = np.fromiter((self.user_pos[a] for a, _ in ui), np.intp, len(ui))
         i = np.fromiter((self.item_pos[b] for _, b in ui), np.intp, len(ui))
@@ -242,18 +245,20 @@ class GraphIndex:
         View ``v``, the subgraph of ``ui[v]`` and ``it[v]``, is laid out as
         a disjoint copy: its node ``n`` of a kind is CSR row and column
         ``v * n_kind + n``, ``n_kind`` being this index's number of keys of
-        that kind. The keys are this index's, listed once, so ``user_pos``
-        finds a user's row in view 0, and a one-row ``ui`` and ``it`` give
-        the index of one subgraph. A node outside a view's subgraph has
-        degree 0 in that view: PLIERS scores the view's items with the
-        floats of the view's own index and every other item exactly 0. Heat
-        spreading (and so the hybrid) divides by every item's degree, 0 / 0
-        outside a view, and the other kernels count rows only up to the key
-        counts, so only PLIERS may run on a stacked index.
+        that kind. The keys are this index's, listed once (``item_array``
+        included), so ``user_pos`` finds a user's row in view 0, and a
+        one-row ``ui`` and ``it`` give the index of one subgraph. A node
+        outside a view's subgraph has degree 0 in that view: PLIERS scores
+        the view's items with the floats of the view's own index and every
+        other item exactly 0. Heat spreading (and so the hybrid) divides by
+        every item's degree, 0 / 0 outside a view, and the other kernels
+        count rows only up to the key counts, so only PLIERS may run on a
+        stacked index.
         """
         view = object.__new__(GraphIndex)
         view.users, view.items, view.tags = self.users, self.items, self.tags
         view.user_pos, view.item_pos, view.tag_pos = self.user_pos, self.item_pos, self.tag_pos
+        view.item_array = self.item_array
         n_users, n_items, n_tags = len(self.users), len(self.items), len(self.tags)
         view.user_items = self.user_items.stacked(ui, n_items)
         view.item_users = self.item_users.stacked(ui, n_users)

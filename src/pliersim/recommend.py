@@ -2,7 +2,10 @@
 
 Every scorer is a pure read of the graph and returns a score for *every*
 item in it (owned items included); :func:`rank` filters owned and
-zero-score items afterwards. A target with no items, or absent from the
+zero-score items afterwards and sorts the rest on the score array. It
+returns a :class:`RecommendationVector` of two parallel lists, the item keys
+and their scores, each built from the sorted positions in one step, with no
+(item, score) pair per item. A target with no items, or absent from the
 graph entirely, is a cold start and yields an all-zero vector; cold starts
 never reach the array kernels.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -59,15 +62,49 @@ class ScoreVector:
         return self.target == other.target and self.scores == other.scores
 
 
-@dataclass
 class RecommendationVector:
-    """Unowned, positively scored items, sorted by (score desc, item key asc)."""
+    """Unowned, positively scored items, sorted by (score desc, item key asc).
 
-    target: str
-    ranked: list[tuple[str, float]]
+    ``values[n]`` is the score of ``items[n]``, the item at rank ``n + 1``:
+    two parallel lists, so that a long list costs no object per item. Do not
+    mutate them. ``RecommendationVector(target, ranked)`` takes (item,
+    score) pairs in rank order, and :attr:`ranked` gives them back. Two
+    vectors are equal when their targets and both lists are.
+    """
+
+    __slots__ = ("target", "items", "values")
+
+    def __init__(self, target: str, ranked: Iterable[tuple[str, float]]):
+        pairs = list(ranked)
+        self.target = target
+        self.items: list[str] = [item for item, _ in pairs]
+        self.values: list[float] = [score for _, score in pairs]
+
+    @classmethod
+    def from_lists(
+        cls, target: str, items: list[str], values: list[float]
+    ) -> "RecommendationVector":
+        """The vector that ranks ``items`` in that order with scores ``values``; no copies."""
+        rec = cls.__new__(cls)
+        rec.target, rec.items, rec.values = target, items, values
+        return rec
+
+    @property
+    def ranked(self) -> list[tuple[str, float]]:
+        """A new list of the (item, score) pairs in rank order."""
+        return list(zip(self.items, self.values))
 
     def item_keys(self) -> list[str]:
-        return [item for item, _ in self.ranked]
+        """A copy of :attr:`items`."""
+        return list(self.items)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecommendationVector):
+            return NotImplemented
+        return (self.target, self.items, self.values) == (other.target, other.items, other.values)
+
+    def __repr__(self) -> str:
+        return f"RecommendationVector({self.target!r}, {self.ranked!r})"
 
 
 # The most scores (targets x items) one block of targets may take, on a
@@ -473,5 +510,8 @@ def rank(
     order = pos[(-values[pos]).argsort(kind="stable")]
     if top_n is not None:
         order = order[:top_n]
-    ranked = zip(map(scores.items.__getitem__, order.tolist()), values[order].tolist())
-    return RecommendationVector(scores.target, list(ranked))
+    # two C-level list builds and no (item, score) tuple: a graded run keeps
+    # thousands of lists, and a tuple per item sets off the cyclic collector
+    return RecommendationVector.from_lists(
+        scores.target, index.item_array[order].tolist(), values[order].tolist()
+    )

@@ -147,7 +147,8 @@ class SimConfig:
     ``bounded_buffer`` keeps the ``download_buffer_capacity`` best-scored
     items seen so far. ``download_history_s`` limits the threshold history
     to a sliding span of simulation seconds. :data:`POLICY_FIELDS` names the
-    fields that each kind reads.
+    fields that each kind reads. Every error message starts with the name
+    of the field it rejects.
     """
 
     step_length: int = 60
@@ -172,13 +173,16 @@ class SimConfig:
         if self.top_n is not None and self.top_n < 0:
             raise ValueError("top_n must be >= 0")
         if self.download_policy is not None and self.download_policy not in POLICY_FIELDS:
-            raise ValueError(f"unknown download policy {self.download_policy!r}")
+            raise ValueError(
+                f"download_policy must be one of {', '.join(POLICY_FIELDS)}, "
+                f"got {self.download_policy!r}"
+            )
         if self.download_policy == "bounded_buffer" and self.download_buffer_capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
+            raise ValueError("download_buffer_capacity must be >= 1")
         if not 0.0 <= self.download_percentile <= 100.0:
-            raise ValueError("percentile must lie in [0, 100]")
+            raise ValueError("download_percentile must lie in [0, 100]")
         if self.download_history_s is not None and self.download_history_s < 0:
-            raise ValueError("history span must be >= 0")
+            raise ValueError("download_history_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -273,8 +277,8 @@ def compute_step_metrics(
         rows = [row for a, v_row in local_row.items() for row in (v_row, index.user_pos[a])]
         scores = pliers.rows(stacked, np.array(rows, np.intp))
         for agent in local_row:
-            lk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).item_keys()
-            gk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).item_keys()
+            lk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).items
+            gk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).items
             if lk or gk:
                 rec_sims[agent] = (
                     jaccard(set(lk), set(gk)),

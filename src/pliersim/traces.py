@@ -199,8 +199,9 @@ def build_config(raw: dict[str, str]) -> SimConfig:
 
     Fields are set one at a time in table order. The defaults pass every
     check, and a check on two fields reads the kind, which is set first, so
-    the check that fails is on the key being set. The policy keys are
-    checked against the kind as soon as it is set.
+    the check that fails is on the key being set; its message starts with
+    that key, not the field. The policy keys are checked against the kind
+    as soon as it is set.
     """
     config = SimConfig()
     for key, (name, parse) in _CONFIG_FIELDS.items():
@@ -213,7 +214,8 @@ def build_config(raw: dict[str, str]) -> SimConfig:
             try:
                 config = dataclasses.replace(config, **{name: value})
             except ValueError as exc:
-                raise ConfigError(str(exc), key) from None
+                # SimConfig's message starts with the field; the user wrote the key
+                raise ConfigError(key + str(exc).removeprefix(name), key) from None
         if name == "download_policy":
             for policy_key, (policy_name, _) in _CONFIG_FIELDS.items():
                 kinds = [kind for kind, read in POLICY_FIELDS.items() if policy_name in read]
@@ -271,7 +273,7 @@ def linkpred_csv_text(
 
 def ranking_csv_text(rec: RecommendationVector) -> str:
     """The 1-based rank, item and score of each item of ``rec``."""
-    rows = (csv_row((p, item, score)) for p, (item, score) in enumerate(rec.ranked, start=1))
+    rows = map(csv_row, zip(itertools.count(1), rec.items, rec.values))
     return _text([RANKING_HEADER, *rows])
 
 

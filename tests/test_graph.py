@@ -2,6 +2,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,10 +338,14 @@ class TestDerived:
             (lambda: g.add_content("u1", "i3", ["t2"], 1), ["i1", "i3"]),
             (lambda: g.merge(other), ["i1", "i2", "i3"]),
         ):
+            keys, before = index.item_array, index.items
             mutate()
             assert g.index() is not index
             index = g.index()
             assert index.items == items and g.index() is index
+            # the new state's key array, not the old one's
+            assert index.item_array is not keys and index.item_array.tolist() == items
+            assert keys.tolist() == before
         assert builds == [g, g, g]
         copy = g.copy()
         assert copy.index() is not index and copy.index().items == index.items
@@ -348,6 +353,17 @@ class TestDerived:
         # a copy's index is its own: a mutation of the original leaves it be
         g.add_content("u9", "i9", ["t9"], 2)
         assert "i9" in g.items and "i9" not in copy.items
+
+    def test_stacked_views_share_the_keys(self):
+        g = FolksonomyGraph()
+        g.add_content("u1", "i2", ["t1"], 0)
+        g.add_content("u2", "i1", ["t1", "t2"], 1)
+        index = g.index()
+        ui = np.ones((2, len(g.user_item_edges)), dtype=bool)
+        it = np.zeros((2, len(g.item_tag_edges)), dtype=bool)
+        view = index.stacked(ui, it)
+        assert view.items is index.items and view.item_array is index.item_array
+        assert view.item_array.tolist() == ["i1", "i2"]
 
 
 def assert_views_match_edge_maps(g: FolksonomyGraph) -> None:
@@ -370,6 +386,7 @@ def assert_views_match_edge_maps(g: FolksonomyGraph) -> None:
     assert index.users == sorted(users) == list(g.users)
     assert index.items == sorted(items) == list(g.items)
     assert index.tags == sorted(tags) == list(g.tags)
+    assert index.item_array.dtype == object and index.item_array.tolist() == index.items
     for keys, pos in (
         (index.users, index.user_pos), (index.items, index.item_pos), (index.tags, index.tag_pos)
     ):

@@ -15,6 +15,7 @@ from pliersim.graph import FolksonomyGraph
 from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
     ALGORITHMS,
+    RecommendationVector,
     ScoreVector,
     Scorer,
     cf_user_based,
@@ -325,6 +326,19 @@ class TestRank:
         rec = rank(probs_scores(g, target), g)
         assert not set(rec.item_keys()) & g.items_of_user(target)
 
+    def test_lists_handed_out_are_copies(self):
+        g = eq1_hand_graph()
+        g.add_content("u2", "i3", ["t1"], 3)
+        rec = rank(probs_scores(g, "u_t"), g)
+        # u2 spreads the half unit it gets from i1 over its three items
+        assert rec.ranked == [("i2", 1 / 6), ("i3", 1 / 6)]
+        keys, pairs = rec.item_keys(), rec.ranked
+        keys.append("i9")
+        keys[0] = "i9"
+        pairs.clear()
+        assert rec.items == ["i2", "i3"] and rec.ranked == [("i2", 1 / 6), ("i3", 1 / 6)]
+        assert rec == RecommendationVector("u_t", [("i2", 1 / 6), ("i3", 1 / 6)])
+
 
 # keys whose string order differs from their numeric order; capitals sort first
 RANK_KEYS = sorted([f"i{n}" for n in range(24)] + ["i100", "B", "Z", "a", "b"])
@@ -335,6 +349,7 @@ class TestRankReference:
 
     @settings(max_examples=150, deadline=None)
     @given(
+        st.sets(st.sampled_from(RANK_KEYS), min_size=1),
         st.lists(
             st.sampled_from([0.0, 0.0, 0.25, 1 / 3, 0.5, 1.0, 2.0]),
             min_size=len(RANK_KEYS),
@@ -342,15 +357,26 @@ class TestRankReference:
         ),
         st.sets(st.sampled_from(RANK_KEYS)),
     )
-    def test_hand_built_vectors(self, values, owned):
+    def test_hand_built_vectors(self, picked, values, owned):
+        # with no owned item picked, the target is absent from the graph
+        keys = sorted(picked)
         g = FolksonomyGraph()
-        for item in RANK_KEYS:
+        for item in keys:
             g.add_content("u_t" if item in owned else "u2", item, ["t"], 1)
-        assert g.index().items == RANK_KEYS
+        assert g.index().items == keys
         # owned items carry the top scores, often tied with each other
-        values = [v + 4.0 if k in owned else v for k, v in zip(RANK_KEYS, values)]
-        vec = ScoreVector("u_t", RANK_KEYS, np.array(values))
+        values = [v + 4.0 if k in owned else v for k, v in zip(keys, values)]
+        vec = ScoreVector("u_t", keys, np.array(values))
         assert_same_ranks(vec, vec, g)
+        # the two lists are the reference's pairs unzipped, and a vector
+        # built from those pairs is the same vector
+        for n in RANK_TOP_N:
+            rec, pairs = rank(vec, g, n), reference_scorers.rank(vec, g, n).ranked
+            assert rec.items == [item for item, _ in pairs]
+            assert rec.values == [score for _, score in pairs]
+            again = RecommendationVector("u_t", pairs)
+            assert again == rec and again.ranked == pairs and again.item_keys() == rec.items
+            assert RecommendationVector("u2", pairs) != rec
 
     def test_vector_over_other_keys_rejected(self):
         g = eq1_hand_graph()

@@ -645,7 +645,7 @@ class TestDownloadPolicies:
     def test_negative_history_span_rejected(self):
         # with a span of -10 every observation emptied the history, so this
         # policy downloaded all five items instead of the first one only
-        with pytest.raises(ValueError, match="history span"):
+        with pytest.raises(ValueError, match="download_history_s must be >= 0"):
             SimConfig(download_policy="mean_threshold", download_history_s=-10)
         state = DownloadPolicyState(SimConfig(download_policy="mean_threshold", download_history_s=0))
         decisions = [apply_download_policy(state, f"i{n}", s, now=0)

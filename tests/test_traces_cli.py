@@ -250,7 +250,21 @@ class TestCliSimulate:
         "line,message",
         [
             ("expiry_window_s = x", "expiry_window_s must be an integer, got 'x'"),
-            ("lambda = 2", "affinity_weight must lie in [0, 1]"),
+            ("lambda = 2", "lambda must lie in [0, 1]"),
+            ("expiry_window_s = 0", "expiry_window_s must be positive when set"),
+            (
+                "download_policy = greedy",
+                "download_policy must be one of mean_threshold, percentile_threshold, "
+                "bounded_buffer, got 'greedy'",
+            ),
+            (
+                "download_percentile = 120\ndownload_policy = percentile_threshold",
+                "download_percentile must lie in [0, 100]",
+            ),
+            (
+                "download_buffer_capacity = 0\ndownload_policy = bounded_buffer",
+                "download_buffer_capacity must be >= 1",
+            ),
             ("spearman_mode = literal", "unknown key 'spearman_mode'"),
             # a policy key that no policy, or not the chosen one, reads
             (
@@ -313,7 +327,29 @@ class TestCliSimulate:
              "--outdir", str(tmp_path / "out")]
         )
         assert code == 3
-        assert capsys.readouterr().err == f"error: {cfg}:2: history span must be >= 0\n"
+        assert capsys.readouterr().err == f"error: {cfg}:2: download_history_s must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the file of test_config_value_error_cites_file_and_line sets
+            # step_length_s and metric_cadence, so their cases are here
+            ("step_length_s = 0", "step_length_s must be positive"),
+            ("metric_cadence = 0", "metric_cadence must be >= 1"),
+        ],
+    )
+    def test_range_error_names_the_key(self, tmp_path, sim_fixture, capsys, text, message):
+        # SimConfig's checks name its fields (step_length, affinity_weight,
+        # ...), and those used to reach the user in place of the keys
+        contacts, contents = sim_fixture
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{text}\n")
+        code = cli.main(
+            ["simulate", str(contacts), str(contents), "--config", str(cfg),
+             "--outdir", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
 
     def test_manifest_config_is_flat(self, tmp_path, sim_fixture):
         contacts, contents = sim_fixture
