@@ -25,19 +25,23 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import jaccard, spearman_similarity, sum_in_order
-from .graph import FolksonomyGraph
-from .recommend import ScoreVector, rank, scorer
+from . import recommend
+from .evaluation import sum_in_order
+from .graph import FolksonomyGraph, GraphIndex
+from .recommend import scorer
 
-# not called here; bench/tracing.py wraps this module's name, so it stays
-from .recommend import pliers_tripartite  # noqa: F401
+# not called here; bench/tracing.py wraps these names of this module, so they
+# stay: the metric rows rank and compare lists with _ranked_rows and
+# _pair_similarities, which equal these on every input
+from .evaluation import jaccard, spearman_similarity  # noqa: F401
+from .recommend import pliers_tripartite, rank  # noqa: F401
 
 
 # ----------------------------------------------------------------------
 # events and configuration
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactEvent:
     """One proximity contact; (a, b) and (b, a) mean the same exchange."""
 
@@ -52,7 +56,7 @@ class ContactEvent:
             raise ValueError("contact time must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentEvent:
     """Creation of one tagged item by an agent."""
 
@@ -251,7 +255,10 @@ def compute_step_metrics(
     Both lists are ranked against ``gkg``: a replay's view keeps an item only
     with every event of it that its holders know, their own included, so an
     item that an agent owns in ``gkg`` and that scores above 0 in a view is
-    owned in that view too.
+    owned in that view too. The lists are ranked and compared a block of
+    agents at a time, two score rows each and one kernel block
+    (``recommend._BLOCK_SCORES`` scores) in all, by :func:`_ranked_rows` and
+    :func:`_pair_similarities`.
     """
     index = gkg.index()
     ui, it = views
@@ -262,6 +269,7 @@ def compute_step_metrics(
     rec_sims: dict[str, tuple[float, float, float]] = {}
     pliers = scorer("pliers", 1, affinity_weight)
     per_stack = max(1, _views_per_stack(gkg) - 1)
+    per_block = max(1, recommend._BLOCK_SCORES // (2 * max(1, len(index.items))))
     for lo in range(1, len(ui), per_stack):
         picked = [0, *range(lo, min(lo + per_stack, len(ui)))]
         stacked = index.stacked(ui[picked], it[picked])
@@ -274,17 +282,18 @@ def compute_step_metrics(
                 # would be empty
                 if u is not None and (degree[v * n_users + u] or degree[u]):
                     local_row[agent] = v * n_users + u
-        rows = [row for a, v_row in local_row.items() for row in (v_row, index.user_pos[a])]
-        scores = pliers.rows(stacked, np.array(rows, np.intp))
-        for agent in local_row:
-            lk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).items
-            gk = rank(ScoreVector(agent, index.items, next(scores)), gkg, top_n).items
-            if lk or gk:
-                rec_sims[agent] = (
-                    jaccard(set(lk), set(gk)),
-                    spearman_similarity(lk, gk, "corrected"),
-                    spearman_similarity(lk, gk, "literal"),
-                )
+        agents = list(local_row)
+        rows = np.array([(local_row[a], index.user_pos[a]) for a in agents], np.intp).ravel()
+        scores = pliers.rows(stacked, rows)
+        for start in range(0, len(agents), per_block):
+            # each agent's user of gkg, once for each of its two rows
+            users = rows[2 * start + 1 : 2 * (start + per_block) : 2].repeat(2)
+            values = np.array([next(scores) for _ in users])
+            ranked = _ranked_rows(index, users, values, top_n)
+            block = agents[start : start + per_block]
+            for agent, sims in zip(block, _pair_similarities(values.shape, *ranked)):
+                if sims is not None:
+                    rec_sims[agent] = sims
 
     def mean(values: list[float], empty: float) -> float:
         return sum_in_order(values) / len(values) if values else empty
@@ -300,6 +309,64 @@ def compute_step_metrics(
         n_contacts=n_contacts,
         n_contents=n_contents,
     )
+
+
+def _ranked_rows(
+    index: GraphIndex, users: np.ndarray, scores: np.ndarray, top_n: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lists that :func:`rank` makes of the rows of ``scores``, as listed entries.
+
+    Row ``r`` holds the scores of user ``users[r]`` of ``index`` over
+    ``index.items``, and is changed in place. Its list holds the unowned
+    items scoring above 0, by score descending with ties by item position
+    ascending, cut at ``top_n`` when given. Returns the row, item position
+    and 1-based place on its list of every listed entry, row by row and
+    each row's in list order.
+    """
+    owned, of = index.user_items.gather(users)
+    scores[of, owned] = 0.0
+    row, item = (scores > 0.0).nonzero()
+    # items ascend within each row, and lexsort is stable, so equal scores
+    # keep ascending item order
+    order = np.lexsort((-scores[row, item], row))
+    row, item = row[order], item[order]
+    place = np.arange(1, len(row) + 1) - np.searchsorted(row, row)
+    if top_n is not None:
+        listed = place <= top_n
+        row, item, place = row[listed], item[listed], place[listed]
+    return row, item, place
+
+
+def _pair_similarities(
+    shape: tuple[int, int], row: np.ndarray, item: np.ndarray, place: np.ndarray
+) -> list[tuple[float, float, float] | None]:
+    """:func:`jaccard` and both footrules of each pair of lists that :func:`_ranked_rows` gives.
+
+    ``shape`` is that of the ranked block, rows by items. Pair ``i`` is the
+    lists of rows ``2 * i`` and ``2 * i + 1``. It gets its list Jaccard and its
+    ``corrected`` and ``literal`` :func:`spearman_similarity` in that
+    order, each the quotient of the integers that those functions divide,
+    so the same floats; or None when both lists are empty.
+    """
+    n_pairs = shape[0] // 2
+    # the place of each listed entry, 0 off the lists
+    position = np.zeros(shape, np.intp)
+    position[row, item] = place
+    length = np.bincount(row, minlength=shape[0])
+    first = row % 2 == 0
+    # the place on the second list of each item of a first list
+    theirs = position[row[first] + 1, item[first]]
+    both = theirs > 0
+    pair = row[first][both] // 2
+    shared = np.bincount(pair, minlength=n_pairs)
+    # a sum of whole numbers far below 2^53, exact as a float
+    moved = np.bincount(pair, np.abs(place[first][both] - theirs[both]), n_pairs).astype(np.intp)
+    union = length[0::2] + length[1::2] - shared
+    longest = np.maximum(length[0::2], length[1::2])
+    return [
+        (s / u, 1.0 - (d + (u - s) * n) / (u * n), 1.0 - d / n) if u else None
+        for s, u, d, n in zip(shared.tolist(), union.tolist(), moved.tolist(), longest.tolist())
+    ]
 
 
 def _mask_jaccards(views: Masks) -> list[float]:
@@ -433,8 +500,6 @@ class Simulation:
         raises KeyError before any state changes.
         """
         ka, kb = self._knowledge[a], self._knowledge[b]
-        if ka == kb:
-            return set(), set()
         items_a, items_b = self._items[a], self._items[b]
         new_a, new_b = items_b - items_a, items_a - items_b
         items_a |= new_a
@@ -481,7 +546,9 @@ class Simulation:
         only affects measurement, never the exchanged knowledge, so one pass
         over the dynamics serves all windows: at each metric step, agents
         with equal knowledge share one row of :meth:`masks` in every window.
-        A window listed twice, or of 0 s or less, raises ValueError up front.
+        A contact between equal knowledge costs one comparison and never
+        reaches :meth:`encounter`. A window listed twice, or of 0 s or less,
+        raises ValueError up front.
         """
         if len(set(windows)) < len(windows) or any(w is not None and w <= 0 for w in windows):
             raise ValueError(f"expiry windows must be distinct and positive, got {list(windows)}")
@@ -503,13 +570,16 @@ class Simulation:
 
         out: dict[int | None, list[StepMetrics]] = {w: [] for w in windows}
         cadence = self.config.metric_cadence
+        knowledge = self._knowledge
         for step in range(last_step + 1):
             step_contents = contents_by_step.get(step, ())
             for ev in step_contents:
                 self.apply_content(ev)
             step_contacts = contacts_by_step.get(step, ())
             for ev in step_contacts:
-                self.encounter(ev.a, ev.b, ev.time)
+                # equal knowledge has nothing to exchange
+                if knowledge[ev.a] != knowledge[ev.b]:
+                    self.encounter(ev.a, ev.b, ev.time)
             while self._discoveries:
                 self._decide()
             if (step + 1) % cadence == 0 or step == last_step:

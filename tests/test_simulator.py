@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pliersim import recommend, simulator
-from pliersim.evaluation import jaccard
+from pliersim.evaluation import jaccard, spearman_similarity
 from pliersim.graph import FolksonomyGraph, GraphIndex
-from pliersim.recommend import Scorer
+from pliersim.recommend import Scorer, ScoreVector, rank
 from pliersim.simulator import (
     ContactEvent,
     ContentEvent,
@@ -127,6 +127,27 @@ class TestEncounter:
         assert indexes and all(of_gkg for of_gkg, _ in indexes)
         assert len({state for _, state in indexes}) == len(indexes)
         assert any(p.observed for p in sim.policies.values())
+
+    def test_contact_between_equal_knowledge_makes_no_encounter(self, monkeypatch):
+        calls = []
+        real_encounter = Simulation.encounter
+
+        def counted_encounter(sim, a, b, now):
+            calls.append((a, b, now))
+            return real_encounter(sim, a, b, now)
+
+        monkeypatch.setattr(Simulation, "encounter", counted_encounter)
+        contents = [ContentEvent(0, "a", "i1", ("t1",))]
+        # a and b know the same after their first contact; c and d know nothing
+        contacts = [
+            ContactEvent(60, "a", "b"),
+            ContactEvent(61, "b", "a"),
+            ContactEvent(62, "c", "d"),
+        ]
+        sim = Simulation(SimConfig())
+        sim.run_windows(contacts, contents, [None])
+        assert calls == [("a", "b", 60)]
+        assert set(sim.lkgs["b"].items) == {"i1"} and not sim.lkgs["d"].items
 
     def test_union_after_exchange(self):
         sim = self._sim(["a", "b"])
@@ -495,6 +516,17 @@ class TestStepMetrics:
                                              n_contacts=0, n_contents=0)
 
 
+    @pytest.mark.parametrize("top_n", [None, 0, 2])
+    @pytest.mark.parametrize("budget", [1, 64])
+    def test_rows_do_not_depend_on_the_ranked_block_size(self, monkeypatch, top_n, budget):
+        # a budget of 1 ranks one agent a block; 64 ranks several, cut mid-stack
+        contacts, contents = TestExpiryRuns._fixture()
+        config = SimConfig(top_n=top_n)
+        want = Simulation(config).run_windows(contacts, contents, [None, 300])
+        monkeypatch.setattr(recommend, "_BLOCK_SCORES", budget)
+        assert Simulation(config).run_windows(contacts, contents, [None, 300]) == want
+
+
 class TestExpiryRuns:
     @staticmethod
     def _fixture():
@@ -770,6 +802,11 @@ def replays(draw):
     return config, contacts, contents, [None, window]
 
 
+def moving(encounters):
+    """The encounters that moved an item to either side, in contact order."""
+    return [e for e in encounters if e != (set(), set())]
+
+
 @settings(max_examples=80, deadline=None)
 @given(replays())
 def test_event_set_replay_matches_merge_replay(replay):
@@ -791,7 +828,9 @@ def test_event_set_replay_matches_merge_replay(replay):
         sim.encounter = recording_encounter
         rows = sim.run_windows(contacts, contents, windows)
 
-        assert encounters == ref_encounters
+        # the replay skips contacts between equal knowledge, and the merge
+        # replay records those as moving nothing
+        assert moving(encounters) == moving(ref_encounters)
         assert dict(sim.lkgs) == ref_lkgs
         assert rows == ref_rows
         assert {a: (p.observed, p.downloaded) for a, p in sim.policies.items()} == {
@@ -879,3 +918,65 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
     sim.masks = checked_masks
     sim.run_windows(contacts, contents, list(dict.fromkeys([*windows, *more_windows])))
     assert checked
+
+
+RANKED_ITEMS = ["i0", "i1", "i2", "i3", "i4"]
+# few distinct values, so that rows hold exact ties and zeros
+score_rows = st.lists(
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 4.0),
+    min_size=len(RANKED_ITEMS),
+    max_size=len(RANKED_ITEMS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    owned=st.lists(st.sets(st.sampled_from(RANKED_ITEMS)), min_size=1, max_size=3),
+    pairs=st.lists(st.tuples(st.integers(0, 3), score_rows, score_rows), min_size=1, max_size=6),
+    top_n=st.none() | st.integers(0, 4),
+)
+# an empty pair, two disjoint lists, and lists that only owned items would fill
+@example(
+    owned=[{"i0", "i1"}],
+    pairs=[
+        (1, [0.0] * 5, [0.0] * 5),
+        (0, [0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.5]),
+        (0, [3.0, 3.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0, 0.0]),
+    ],
+    top_n=None,
+)
+def test_block_similarities_equal_references(owned, pairs, top_n):
+    """Block ranking equals ``rank``, and its pair similarities the reference functions.
+
+    Each pair is one agent's local and global score rows. Users are the
+    index's users; ``z`` owns every item, so its lists are empty.
+    """
+    gkg = FolksonomyGraph()
+    for item in RANKED_ITEMS:
+        gkg.add_content("z", item, ("t",), 0)
+    for u, items in enumerate(owned):
+        for item in sorted(items):
+            gkg.add_content(f"u{u}", item, ("t",), 0)
+    index = gkg.index()
+    names = [index.users[k % len(index.users)] for k, _, _ in pairs]
+    scores = np.array([row for _, local, glob in pairs for row in (local, glob)])
+    users = np.array([index.user_pos[name] for name in names], np.intp).repeat(2)
+    row, item, place = simulator._ranked_rows(index, users, scores.copy(), top_n)
+    got = simulator._pair_similarities(scores.shape, row, item, place)
+    assert len(got) == len(pairs)
+    for i, name in enumerate(names):
+        lists = []
+        for r in (2 * i, 2 * i + 1):
+            want = rank(ScoreVector(name, index.items, scores[r]), gkg, top_n).items
+            assert [index.items[j] for j in item[row == r].tolist()] == want
+            assert place[row == r].tolist() == list(range(1, len(want) + 1))
+            lists.append(want)
+        lk, gk = lists
+        expected = None
+        if lk or gk:
+            expected = (
+                jaccard(set(lk), set(gk)),
+                spearman_similarity(lk, gk, "corrected"),
+                spearman_similarity(lk, gk, "literal"),
+            )
+        assert got[i] == expected
