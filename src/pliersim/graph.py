@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -61,14 +62,14 @@ class FolksonomyGraph:
         return self.index().tag_pos.keys()
 
     @property
-    def user_item_edges(self):
-        """Mapping (user, item) -> creation time in seconds."""
-        return self._ui_times
+    def user_item_edges(self) -> Mapping[tuple[str, str], int]:
+        """Read-only live view (user, item) -> creation time in seconds."""
+        return MappingProxyType(self._ui_times)
 
     @property
-    def item_tag_edges(self):
-        """Mapping (item, tag) -> creation time in seconds."""
-        return self._it_times
+    def item_tag_edges(self) -> Mapping[tuple[str, str], int]:
+        """Read-only live view (item, tag) -> creation time in seconds."""
+        return MappingProxyType(self._it_times)
 
     def items_of_user(self, user: str) -> frozenset[str]:
         index = self.index()

@@ -11,7 +11,14 @@ global ones.
 Time is integer seconds; step s covers [s*step_length, (s+1)*step_length)
 and its metrics are stamped with the step's end time. Within a step all
 content events apply first, then contacts run sequentially in input order,
-so knowledge can travel several hops in a single step.
+so knowledge can travel several hops in a single step. The input need not
+be sorted by time: the replay orders the contacts by step with one stable
+sort.
+
+Contacts travel as a :class:`ContactTrace`, columns of agent ids, and the
+replay keeps each agent's knowledge as two bitsets indexed by agent id: the
+content events it has seen and their items. A contact is one comparison of
+two integers, and two integer ORs when they differ.
 """
 
 from __future__ import annotations
@@ -54,6 +61,34 @@ class ContactEvent:
             raise ValueError(f"contact of agent {self.a!r} with itself")
         if self.time < 0:
             raise ValueError("contact time must be >= 0")
+
+
+@dataclass(slots=True)
+class ContactTrace:
+    """Contacts as columns: each contact's time and the ids of its two agents.
+
+    An agent's id is its position on ``agents``, which lists the agent keys
+    in first-seen order, ``a`` before ``b`` within a contact. The contacts
+    keep their input order. :func:`pliersim.traces.parse_contacts` builds a
+    trace from a file, checking each line as :class:`ContactEvent` checks
+    an event, and :meth:`of` builds one from events.
+    """
+
+    times: array = field(default_factory=lambda: array("q"))
+    a: list[int] = field(default_factory=list)
+    b: list[int] = field(default_factory=list)
+    agents: list[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, events: Iterable[ContactEvent]) -> ContactTrace:
+        """The trace of ``events``, in their order."""
+        trace, ids = cls(), {}
+        for ev in events:
+            trace.times.append(ev.time)
+            trace.a.append(ids.setdefault(ev.a, len(ids)))
+            trace.b.append(ids.setdefault(ev.b, len(ids)))
+        trace.agents = list(ids)
+        return trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,16 +422,19 @@ def _set_bits(bits: int) -> list[int]:
 
 
 class Simulation:
-    """Per-agent knowledge as content-event sets, the global graph, policy states.
+    """Per-agent knowledge as event and item bitsets, the global graph, policy states.
 
-    Every content event gets an integer id in replay order, and an agent's
-    knowledge is the bitset (a Python ``int``) of the events it has seen, so
-    a contact is one integer OR (a grow-only set, merged by union). Every
-    edge of ``gkg`` has an id, its position in ``gkg``'s edge maps, which
-    only grow; :meth:`masks` turns sets of events into the edges they hold
-    under an expiry cutoff, and so alone decides what a view holds. Local
-    knowledge and its views are scored on ``gkg``'s index stacked to those
-    edges, so no graph is built for them.
+    Every agent gets an integer id in registration order, every content
+    event one in replay order, and every item one when it is first created.
+    An agent's knowledge is the bitset (a Python ``int``) of the events it
+    has seen, kept beside the bitset of their items, both in lists indexed
+    by agent id: a contact is a union of grow-only sets, two integer ORs,
+    and the items a side learns are the bits it gains. Every edge of
+    ``gkg`` has an id, its position in ``gkg``'s edge maps, which only grow;
+    :meth:`masks` turns sets of events into the edges they hold under an
+    expiry cutoff, and so alone decides what a view holds. Local knowledge
+    and its views are scored on ``gkg``'s index stacked to those edges, so
+    no graph is built for them.
     """
 
     def __init__(self, config: SimConfig, agents: Iterable[str] = ()):
@@ -416,16 +454,20 @@ class Simulation:
         self._event_edge = array("q")
         self._tag_event = array("q")
         self._tag_edge = array("q")
-        self._knowledge: dict[str, int] = {}
-        self._items: dict[str, set[str]] = {}
-        self._discoveries: list[tuple[str, int, set[str], int]] = []
+        # agent -> agent id; per agent id, the bitsets of its events and items
+        self._ids: dict[str, int] = {}
+        self._event_bits: list[int] = []
+        self._item_bits: list[int] = []
+        # (agent id, event bits after the contact, new item bits, contact time)
+        self._discoveries: list[tuple[int, int, int, int]] = []
         for agent in agents:
             self.register(agent)
 
     def register(self, agent: str) -> None:
-        if agent not in self._knowledge:
-            self._knowledge[agent] = 0
-            self._items[agent] = set()
+        if agent not in self._ids:
+            self._ids[agent] = len(self._event_bits)
+            self._event_bits.append(0)
+            self._item_bits.append(0)
             if self.config.download_policy is not None:
                 self.policies[agent] = DownloadPolicyState(self.config)
 
@@ -436,13 +478,13 @@ class Simulation:
         Agents that know the same events share one graph; do not mutate it.
         """
         graphs: dict[int, FolksonomyGraph] = {}
-        for bits in self._knowledge.values():
+        for bits in self._event_bits:
             if bits not in graphs:
                 graphs[bits] = graph = FolksonomyGraph()
                 for index in _set_bits(bits):
                     ev = self._events[index]
                     graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
-        return MappingProxyType({a: graphs[bits] for a, bits in self._knowledge.items()})
+        return MappingProxyType({a: graphs[bits] for a, bits in zip(self._ids, self._event_bits)})
 
     def masks(self, bitsets: Sequence[int], cutoff: int = 0) -> Masks:
         """The ``gkg`` edges that the events of each bitset hold under an expiry cutoff.
@@ -476,12 +518,13 @@ class Simulation:
 
         An unregistered creator raises KeyError before any state changes.
         """
-        n = len(self._events)
-        self._knowledge[event.creator] |= 1 << n
+        creator, n = self._ids[event.creator], len(self._events)
+        item = self._item_ids.setdefault(event.item, len(self._item_ids))
+        self._event_bits[creator] |= 1 << n
+        self._item_bits[creator] |= 1 << item
         self._events.append(event)
         self._event_time.append(event.time)
-        self._event_item.append(self._item_ids.setdefault(event.item, len(self._item_ids)))
-        self._items[event.creator].add(event.item)
+        self._event_item.append(item)
         self.gkg.add_content(event.creator, event.item, event.tags, event.time)
         # a new edge goes last in gkg's edge map, an edge it has keeps its place
         ui_ids, it_ids = self._edge_ids
@@ -490,25 +533,42 @@ class Simulation:
             self._tag_event.append(n)
             self._tag_edge.append(it_ids.setdefault((event.item, tag), len(it_ids)))
 
-    def encounter(self, a: str, b: str, now: int) -> tuple[set[str], set[str]]:
-        """Symmetric knowledge exchange; returns the two new-item sets (for a, for b).
+    def _contacts(self, xs: Sequence[int], ys: Sequence[int], times: Sequence[int]) -> None:
+        """Exchange knowledge on each contact, in order: ``xs[i]`` meets ``ys[i]`` at ``times[i]``.
 
-        Both sides end up with the union of the two content-event sets, and
-        nothing changes when the sets are already equal. A side with a
-        download policy queues what it learns, and :meth:`run_windows` has
-        the policies decide at the end of the step. An unregistered agent
-        raises KeyError before any state changes.
+        Both sides end up with the union of the two event bitsets and of the
+        two item bitsets. Equal event bitsets hold equal items, so a contact
+        between equal knowledge costs one comparison and changes nothing.
+        With a download policy, which every agent then has, a side that
+        gains items queues them, and :meth:`run_windows` has the policies
+        decide at the end of the step.
         """
-        ka, kb = self._knowledge[a], self._knowledge[b]
-        items_a, items_b = self._items[a], self._items[b]
-        new_a, new_b = items_b - items_a, items_a - items_b
-        items_a |= new_a
-        items_b |= new_b
-        self._knowledge[a] = self._knowledge[b] = ka | kb
-        for agent, new in ((a, new_a), (b, new_b)):
-            if new and agent in self.policies:
-                self._discoveries.append((agent, ka | kb, new, now))
-        return new_a, new_b
+        events, items, queue = self._event_bits, self._item_bits, self._discoveries
+        watched = self.config.download_policy is not None
+        for x, y, now in zip(xs, ys, times):
+            ex, ey = events[x], events[y]
+            if ex != ey:
+                known = events[x] = events[y] = ex | ey
+                ix, iy = items[x], items[y]
+                union = items[x] = items[y] = ix | iy
+                if watched:
+                    if union != ix:
+                        queue.append((x, known, union ^ ix, now))
+                    if union != iy:
+                        queue.append((y, known, union ^ iy, now))
+
+    def encounter(self, a: str, b: str, now: int) -> tuple[set[str], set[str]]:
+        """One contact between agents ``a`` and ``b``; returns the two new-item sets (for a, for b).
+
+        It runs the replay's exchange on this one contact; the replay itself
+        does not call it. An unregistered agent raises KeyError before any
+        state changes.
+        """
+        x, y = self._ids[a], self._ids[b]
+        ix, iy = self._item_bits[x], self._item_bits[y]
+        self._contacts([x], [y], [now])
+        union, items = ix | iy, list(self._item_ids)
+        return {items[i] for i in _set_bits(union ^ ix)}, {items[i] for i in _set_bits(union ^ iy)}
 
     def _decide(self) -> None:
         """Feed the first queued discoveries, a capped number of views, to the policies.
@@ -519,74 +579,81 @@ class Simulation:
         holds at most :func:`_views_per_stack` views, but always one.
         """
         index, views, rows = self.gkg.index(), {}, []
+        agents, items = list(self._ids), list(self._item_ids)
         most = _views_per_stack(self.gkg)
-        for agent, known, _, _ in self._discoveries:
+        for x, known, _, _ in self._discoveries:
             if known not in views and len(views) == most:
                 break
-            v, u = views.setdefault(known, len(views)), index.user_pos.get(agent)
+            v, u = views.setdefault(known, len(views)), index.user_pos.get(agents[x])
             # an agent that created nothing is a cold start on every view
             rows.append(-1 if u is None else v * len(index.users) + u)
         batch, self._discoveries = self._discoveries[: len(rows)], self._discoveries[len(rows) :]
         pliers = scorer("pliers", 1, self.config.affinity_weight)
         scores = pliers.rows(index.stacked(*self.masks(list(views))), np.array(rows, np.intp))
-        for (agent, _, new, now), values in zip(batch, scores):
-            for item in sorted(new):
+        for (x, _, new, now), values in zip(batch, scores):
+            for item in sorted(items[i] for i in _set_bits(new)):
                 score = float(values[index.item_pos[item]])
-                apply_download_policy(self.policies[agent], item, score, now)
+                apply_download_policy(self.policies[agents[x]], item, score, now)
 
     def run_windows(
         self,
-        contacts: Sequence[ContactEvent],
+        contacts: ContactTrace | Sequence[ContactEvent],
         contents: Sequence[ContentEvent],
         windows: Sequence[int | None],
     ) -> dict[int | None, list[StepMetrics]]:
         """Replay the traces once, measuring under several expiry windows.
 
-        Every agent the traces name is registered first. The expiry window
-        only affects measurement, never the exchanged knowledge, so one pass
-        over the dynamics serves all windows: at each metric step, agents
-        with equal knowledge share one row of :meth:`masks` in every window.
-        A contact between equal knowledge costs one comparison and never
-        reaches :meth:`encounter`. A window listed twice, or of 0 s or less,
-        raises ValueError up front.
+        Contacts given as events become a :class:`ContactTrace` first. Every
+        agent the traces name is registered first: the content creators,
+        then the contact agents in first-seen order. The contacts are then
+        ordered by step with one stable sort, so each step's keep their
+        input order, and each step's run through one loop over agent ids.
+        The expiry window only affects measurement, never the exchanged
+        knowledge, so one pass over the dynamics serves all windows: at each
+        metric step, agents with equal knowledge share one row of
+        :meth:`masks` in every window. A window listed twice, or of 0 s or
+        less, raises ValueError up front.
         """
         if len(set(windows)) < len(windows) or any(w is not None and w <= 0 for w in windows):
             raise ValueError(f"expiry windows must be distinct and positive, got {list(windows)}")
+        if not isinstance(contacts, ContactTrace):
+            contacts = ContactTrace.of(contacts)
         length = self.config.step_length
-        named = dict.fromkeys(ev.creator for ev in contents)
-        for ev in contacts:
-            named[ev.a] = named[ev.b] = None
-        for agent in named:
+        for agent in [*(ev.creator for ev in contents), *contacts.agents]:
             self.register(agent)
 
         contents_by_step: dict[int, list[ContentEvent]] = {}
         for ev in contents:
             contents_by_step.setdefault(ev.time // length, []).append(ev)
-        contacts_by_step: dict[int, list[ContactEvent]] = {}
-        for ev in contacts:
-            contacts_by_step.setdefault(ev.time // length, []).append(ev)
+        # the contacts in step order, as the trace's columns in this replay's ids
+        times = np.array(contacts.times, np.int64)
+        steps = times // length
+        order = np.argsort(steps, kind="stable")
+        steps, times = steps[order], times[order].tolist()
+        ids = np.array([self._ids[agent] for agent in contacts.agents], np.intp)
+        xs = ids[np.array(contacts.a, np.intp)[order]].tolist()
+        ys = ids[np.array(contacts.b, np.intp)[order]].tolist()
 
-        last_step = max([*contents_by_step, *contacts_by_step], default=-1)
+        last_step = max([*contents_by_step, *steps[-1:].tolist()], default=-1)
 
         out: dict[int | None, list[StepMetrics]] = {w: [] for w in windows}
         cadence = self.config.metric_cadence
-        knowledge = self._knowledge
+        hi = 0
         for step in range(last_step + 1):
             step_contents = contents_by_step.get(step, ())
             for ev in step_contents:
                 self.apply_content(ev)
-            step_contacts = contacts_by_step.get(step, ())
-            for ev in step_contacts:
-                # equal knowledge has nothing to exchange
-                if knowledge[ev.a] != knowledge[ev.b]:
-                    self.encounter(ev.a, ev.b, ev.time)
+            # the step's contacts, cut one step at a time: a trace may span
+            # many more steps than it has contacts
+            lo, hi = hi, int(steps.searchsorted(step, "right"))
+            self._contacts(xs[lo:hi], ys[lo:hi], times[lo:hi])
             while self._discoveries:
                 self._decide()
             if (step + 1) % cadence == 0 or step == last_step:
                 now = (step + 1) * length
                 everything = (1 << len(self._events)) - 1
                 known: dict[int, list[str]] = {}
-                for agent, bits in self._knowledge.items():
+                for agent, bits in zip(self._ids, self._event_bits):
                     known.setdefault(bits, []).append(agent)
                 for window in windows:
                     out[window].append(
@@ -598,7 +665,7 @@ class Simulation:
                             self.config.top_n,
                             now=now,
                             step=step,
-                            n_contacts=len(step_contacts),
+                            n_contacts=hi - lo,
                             n_contents=len(step_contents),
                         )
                     )
@@ -607,7 +674,7 @@ class Simulation:
 
 def run(
     config: SimConfig,
-    contacts: Sequence[ContactEvent],
+    contacts: ContactTrace | Sequence[ContactEvent],
     contents: Sequence[ContentEvent],
     agents: Iterable[str] = (),
 ) -> list[StepMetrics]:

@@ -24,7 +24,14 @@ from . import __version__
 from .evaluation import CorrelationReport, EvalReport, correlation_analysis
 from .graph import ParseError, read_lines
 from .recommend import RecommendationVector
-from .simulator import POLICY_FIELDS, ContactEvent, ContentEvent, SimConfig, StepMetrics
+from .simulator import (
+    POLICY_FIELDS,
+    ContactEvent,
+    ContactTrace,
+    ContentEvent,
+    SimConfig,
+    StepMetrics,
+)
 
 CONTACT_HEADER = "time_s,agent_a,agent_b"
 CONTENT_HEADER = "time_s,agent,item_key,tags"
@@ -89,8 +96,20 @@ def _check_key(value: str, what: str, path: str | Path, lineno: int) -> str:
     return sys.intern(value)
 
 
-def parse_contacts(path: str | Path) -> list[ContactEvent]:
-    events = []
+def parse_contacts(path: str | Path) -> ContactTrace:
+    """The contacts of a ``time_s,agent_a,agent_b`` file as a trace, in file order.
+
+    Agent keys get their ids as they first appear. Each line is checked as
+    :class:`~pliersim.simulator.ContactEvent` checks an event, with the same
+    messages: a contact of an agent with itself, or at a negative time,
+    raises :class:`~pliersim.graph.ParseError` citing its line.
+    """
+    trace = ContactTrace()
+    times, xs, ys = trace.times, trace.a, trace.b
+    # agent key -> id, and each agent field as written -> id, so that a
+    # field seen before is not checked again
+    ids: dict[str, int] = {}
+    written: dict[str, int] = {}
     for lineno, line in _data_lines(path, CONTACT_HEADER):
         fields = line.split(",")
         if len(fields) != 3:
@@ -99,13 +118,26 @@ def parse_contacts(path: str | Path) -> list[ContactEvent]:
             time = int(fields[0])
         except ValueError:
             raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
-        a = _check_key(fields[1], "agent", path, lineno)
-        b = _check_key(fields[2], "agent", path, lineno)
+        x = written.get(fields[1])
+        if x is None:
+            key = _check_key(fields[1], "agent", path, lineno)
+            x = written[fields[1]] = ids.setdefault(key, len(ids))
+        y = written.get(fields[2])
+        if y is None:
+            key = _check_key(fields[2], "agent", path, lineno)
+            y = written[fields[2]] = ids.setdefault(key, len(ids))
+        if x == y:
+            raise ParseError(f"contact of agent {fields[1].strip()!r} with itself", path, lineno)
+        if time < 0:
+            raise ParseError("contact time must be >= 0", path, lineno)
         try:
-            events.append(ContactEvent(time, a, b))
-        except ValueError as exc:
-            raise ParseError(str(exc), path, lineno) from None
-    return events
+            times.append(time)
+        except OverflowError:  # 2^63 s or more
+            raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
+        xs.append(x)
+        ys.append(y)
+    trace.agents = list(ids)
+    return trace
 
 
 def parse_contents(path: str | Path) -> list[ContentEvent]:

@@ -222,7 +222,7 @@ def window_graphs(sim, now: int, window: int | None):
     """
     everything = (1 << len(sim._events)) - 1
     cutoff = 0 if window is None else now - window
-    ui, it = sim.masks([everything, *sim._knowledge.values()], cutoff)
+    ui, it = sim.masks([everything, *sim._event_bits], cutoff)
     views = []
     for graph, view in zip([sim.gkg, *sim.lkgs.values()], zip(ui, it)):
         held = view_graph(sim.gkg, view)
@@ -230,7 +230,7 @@ def window_graphs(sim, now: int, window: int | None):
             {e: graph.user_item_edges[e] for e in held.user_item_edges},
             {e: graph.item_tag_edges[e] for e in held.item_tag_edges},
         ))
-    return dict(zip(sim._knowledge, views[1:])), views[0]
+    return dict(zip(sim._ids, views[1:])), views[0]
 
 
 def reference_step_metrics(lkgs, gkg, affinity_weight, top_n, *, now, **counts) -> StepMetrics:

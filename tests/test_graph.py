@@ -306,7 +306,7 @@ class TestCreationTimes:
         assert gview == prune_older_than(sim.gkg, created + 1, created - earlier)
         index = sim.gkg.index()
         assert index is not before and "t9" in index.tags
-        ui, it = sim.masks(list(sim._knowledge.values()), earlier + 1)
+        ui, it = sim.masks(sim._event_bits, earlier + 1)
         assert ui.shape[1] == len(sim.gkg.user_item_edges)
         assert it.shape[1] == len(sim.gkg.item_tag_edges)
 
@@ -353,6 +353,23 @@ class TestDerived:
         # a copy's index is its own: a mutation of the original leaves it be
         g.add_content("u9", "i9", ["t9"], 2)
         assert "i9" in g.items and "i9" not in copy.items
+
+    def test_edge_maps_are_read_only(self):
+        # only a mutator may change the edges, since only a mutator drops the
+        # index; the views still follow the graph's changes
+        g = FolksonomyGraph()
+        g.add_content("u", "i", ["t"], 0)
+        ui, it = g.user_item_edges, g.item_tag_edges
+        assert list(g.items) == ["i"]
+        with pytest.raises(TypeError):
+            g.user_item_edges[("u", "j")] = 0
+        with pytest.raises(TypeError):
+            g.item_tag_edges[("j", "t")] = 0
+        with pytest.raises(TypeError):
+            del g.user_item_edges[("u", "i")]
+        assert list(g.items) == ["i"]
+        g.add_content("u", "j", ["t"], 1)
+        assert ("u", "j") in ui and ("j", "t") in it and list(g.items) == ["i", "j"]
 
     def test_stacked_views_share_the_keys(self):
         g = FolksonomyGraph()

@@ -129,14 +129,16 @@ class TestEncounter:
         assert any(p.observed for p in sim.policies.values())
 
     def test_contact_between_equal_knowledge_makes_no_encounter(self, monkeypatch):
-        calls = []
-        real_encounter = Simulation.encounter
+        # a contact between equal knowledge changes no state and queues no
+        # discovery: the step's policies see b's one discovery alone
+        queued = []
+        real_decide = Simulation._decide
 
-        def counted_encounter(sim, a, b, now):
-            calls.append((a, b, now))
-            return real_encounter(sim, a, b, now)
+        def recorded_decide(sim):
+            queued.extend(sim._discoveries)
+            real_decide(sim)
 
-        monkeypatch.setattr(Simulation, "encounter", counted_encounter)
+        monkeypatch.setattr(Simulation, "_decide", recorded_decide)
         contents = [ContentEvent(0, "a", "i1", ("t1",))]
         # a and b know the same after their first contact; c and d know nothing
         contacts = [
@@ -144,10 +146,32 @@ class TestEncounter:
             ContactEvent(61, "b", "a"),
             ContactEvent(62, "c", "d"),
         ]
-        sim = Simulation(SimConfig())
+        sim = Simulation(SimConfig(download_policy="mean_threshold"))
         sim.run_windows(contacts, contents, [None])
-        assert calls == [("a", "b", 60)]
+        a, b, c, d = (sim._ids[agent] for agent in "abcd")
+        assert queued == [(b, 0b1, 0b1, 60)]
+        assert {agent: p.observed for agent, p in sim.policies.items()} == {
+            "a": 0, "b": 1, "c": 0, "d": 0
+        }
         assert set(sim.lkgs["b"].items) == {"i1"} and not sim.lkgs["d"].items
+        state = list(sim._event_bits), list(sim._item_bits)
+        sim._contacts([b, c], [a, d], [120, 121])
+        assert (list(sim._event_bits), list(sim._item_bits)) == state
+        assert not sim._discoveries
+        assert sim.encounter("a", "b", 122) == (set(), set())
+        assert (list(sim._event_bits), list(sim._item_bits)) == state
+        assert not sim._discoveries
+
+    def test_contacts_listed_out_of_step_order(self):
+        # the replay orders contacts by step: b meets c in step 2, after it
+        # learnt i1 from a in step 0, although that contact is listed first
+        contents = [ContentEvent(0, "a", "i1", ("t1",))]
+        contacts = [ContactEvent(130, "b", "c"), ContactEvent(10, "a", "b")]
+        sim = Simulation(SimConfig())
+        rows = sim.run_windows(contacts, contents, [None])[None]
+        assert [m.avg_graph_jaccard for m in rows] == [2 / 3, 2 / 3, 1.0]
+        assert [m.n_contacts for m in rows] == [1, 0, 1]
+        assert set(sim.lkgs["c"].items) == {"i1"}
 
     def test_union_after_exchange(self):
         sim = self._sim(["a", "b"])
@@ -506,7 +530,8 @@ class TestStepMetrics:
         assert gview == prune_older_than(sim.gkg, 540, 100)
         # b, the later-only holder, keeps the edges of its own announcement
         everything = (1 << len(sim._events)) - 1
-        ui, it = sim.masks([everything, sim._knowledge["a"], sim._knowledge["b"]], 540 - 100)
+        known = [sim._event_bits[sim._ids[agent]] for agent in ("a", "b")]
+        ui, it = sim.masks([everything, *known], 540 - 100)
         held = view_graph(sim.gkg, (ui[2], it[2]))
         assert held.user_item_edges.keys() == {("b", "x")}
         assert held.item_tag_edges.keys() == {("x", "t2")}
@@ -802,9 +827,29 @@ def replays(draw):
     return config, contacts, contents, [None, window]
 
 
-def moving(encounters):
-    """The encounters that moved an item to either side, in contact order."""
-    return [e for e in encounters if e != (set(), set())]
+def encounters_in_step_order(config, contacts, contents, roster):
+    """The new-item sets of every contact, by ``encounter`` in the replay's order.
+
+    Agents register as the replay registers them; each step applies its
+    contents, then meets its contacts, each in input order. Returns the
+    sets and the simulation.
+    """
+    sim = Simulation(config, roster)
+    for agent in [*(ev.creator for ev in contents), *(x for ev in contacts for x in (ev.a, ev.b))]:
+        sim.register(agent)
+    length = config.step_length
+    timeline = sorted(
+        [(ev.time // length, 0, n, ev) for n, ev in enumerate(contents)]
+        + [(ev.time // length, 1, n, ev) for n, ev in enumerate(contacts)],
+        key=lambda entry: entry[:3],
+    )
+    encounters = []
+    for _, kind, _, ev in timeline:
+        if kind == 0:
+            sim.apply_content(ev)
+        else:
+            encounters.append(sim.encounter(ev.a, ev.b, ev.time))
+    return encounters, sim
 
 
 @settings(max_examples=80, deadline=None)
@@ -817,20 +862,15 @@ def test_event_set_replay_matches_merge_replay(replay):
             config, contacts, contents, windows, roster
         )
 
+        # the replay does not call encounter; fed the same contacts in the
+        # same order, it moves the items that the merges move, none between
+        # equal knowledge included
+        encounters, stepped = encounters_in_step_order(config, contacts, contents, roster)
+        assert encounters == ref_encounters
+        assert dict(stepped.lkgs) == ref_lkgs
+
         sim = Simulation(config, roster)
-        encounters = []
-        real_encounter = sim.encounter
-
-        def recording_encounter(a, b, now):
-            encounters.append(real_encounter(a, b, now))
-            return encounters[-1]
-
-        sim.encounter = recording_encounter
         rows = sim.run_windows(contacts, contents, windows)
-
-        # the replay skips contacts between equal knowledge, and the merge
-        # replay records those as moving nothing
-        assert moving(encounters) == moving(ref_encounters)
         assert dict(sim.lkgs) == ref_lkgs
         assert rows == ref_rows
         assert {a: (p.observed, p.downloaded) for a, p in sim.policies.items()} == {

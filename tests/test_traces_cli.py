@@ -10,7 +10,7 @@ import pytest
 import pliersim
 from pliersim import cli
 from pliersim.graph import ParseError, load_graph_tsv, save_graph_tsv
-from pliersim.simulator import ContactEvent, ContentEvent
+from pliersim.simulator import ContactEvent, ContactTrace, ContentEvent
 from pliersim.synth import generate_synthetic_contents
 from pliersim.traces import (
     ConfigError,
@@ -37,7 +37,11 @@ class TestTraceFiles:
         events = [ContactEvent(0, "a", "b"), ContactEvent(75, "b", "c")]
         path = tmp_path / "contacts.csv"
         write_contacts(path, events)
-        assert parse_contacts(path) == events
+        trace = parse_contacts(path)
+        assert trace == ContactTrace.of(events)
+        assert (trace.times.tolist(), trace.a, trace.b, trace.agents) == (
+            [0, 75], [0, 1], [1, 2], ["a", "b", "c"]
+        )
 
     def test_content_round_trip(self, tmp_path):
         events = [
@@ -51,7 +55,9 @@ class TestTraceFiles:
     def test_headerless_and_commented_files_accepted(self, tmp_path):
         path = tmp_path / "contacts.csv"
         path.write_text("# generated\n10,a,b\n\n20,b,c\n")
-        assert parse_contacts(path) == [ContactEvent(10, "a", "b"), ContactEvent(20, "b", "c")]
+        assert parse_contacts(path) == ContactTrace.of(
+            [ContactEvent(10, "a", "b"), ContactEvent(20, "b", "c")]
+        )
 
     @pytest.mark.parametrize(
         "parse,text,events",
@@ -59,7 +65,7 @@ class TestTraceFiles:
             (
                 parse_contacts,
                 "# note\n\ntime_s,agent_a,agent_b\n0,a,b\n",
-                [ContactEvent(0, "a", "b")],
+                ContactTrace.of([ContactEvent(0, "a", "b")]),
             ),
             (
                 parse_contents,
@@ -82,6 +88,9 @@ class TestTraceFiles:
             ("10,a,a\n", 1),
             ("soon,a,b\n", 1),
             ("10,,b\n", 1),
+            ("-5,a,b\n", 1),
+            ("0,a,b\n10,b, b \n", 2),
+            ("0,a,b\n9223372036854775808,b,c\n", 2),
         ],
     )
     def test_contact_errors_cite_line(self, tmp_path, text, lineno):
@@ -90,6 +99,23 @@ class TestTraceFiles:
         with pytest.raises(ParseError) as err:
             parse_contacts(path)
         assert err.value.line == lineno
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("10,a,a\n", "contact of agent 'a' with itself"),
+            ("-5,a,b\n", "contact time must be >= 0"),
+            # the self-contact check comes first, as ContactEvent's does
+            ("-5,a, a\n", "contact of agent 'a' with itself"),
+            ("9223372036854775808,a,b\n", "bad time '9223372036854775808'"),
+        ],
+    )
+    def test_contact_check_messages(self, tmp_path, text, message):
+        path = tmp_path / "contacts.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            parse_contacts(path)
+        assert str(err.value) == f"{path}:1: {message}"
 
     @pytest.mark.parametrize(
         "parse,text,message",
@@ -414,8 +440,8 @@ class TestInputEncoding:
         contacts, contents = tmp_path / "contacts.csv", tmp_path / "contents.csv"
         contacts.write_text("10,agent1,agent2\n20,agent2,agent1\n")
         contents.write_text("0,agent1,item1,t1\n5,agent1,item1,t2\n")
-        first, second = parse_contacts(contacts)
-        assert first.a is second.b and first.b is second.a
+        trace = parse_contacts(contacts)
+        assert (trace.a, trace.b, trace.agents) == ([0, 1], [1, 0], ["agent1", "agent2"])
         first, second = parse_contents(contents)
         assert first.creator is second.creator and first.item is second.item
 
@@ -634,11 +660,14 @@ class TestCliGenTraces:
             ]
         )
         assert code == 0
-        contact_events = parse_contacts(contacts_out)
+        trace = parse_contacts(contacts_out)
         content_events = parse_contents(contents_out)
-        assert contact_events and content_events
+        assert trace.times and content_events
         community = {f"a{i:04d}": i % 3 for i in range(12)}
-        assert all(community[e.a] == community[e.b] for e in contact_events)
+        assert all(
+            community[trace.agents[x]] == community[trace.agents[y]]
+            for x, y in zip(trace.a, trace.b)
+        )
         assert all(len(e.tags) >= 1 for e in content_events)
         assert (tmp_path / "contacts.csv.manifest.json").exists()
 
