@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 input file parse error, 3 configuration error
 (including unknown algorithm names), 4 unknown user.
+
+The replay engine (:mod:`pliersim.simulator`) and the generators
+(:mod:`pliersim.synth`) are imported only by the commands that run them,
+so ``linkpred`` and ``recommend`` neither load nor compile them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import evaluation, recommend, simulator, synth, traces
+from . import evaluation, recommend, traces
 from .graph import ParseError, load_graph_tsv
 from .recommend import ALGORITHMS, K_ALGORITHMS
 from .traces import ConfigError
@@ -50,11 +54,13 @@ def _check_top_n(top_n: int | None) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulator
+
     started = traces.now_utc()
     if args.config:
         config = traces.parse_config_file(args.config)
     else:
-        config = simulator.SimConfig()
+        config = traces.SimConfig()
     contacts = traces.parse_contacts(args.contacts)
     contents = traces.parse_contents(args.contents)
 
@@ -131,6 +137,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
+    from . import simulator, synth
+
     started = traces.now_utc()
     # every value is checked before the first file is written
     try:

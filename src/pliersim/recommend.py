@@ -3,11 +3,11 @@
 Every scorer is a pure read of the graph and returns a score for *every*
 item in it (owned items included); :func:`rank` filters owned and
 zero-score items afterwards and sorts the rest on the score array. It
-returns a :class:`RecommendationVector` of two parallel lists, the item keys
-and their scores, each built from the sorted positions in one step, with no
-(item, score) pair per item. A target with no items, or absent from the
-graph entirely, is a cold start and yields an all-zero vector; cold starts
-never reach the array kernels.
+returns a :class:`RecommendationVector` of the item keys and a float64
+array of their scores, each taken from the sorted positions in one step,
+with no (item, score) pair or float object per item. A target with no
+items, or absent from the graph entirely, is a cold start and yields an
+all-zero vector; cold starts never reach the array kernels.
 
 Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
 (sorted keys and CSR adjacency arrays), ``graph.index()``. Each scorer is one
@@ -66,10 +66,12 @@ class RecommendationVector:
     """Unowned, positively scored items, sorted by (score desc, item key asc).
 
     ``values[n]`` is the score of ``items[n]``, the item at rank ``n + 1``:
-    two parallel lists, so that a long list costs no object per item. Do not
-    mutate them. ``RecommendationVector(target, ranked)`` takes (item,
-    score) pairs in rank order, and :attr:`ranked` gives them back. Two
-    vectors are equal when their targets and both lists are.
+    a list of the item keys, which the graph's index already holds, and a
+    float64 array that owns its scores, so that a long list costs no object
+    per item. Do not mutate them. ``RecommendationVector(target, ranked)``
+    takes (item, score) pairs in rank order, and :attr:`ranked` gives them
+    back with Python floats. Two vectors are equal when their targets, keys
+    and scores are.
     """
 
     __slots__ = ("target", "items", "values")
@@ -78,11 +80,11 @@ class RecommendationVector:
         pairs = list(ranked)
         self.target = target
         self.items: list[str] = [item for item, _ in pairs]
-        self.values: list[float] = [score for _, score in pairs]
+        self.values: np.ndarray = np.array([score for _, score in pairs], np.float64)
 
     @classmethod
-    def from_lists(
-        cls, target: str, items: list[str], values: list[float]
+    def from_columns(
+        cls, target: str, items: list[str], values: np.ndarray
     ) -> "RecommendationVector":
         """The vector that ranks ``items`` in that order with scores ``values``; no copies."""
         rec = cls.__new__(cls)
@@ -92,7 +94,7 @@ class RecommendationVector:
     @property
     def ranked(self) -> list[tuple[str, float]]:
         """A new list of the (item, score) pairs in rank order."""
-        return list(zip(self.items, self.values))
+        return list(zip(self.items, self.values.tolist()))
 
     def item_keys(self) -> list[str]:
         """A copy of :attr:`items`."""
@@ -101,7 +103,9 @@ class RecommendationVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecommendationVector):
             return NotImplemented
-        return (self.target, self.items, self.values) == (other.target, other.items, other.values)
+        return (self.target, self.items, self.values.tolist()) == (
+            other.target, other.items, other.values.tolist()
+        )
 
     def __repr__(self) -> str:
         return f"RecommendationVector({self.target!r}, {self.ranked!r})"
@@ -510,8 +514,10 @@ def rank(
     order = pos[(-values[pos]).argsort(kind="stable")]
     if top_n is not None:
         order = order[:top_n]
-    # two C-level list builds and no (item, score) tuple: a graded run keeps
-    # thousands of lists, and a tuple per item sets off the cyclic collector
-    return RecommendationVector.from_lists(
-        scores.target, index.item_array[order].tolist(), values[order].tolist()
+    # one list of the index's keys and a fancy-indexed copy of the scores,
+    # which holds no view of the scored row: a graded run keeps thousands of
+    # lists, and a float object or tuple per item would cost memory and set
+    # off the cyclic collector
+    return RecommendationVector.from_columns(
+        scores.target, index.item_array[order].tolist(), values[order]
     )

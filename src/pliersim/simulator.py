@@ -36,6 +36,8 @@ from . import recommend
 from .evaluation import sum_in_order
 from .graph import FolksonomyGraph, GraphIndex
 from .recommend import scorer
+from .traces import POLICY_FIELDS  # noqa: F401  (read as simulator.POLICY_FIELDS)
+from .traces import ContactEvent, ContactTrace, ContentEvent, SimConfig, StepMetrics
 
 # not called here; bench/tracing.py wraps these names of this module, so they
 # stay: the metric rows rank and compare lists with _ranked_rows and
@@ -45,67 +47,8 @@ from .recommend import pliers_tripartite, rank  # noqa: F401
 
 
 # ----------------------------------------------------------------------
-# events and configuration
+# download policies
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class ContactEvent:
-    """One proximity contact; (a, b) and (b, a) mean the same exchange."""
-
-    time: int
-    a: str
-    b: str
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"contact of agent {self.a!r} with itself")
-        if self.time < 0:
-            raise ValueError("contact time must be >= 0")
-
-
-@dataclass(slots=True)
-class ContactTrace:
-    """Contacts as columns: each contact's time and the ids of its two agents.
-
-    An agent's id is its position on ``agents``, which lists the agent keys
-    in first-seen order, ``a`` before ``b`` within a contact. The contacts
-    keep their input order. :func:`pliersim.traces.parse_contacts` builds a
-    trace from a file, checking each line as :class:`ContactEvent` checks
-    an event, and :meth:`of` builds one from events.
-    """
-
-    times: array = field(default_factory=lambda: array("q"))
-    a: list[int] = field(default_factory=list)
-    b: list[int] = field(default_factory=list)
-    agents: list[str] = field(default_factory=list)
-
-    @classmethod
-    def of(cls, events: Iterable[ContactEvent]) -> ContactTrace:
-        """The trace of ``events``, in their order."""
-        trace, ids = cls(), {}
-        for ev in events:
-            trace.times.append(ev.time)
-            trace.a.append(ids.setdefault(ev.a, len(ids)))
-            trace.b.append(ids.setdefault(ev.b, len(ids)))
-        trace.agents = list(ids)
-        return trace
-
-
-@dataclass(frozen=True, slots=True)
-class ContentEvent:
-    """Creation of one tagged item by an agent."""
-
-    time: int
-    creator: str
-    item: str
-    tags: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.tags:
-            raise ValueError(f"content {self.item!r} carries no tags")
-        if self.time < 0:
-            raise ValueError("content time must be >= 0")
-
 
 @dataclass
 class DownloadPolicyState:
@@ -165,75 +108,6 @@ def apply_download_policy(
     state.observed += 1
     state.downloaded += decision
     return decision
-
-
-# download_policy kind -> the SimConfig fields it reads
-POLICY_FIELDS = {
-    "mean_threshold": ("download_history_s",),
-    "percentile_threshold": ("download_percentile", "download_history_s"),
-    "bounded_buffer": ("download_buffer_capacity",),
-}
-
-
-@dataclass
-class SimConfig:
-    """The settings of one replay.
-
-    ``download_policy`` names the automatic download rule that agents apply
-    to newly discovered items, or None for none: ``mean_threshold``
-    downloads scores strictly above the mean of the score history,
-    ``percentile_threshold`` above its ``download_percentile``, and
-    ``bounded_buffer`` keeps the ``download_buffer_capacity`` best-scored
-    items seen so far. ``download_history_s`` limits the threshold history
-    to a sliding span of simulation seconds. :data:`POLICY_FIELDS` names the
-    fields that each kind reads. Every error message starts with the name
-    of the field it rejects.
-    """
-
-    step_length: int = 60
-    affinity_weight: float = 0.5
-    expiry_window: int | None = None
-    metric_cadence: int = 1
-    top_n: int | None = None
-    download_policy: str | None = None
-    download_percentile: float = 50.0
-    download_buffer_capacity: int = 16
-    download_history_s: int | None = None
-
-    def __post_init__(self):
-        if self.step_length <= 0:
-            raise ValueError("step_length must be positive")
-        if self.metric_cadence < 1:
-            raise ValueError("metric_cadence must be >= 1")
-        if self.expiry_window is not None and self.expiry_window <= 0:
-            raise ValueError("expiry_window must be positive when set")
-        if not 0.0 <= self.affinity_weight <= 1.0:
-            raise ValueError("affinity_weight must lie in [0, 1]")
-        if self.top_n is not None and self.top_n < 0:
-            raise ValueError("top_n must be >= 0")
-        if self.download_policy is not None and self.download_policy not in POLICY_FIELDS:
-            raise ValueError(
-                f"download_policy must be one of {', '.join(POLICY_FIELDS)}, "
-                f"got {self.download_policy!r}"
-            )
-        if self.download_policy == "bounded_buffer" and self.download_buffer_capacity < 1:
-            raise ValueError("download_buffer_capacity must be >= 1")
-        if not 0.0 <= self.download_percentile <= 100.0:
-            raise ValueError("download_percentile must lie in [0, 100]")
-        if self.download_history_s is not None and self.download_history_s < 0:
-            raise ValueError("download_history_s must be >= 0")
-
-
-@dataclass(frozen=True)
-class StepMetrics:
-    step: int
-    sim_time_s: int
-    avg_graph_jaccard: float
-    avg_rec_jaccard: float
-    avg_rec_spearman_corrected: float
-    avg_rec_spearman_literal: float
-    n_contacts: int
-    n_contents: int
 
 
 # ----------------------------------------------------------------------

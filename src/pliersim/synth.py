@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 
 from .graph import FolksonomyGraph
-from .simulator import ContentEvent, agent_name
+from .simulator import agent_name
+from .traces import ContentEvent
 
 
 def item_name(index: int) -> str:

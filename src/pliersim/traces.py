@@ -1,5 +1,10 @@
 """File formats: trace CSVs, the key=value config file, CSV reports, manifests.
 
+The types these files hold live here too: the contact and content events,
+:class:`ContactTrace`, :class:`SimConfig` and :class:`StepMetrics`. So
+reading and writing files loads no replay engine; :mod:`pliersim.simulator`
+imports them from this module.
+
 Every input file is read by :func:`pliersim.graph.read_lines`: UTF-8 with
 or without a byte-order mark, LF or CRLF line ends, blank lines and ``#``
 comments skipped. A malformed line, or one that is not UTF-8, raises
@@ -16,6 +21,8 @@ import itertools
 import json
 import dataclasses
 import sys
+from array import array
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -24,14 +31,6 @@ from . import __version__
 from .evaluation import CorrelationReport, EvalReport, correlation_analysis
 from .graph import ParseError, read_lines
 from .recommend import RecommendationVector
-from .simulator import (
-    POLICY_FIELDS,
-    ContactEvent,
-    ContactTrace,
-    ContentEvent,
-    SimConfig,
-    StepMetrics,
-)
 
 CONTACT_HEADER = "time_s,agent_a,agent_b"
 CONTENT_HEADER = "time_s,agent,item_key,tags"
@@ -74,6 +73,138 @@ def _text(lines: Iterable[str]) -> str:
 
 
 # ----------------------------------------------------------------------
+# trace, config and metric types
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class ContactEvent:
+    """One proximity contact; (a, b) and (b, a) mean the same exchange."""
+
+    time: int
+    a: str
+    b: str
+
+    def __post_init__(self):
+        if self.a == self.b:
+            raise ValueError(f"contact of agent {self.a!r} with itself")
+        if self.time < 0:
+            raise ValueError("contact time must be >= 0")
+
+
+@dataclass(slots=True)
+class ContactTrace:
+    """Contacts as columns: each contact's time and the ids of its two agents.
+
+    An agent's id is its position on ``agents``, which lists the agent keys
+    in first-seen order, ``a`` before ``b`` within a contact. The contacts
+    keep their input order. :func:`parse_contacts` builds a trace from a
+    file, checking each line as :class:`ContactEvent` checks an event, and
+    :meth:`of` builds one from events.
+    """
+
+    times: array = field(default_factory=lambda: array("q"))
+    a: list[int] = field(default_factory=list)
+    b: list[int] = field(default_factory=list)
+    agents: list[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, events: Iterable[ContactEvent]) -> ContactTrace:
+        """The trace of ``events``, in their order."""
+        trace, ids = cls(), {}
+        for ev in events:
+            trace.times.append(ev.time)
+            trace.a.append(ids.setdefault(ev.a, len(ids)))
+            trace.b.append(ids.setdefault(ev.b, len(ids)))
+        trace.agents = list(ids)
+        return trace
+
+
+@dataclass(frozen=True, slots=True)
+class ContentEvent:
+    """Creation of one tagged item by an agent."""
+
+    time: int
+    creator: str
+    item: str
+    tags: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.tags:
+            raise ValueError(f"content {self.item!r} carries no tags")
+        if self.time < 0:
+            raise ValueError("content time must be >= 0")
+
+
+# download_policy kind -> the SimConfig fields it reads
+POLICY_FIELDS = {
+    "mean_threshold": ("download_history_s",),
+    "percentile_threshold": ("download_percentile", "download_history_s"),
+    "bounded_buffer": ("download_buffer_capacity",),
+}
+
+
+@dataclass
+class SimConfig:
+    """The settings of one replay.
+
+    ``download_policy`` names the automatic download rule that agents apply
+    to newly discovered items, or None for none: ``mean_threshold``
+    downloads scores strictly above the mean of the score history,
+    ``percentile_threshold`` above its ``download_percentile``, and
+    ``bounded_buffer`` keeps the ``download_buffer_capacity`` best-scored
+    items seen so far. ``download_history_s`` limits the threshold history
+    to a sliding span of simulation seconds. :data:`POLICY_FIELDS` names the
+    fields that each kind reads. Every error message starts with the name
+    of the field it rejects.
+    """
+
+    step_length: int = 60
+    affinity_weight: float = 0.5
+    expiry_window: int | None = None
+    metric_cadence: int = 1
+    top_n: int | None = None
+    download_policy: str | None = None
+    download_percentile: float = 50.0
+    download_buffer_capacity: int = 16
+    download_history_s: int | None = None
+
+    def __post_init__(self):
+        if self.step_length <= 0:
+            raise ValueError("step_length must be positive")
+        if self.metric_cadence < 1:
+            raise ValueError("metric_cadence must be >= 1")
+        if self.expiry_window is not None and self.expiry_window <= 0:
+            raise ValueError("expiry_window must be positive when set")
+        if not 0.0 <= self.affinity_weight <= 1.0:
+            raise ValueError("affinity_weight must lie in [0, 1]")
+        if self.top_n is not None and self.top_n < 0:
+            raise ValueError("top_n must be >= 0")
+        if self.download_policy is not None and self.download_policy not in POLICY_FIELDS:
+            raise ValueError(
+                f"download_policy must be one of {', '.join(POLICY_FIELDS)}, "
+                f"got {self.download_policy!r}"
+            )
+        if self.download_policy == "bounded_buffer" and self.download_buffer_capacity < 1:
+            raise ValueError("download_buffer_capacity must be >= 1")
+        if not 0.0 <= self.download_percentile <= 100.0:
+            raise ValueError("download_percentile must lie in [0, 100]")
+        if self.download_history_s is not None and self.download_history_s < 0:
+            raise ValueError("download_history_s must be >= 0")
+
+
+@dataclass(frozen=True)
+class StepMetrics:
+    step: int
+    sim_time_s: int
+    avg_graph_jaccard: float
+    avg_rec_jaccard: float
+    avg_rec_spearman_corrected: float
+    avg_rec_spearman_literal: float
+    n_contacts: int
+    n_contents: int
+
+
+# ----------------------------------------------------------------------
 # trace files
 # ----------------------------------------------------------------------
 
@@ -96,13 +227,25 @@ def _check_key(value: str, what: str, path: str | Path, lineno: int) -> str:
     return sys.intern(value)
 
 
+def _check_time(text: str, path: str | Path, lineno: int) -> int:
+    """``text`` as an integer time below 2^63 s, the most an ``array("q")`` holds."""
+    try:
+        time = int(text)
+        if time >= 1 << 63:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"bad time {text!r}", path, lineno) from None
+    return time
+
+
 def parse_contacts(path: str | Path) -> ContactTrace:
     """The contacts of a ``time_s,agent_a,agent_b`` file as a trace, in file order.
 
     Agent keys get their ids as they first appear. Each line is checked as
-    :class:`~pliersim.simulator.ContactEvent` checks an event, with the same
-    messages: a contact of an agent with itself, or at a negative time,
-    raises :class:`~pliersim.graph.ParseError` citing its line.
+    :class:`ContactEvent` checks an event, with the same messages: a contact
+    of an agent with itself, or at a negative time, raises
+    :class:`~pliersim.graph.ParseError` citing its line, as does a time of
+    2^63 s or more.
     """
     trace = ContactTrace()
     times, xs, ys = trace.times, trace.a, trace.b
@@ -114,10 +257,7 @@ def parse_contacts(path: str | Path) -> ContactTrace:
         fields = line.split(",")
         if len(fields) != 3:
             raise ParseError("expected time_s,agent_a,agent_b", path, lineno)
-        try:
-            time = int(fields[0])
-        except ValueError:
-            raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
+        time = _check_time(fields[0], path, lineno)
         x = written.get(fields[1])
         if x is None:
             key = _check_key(fields[1], "agent", path, lineno)
@@ -130,10 +270,7 @@ def parse_contacts(path: str | Path) -> ContactTrace:
             raise ParseError(f"contact of agent {fields[1].strip()!r} with itself", path, lineno)
         if time < 0:
             raise ParseError("contact time must be >= 0", path, lineno)
-        try:
-            times.append(time)
-        except OverflowError:  # 2^63 s or more
-            raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
+        times.append(time)
         xs.append(x)
         ys.append(y)
     trace.agents = list(ids)
@@ -141,15 +278,17 @@ def parse_contacts(path: str | Path) -> ContactTrace:
 
 
 def parse_contents(path: str | Path) -> list[ContentEvent]:
+    """The content events of a ``time_s,agent,item_key,tags`` file, in file order.
+
+    A time of 2^63 s or more raises :class:`~pliersim.graph.ParseError`
+    citing its line, as :func:`parse_contacts` does.
+    """
     events = []
     for lineno, line in _data_lines(path, CONTENT_HEADER):
         fields = line.split(",")
         if len(fields) != 4:
             raise ParseError("expected time_s,agent,item_key,tags", path, lineno)
-        try:
-            time = int(fields[0])
-        except ValueError:
-            raise ParseError(f"bad time {fields[0]!r}", path, lineno) from None
+        time = _check_time(fields[0], path, lineno)
         agent = _check_key(fields[1], "agent", path, lineno)
         item = _check_key(fields[2], "item key", path, lineno)
         tags = tuple(t.strip() for t in fields[3].split(";"))
@@ -305,7 +444,7 @@ def linkpred_csv_text(
 
 def ranking_csv_text(rec: RecommendationVector) -> str:
     """The 1-based rank, item and score of each item of ``rec``."""
-    rows = map(csv_row, zip(itertools.count(1), rec.items, rec.values))
+    rows = map(csv_row, zip(itertools.count(1), rec.items, rec.values.tolist()))
     return _text([RANKING_HEADER, *rows])
 
 

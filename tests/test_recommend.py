@@ -339,6 +339,25 @@ class TestRank:
         assert rec.items == ["i2", "i3"] and rec.ranked == [("i2", 1 / 6), ("i3", 1 / 6)]
         assert rec == RecommendationVector("u_t", [("i2", 1 / 6), ("i3", 1 / 6)])
 
+    def test_scores_are_one_float64_array_of_their_own(self):
+        g = eq1_hand_graph()
+        g.add_content("u2", "i3", ["t1"], 3)
+        g.add_content("u3", "i4", ["t2"], 4)
+        vec = affinity_scores(g, "u_t")
+        for rec in (rank(vec, g), rank(vec, g, top_n=1), rank(probs_scores(g, "nobody"), g)):
+            assert rec.values.dtype == np.float64 and rec.values.base is None
+            assert len(rec.values) == len(rec.items)
+            assert all(type(score) is float for _, score in rec.ranked)
+        rec = rank(vec, g)
+        assert len(rec.items) > 1
+        # no view of the scored row: changing the scores leaves the list alone
+        before = rec.ranked
+        vec.values[:] = 0.0
+        assert rec.ranked == before
+        built = RecommendationVector("u_t", before)
+        assert built.values.dtype == np.float64 and built == rec
+        assert RecommendationVector("u_t", []).values.dtype == np.float64
+
 
 # keys whose string order differs from their numeric order; capitals sort first
 RANK_KEYS = sorted([f"i{n}" for n in range(24)] + ["i100", "B", "Z", "a", "b"])
@@ -373,7 +392,7 @@ class TestRankReference:
         for n in RANK_TOP_N:
             rec, pairs = rank(vec, g, n), reference_scorers.rank(vec, g, n).ranked
             assert rec.items == [item for item, _ in pairs]
-            assert rec.values == [score for _, score in pairs]
+            assert rec.values.tolist() == [score for _, score in pairs]
             again = RecommendationVector("u_t", pairs)
             assert again == rec and again.ranked == pairs and again.item_keys() == rec.items
             assert RecommendationVector("u2", pairs) != rec

@@ -10,6 +10,7 @@ import pytest
 import pliersim
 from pliersim import cli
 from pliersim.graph import ParseError, load_graph_tsv, save_graph_tsv
+from pliersim.recommend import RecommendationVector
 from pliersim.simulator import ContactEvent, ContactTrace, ContentEvent
 from pliersim.synth import generate_synthetic_contents
 from pliersim.traces import (
@@ -21,6 +22,7 @@ from pliersim.traces import (
     parse_config_file,
     parse_contacts,
     parse_contents,
+    ranking_csv_text,
     write_contacts,
     write_contents,
 )
@@ -132,6 +134,15 @@ class TestTraceFiles:
             parse(path)
         assert str(err.value) == f"{path}:1: {message}"
 
+    def test_content_time_of_2_63_rejected(self, tmp_path):
+        path = tmp_path / "contents.csv"
+        path.write_text("0,a,i1,t1\n9223372036854775807,a,i2,t1\n")
+        assert parse_contents(path)[1].time == 2**63 - 1
+        path.write_text("0,a,i1,t1\n9223372036854775808,a,i2,t1\n")
+        with pytest.raises(ParseError) as err:
+            parse_contents(path)
+        assert str(err.value) == f"{path}:2: bad time '9223372036854775808'"
+
     @pytest.mark.parametrize(
         "text",
         ["0,a,i1,\n", "0,a,i1,t1;;t2\n", "x,a,i1,t1\n", "0,a,i1\n"],
@@ -222,6 +233,13 @@ class TestCsvFormatting:
         assert text.splitlines()[1] == "r_squared,r_yx1,r_yx2,beta1,beta2,n,flags"
         assert len(text.splitlines()) == 3
         assert correlation_csv_text(None).splitlines()[2].endswith("insufficient_data")
+
+    def test_ranking_text_pinned(self):
+        rec = RecommendationVector("u", [("i2", 2 / 3), ("i10", 1 / 3), ("i1", 1e-10)])
+        assert ranking_csv_text(rec).encode() == (
+            b"rank,item,score\n1,i2,0.666666667\n2,i10,0.333333333\n3,i1,1e-10\n"
+        )
+        assert ranking_csv_text(RecommendationVector("u", [])) == "rank,item,score\n"
 
 
 @pytest.fixture
@@ -630,6 +648,29 @@ class TestHashSeed:
                             for name in ("metrics.csv", "correlation.csv")])
         assert outputs[0][0].count(b"\n") > 10
         assert outputs[0] == outputs[1]
+
+
+class TestImports:
+    def test_linkpred_and_recommend_load_no_engine(self, tmp_path):
+        """The two graph commands import neither the replay engine nor the generators."""
+        path = tmp_path / "graph.tsv"
+        save_graph_tsv(eq1_hand_graph(), path)
+        script = (
+            "import sys\n"
+            "from pliersim import cli\n"
+            f"assert cli.main(['linkpred', {str(path)!r}, '--k', '2']) == 0\n"
+            f"assert cli.main(['recommend', {str(path)!r}, 'u_t']) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pliersim'))))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        loaded = done.stdout.splitlines()[-1].split()
+        assert "pliersim.recommend" in loaded and "pliersim.traces" in loaded
+        assert "pliersim.simulator" not in loaded and "pliersim.synth" not in loaded
 
 
 class TestCliGenTraces:
