@@ -13,16 +13,23 @@ and its metrics are stamped with the step's end time. Within a step all
 content events apply first, then contacts run sequentially in input order,
 so knowledge can travel several hops in a single step. The input need not
 be sorted by time: the replay orders the contacts by step with one stable
-sort.
+sort. A step with no content, no contact and no metric row changes nothing
+and is not visited, so a gap in the traces costs nothing.
 
-Contacts travel as a :class:`ContactTrace`, columns of agent ids, and the
-replay keeps each agent's knowledge as two bitsets indexed by agent id: the
-content events it has seen and their items. A contact is one comparison of
-two integers, and two integer ORs when they differ.
+Contacts stay packed from the trace file to the exchange loop: a
+:class:`ContactTrace` holds ``array("q")`` columns of times and agent ids,
+and each step's contacts run as slices of such columns in this replay's
+ids. The replay keeps each agent's knowledge as two bitsets indexed by
+agent id: the content events it has seen and their items. A contact is one
+comparison of two integers, and two integer ORs when they differ. A view's
+edges are the events it holds ORed together by edge id, a byte per
+(view, event) while they are taken.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from array import array
 from collections import deque
@@ -37,7 +44,7 @@ from .evaluation import sum_in_order
 from .graph import FolksonomyGraph, GraphIndex
 from .recommend import scorer
 from .traces import POLICY_FIELDS  # noqa: F401  (read as simulator.POLICY_FIELDS)
-from .traces import ContactEvent, ContactTrace, ContentEvent, SimConfig, StepMetrics
+from .traces import ContactEvent, ContactTrace, ContentEvent, SimConfig, StepMetrics, agent_name
 
 # not called here; bench/tracing.py wraps these names of this module, so they
 # stay: the metric rows rank and compare lists with _ranked_rows and
@@ -295,6 +302,29 @@ def _set_bits(bits: int) -> list[int]:
     return [i for i, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"]
 
 
+def _any_of_each(
+    held: np.ndarray, column: np.ndarray, group: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """For each row of ``held``, whether any of its columns of each group is set.
+
+    Column ``column[k]`` of ``held`` belongs to group ``group[k]``, and each
+    of the groups ``0 .. n_groups - 1`` has a column. The columns are
+    gathered in group order with one stable sort and each group ORed along
+    the row. Returns a boolean array of one row per row of ``held`` and one
+    column per group.
+    """
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(n_groups))
+    return np.logical_or.reduceat(held[:, column[order]], starts, axis=1)
+
+
+def _packed(values: np.ndarray) -> array:
+    """The int64 array ``values`` as an ``array("q")``, whose items iterate as Python ints."""
+    out = array("q")
+    out.frombytes(values.view(np.uint8))
+    return out
+
+
 class Simulation:
     """Per-agent knowledge as event and item bitsets, the global graph, policy states.
 
@@ -364,27 +394,32 @@ class Simulation:
         """The ``gkg`` edges that the events of each bitset hold under an expiry cutoff.
 
         A row drops every event of each item that it knows an event of from
-        before ``cutoff``: its graph pruned by item creation time. The
-        default cutoff expires nothing. Returns boolean arrays over the
-        user-item and the item-tag edge ids, one row per bitset.
+        before ``cutoff``: its graph pruned by item creation time. A cutoff
+        of 0 or less, the default, expires nothing. Returns boolean arrays
+        over the user-item and the item-tag edge ids, one row per bitset.
+
+        Each pass groups the events, or the tags of the events, by item or
+        edge id with one stable sort and ORs each group along the event
+        axis: every item and edge id has an event, so no group is empty. The
+        work arrays hold a byte per (bitset, event) or (bitset, event tag).
         """
         n, width = len(self._events), (len(self._events) + 7) // 8
+        if not n:
+            return np.zeros((len(bitsets), 0), bool), np.zeros((len(bitsets), 0), bool)
         # before Python 3.11, int.to_bytes needs both arguments
         raw = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in bitsets), np.uint8)
         held = np.unpackbits(
             raw.reshape(len(bitsets), width), axis=1, count=n, bitorder="little"
         ).view(bool)
-        item = np.frombuffer(self._event_item, np.int64)
-        view, event = (held & (np.frombuffer(self._event_time, np.int64) < cutoff)).nonzero()
-        expired = np.zeros((len(bitsets), len(self._item_ids)), bool)
-        expired[view, item[event]] = True
-        held &= ~expired[:, item]
-        ui = np.zeros((len(bitsets), len(self._edge_ids[0])), bool)
-        view, event = held.nonzero()
-        ui[view, np.frombuffer(self._event_edge, np.int64)[event]] = True
-        it = np.zeros((len(bitsets), len(self._edge_ids[1])), bool)
-        view, tag = held[:, np.frombuffer(self._tag_event, np.int64)].nonzero()
-        it[view, np.frombuffer(self._tag_edge, np.int64)[tag]] = True
+        events, item = np.arange(n), np.frombuffer(self._event_item, np.int64)
+        if cutoff > 0:
+            old = held & (np.frombuffer(self._event_time, np.int64) < cutoff)
+            held &= (~_any_of_each(old, events, item, len(self._item_ids)))[:, item]
+        edge = np.frombuffer(self._event_edge, np.int64)
+        ui = _any_of_each(held, events, edge, len(self._edge_ids[0]))
+        tag_event = np.frombuffer(self._tag_event, np.int64)
+        tag_edge = np.frombuffer(self._tag_edge, np.int64)
+        it = _any_of_each(held, tag_event, tag_edge, len(self._edge_ids[1]))
         return ui, it
 
     def apply_content(self, event: ContentEvent) -> None:
@@ -481,12 +516,14 @@ class Simulation:
         agent the traces name is registered first: the content creators,
         then the contact agents in first-seen order. The contacts are then
         ordered by step with one stable sort, so each step's keep their
-        input order, and each step's run through one loop over agent ids.
-        The expiry window only affects measurement, never the exchanged
-        knowledge, so one pass over the dynamics serves all windows: at each
-        metric step, agents with equal knowledge share one row of
-        :meth:`masks` in every window. A window listed twice, or of 0 s or
-        less, raises ValueError up front.
+        input order, and each step's run through one loop over packed
+        columns of agent ids. Only the steps that hold contents or contacts
+        and the metric steps up to the last of them are visited: any other
+        step changes nothing. The expiry window only affects measurement,
+        never the exchanged knowledge, so one pass over the dynamics serves
+        all windows: at each metric step, agents with equal knowledge share
+        one row of :meth:`masks` in every window. A window listed twice, or
+        of 0 s or less, raises ValueError up front.
         """
         if len(set(windows)) < len(windows) or any(w is not None and w <= 0 for w in windows):
             raise ValueError(f"expiry windows must be distinct and positive, got {list(windows)}")
@@ -499,26 +536,31 @@ class Simulation:
         contents_by_step: dict[int, list[ContentEvent]] = {}
         for ev in contents:
             contents_by_step.setdefault(ev.time // length, []).append(ev)
-        # the contacts in step order, as the trace's columns in this replay's ids
-        times = np.array(contacts.times, np.int64)
+        # the contacts in step order, as packed columns in this replay's ids
+        times = np.frombuffer(contacts.times, np.int64)
         steps = times // length
         order = np.argsort(steps, kind="stable")
-        steps, times = steps[order], times[order].tolist()
-        ids = np.array([self._ids[agent] for agent in contacts.agents], np.intp)
-        xs = ids[np.array(contacts.a, np.intp)[order]].tolist()
-        ys = ids[np.array(contacts.b, np.intp)[order]].tolist()
+        steps = steps[order]
+        ids = np.array([self._ids[agent] for agent in contacts.agents], np.int64)
+        xs = _packed(ids[np.frombuffer(contacts.a, np.int64)[order]])
+        ys = _packed(ids[np.frombuffer(contacts.b, np.int64)[order]])
+        times = _packed(times[order])
 
-        last_step = max([*contents_by_step, *steps[-1:].tolist()], default=-1)
+        # the steps that hold contents or contacts, then the metric steps up
+        # to the last of them; a step between these changes nothing. Steps
+        # are at least 0, and np.unique would load numpy.ma
+        busy = sorted({*contents_by_step, *steps[np.diff(steps, prepend=-1) != 0].tolist()})
+        last_step = busy[-1] if busy else -1
+        cadence = self.config.metric_cadence
+        visited = heapq.merge(busy, range(cadence - 1, last_step + 1, cadence))
 
         out: dict[int | None, list[StepMetrics]] = {w: [] for w in windows}
-        cadence = self.config.metric_cadence
         hi = 0
-        for step in range(last_step + 1):
+        for step, _ in itertools.groupby(visited):
             step_contents = contents_by_step.get(step, ())
             for ev in step_contents:
                 self.apply_content(ev)
-            # the step's contacts, cut one step at a time: a trace may span
-            # many more steps than it has contacts
+            # the step's contacts: those since the step visited last
             lo, hi = hi, int(steps.searchsorted(step, "right"))
             self._contacts(xs[lo:hi], ys[lo:hi], times[lo:hi])
             while self._discoveries:
@@ -565,10 +607,6 @@ def run(
 # ----------------------------------------------------------------------
 # synthetic contacts
 # ----------------------------------------------------------------------
-
-def agent_name(index: int) -> str:
-    return f"a{index:04d}"
-
 
 def generate_synthetic_contacts(
     n_agents: int,

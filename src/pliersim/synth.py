@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 
 from .graph import FolksonomyGraph
-from .simulator import agent_name
-from .traces import ContentEvent
+from .traces import ContentEvent, agent_name
 
 
 def item_name(index: int) -> str:

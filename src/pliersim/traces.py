@@ -1,9 +1,10 @@
 """File formats: trace CSVs, the key=value config file, CSV reports, manifests.
 
 The types these files hold live here too: the contact and content events,
-:class:`ContactTrace`, :class:`SimConfig` and :class:`StepMetrics`. So
-reading and writing files loads no replay engine; :mod:`pliersim.simulator`
-imports them from this module.
+:class:`ContactTrace`, :class:`SimConfig` and :class:`StepMetrics`, with
+:func:`agent_name` for the agent keys of generated traces. So reading,
+writing and generating trace files loads no replay engine;
+:mod:`pliersim.simulator` imports them from this module.
 
 Every input file is read by :func:`pliersim.graph.read_lines`: UTF-8 with
 or without a byte-order mark, LF or CRLF line ends, blank lines and ``#``
@@ -76,6 +77,11 @@ def _text(lines: Iterable[str]) -> str:
 # trace, config and metric types
 # ----------------------------------------------------------------------
 
+def agent_name(index: int) -> str:
+    """The key of agent ``index`` in generated contacts and contents."""
+    return f"a{index:04d}"
+
+
 @dataclass(frozen=True, slots=True)
 class ContactEvent:
     """One proximity contact; (a, b) and (b, a) mean the same exchange."""
@@ -95,16 +101,17 @@ class ContactEvent:
 class ContactTrace:
     """Contacts as columns: each contact's time and the ids of its two agents.
 
-    An agent's id is its position on ``agents``, which lists the agent keys
-    in first-seen order, ``a`` before ``b`` within a contact. The contacts
+    The three columns are ``array("q")``, eight bytes a contact each. An
+    agent's id is its position on ``agents``, which lists the agent keys in
+    first-seen order, ``a`` before ``b`` within a contact. The contacts
     keep their input order. :func:`parse_contacts` builds a trace from a
     file, checking each line as :class:`ContactEvent` checks an event, and
     :meth:`of` builds one from events.
     """
 
     times: array = field(default_factory=lambda: array("q"))
-    a: list[int] = field(default_factory=list)
-    b: list[int] = field(default_factory=list)
+    a: array = field(default_factory=lambda: array("q"))
+    b: array = field(default_factory=lambda: array("q"))
     agents: list[str] = field(default_factory=list)
 
     @classmethod

@@ -2,7 +2,8 @@
 
 The scorer oracles evaluate the defining sums literally over dense adjacency
 tables rebuilt from the graph's edge sets, sharing no code with the
-production scorers. :func:`merge_replay` is the gossip replay done the
+production scorers. :func:`reference_masks` takes a replay's views with
+index pairs. :func:`merge_replay` is the gossip replay done the
 direct way, with one graph per agent merged on every contact, expiry
 windows applied by pruning each graph with :func:`prune_older_than`, and
 the metrics taken on those graphs by :func:`reference_step_metrics`.
@@ -183,6 +184,32 @@ def graph_of(sim, bits: int) -> FolksonomyGraph:
         if bits >> n & 1:
             graph.add_content(ev.creator, ev.item, ev.tags, ev.time)
     return graph
+
+
+def reference_masks(sim, bitsets, cutoff: int = 0):
+    """``sim.masks`` done with index pairs: each held (view, event) is written into the masks.
+
+    The events of each item that a view holds from before ``cutoff`` mark
+    that item expired for the view; every held event of an unexpired item
+    sets its user-item edge and the item-tag edges of its tags.
+    """
+    n, width = len(sim._events), (len(sim._events) + 7) // 8
+    raw = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in bitsets), np.uint8)
+    held = np.unpackbits(
+        raw.reshape(len(bitsets), width), axis=1, count=n, bitorder="little"
+    ).view(bool)
+    item = np.array(sim._event_item, np.int64)
+    view, event = (held & (np.array(sim._event_time, np.int64) < cutoff)).nonzero()
+    expired = np.zeros((len(bitsets), len(sim._item_ids)), bool)
+    expired[view, item[event]] = True
+    held &= ~expired[:, item]
+    ui = np.zeros((len(bitsets), len(sim._edge_ids[0])), bool)
+    view, event = held.nonzero()
+    ui[view, np.array(sim._event_edge, np.int64)[event]] = True
+    it = np.zeros((len(bitsets), len(sim._edge_ids[1])), bool)
+    view, tag = held[:, np.array(sim._tag_event, np.int64)].nonzero()
+    it[view, np.array(sim._tag_edge, np.int64)[tag]] = True
+    return ui, it
 
 
 def view_graph(gkg: FolksonomyGraph, view) -> FolksonomyGraph:

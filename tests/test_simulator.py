@@ -27,6 +27,7 @@ from oracles import (
     graph_of,
     merge_replay,
     prune_older_than,
+    reference_masks,
     reference_step_metrics,
     rows_over,
     view_graph,
@@ -307,6 +308,25 @@ class TestEncounter:
         assert ui.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
         assert it.tolist() == [[1, 1, 0], [0, 0, 1], [0, 1, 0], [1, 1, 1]]
 
+    def test_masks_of_hand_events(self):
+        # i1 announced before and after the cutoff, and the edge (a, i2) held
+        # by two events
+        sim = self._sim(["a", "b"])
+        for ev in [
+            ContentEvent(5, "a", "i1", ("t1",)),
+            ContentEvent(50, "b", "i1", ("t2",)),
+            ContentEvent(30, "a", "i2", ("t1",)),
+            ContentEvent(40, "a", "i2", ("t2",)),
+        ]:
+            sim.apply_content(ev)
+        every = list(range(16))
+        for cutoff in (-1, 0, 20, 35, 45, 60):
+            got, want = sim.masks(every, cutoff), reference_masks(sim, every, cutoff)
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        ui, it = sim.masks([0b0010, 0b0011, 0b0100, 0b1000, 0b1100], 35)
+        assert ui.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]]
+        assert it.tolist() == [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+
     def test_trace_agents_join_the_roster(self):
         # the population is the roster plus every agent the traces name
         sim = Simulation(SimConfig(), ["a"])
@@ -395,6 +415,42 @@ class TestRun:
         contacts = [ContactEvent(t * 60, "a", "b") for t in range(5)]
         metrics = run(config, contacts, contents)
         assert [m.step for m in metrics] == [1, 3, 4]  # every 2nd step plus final
+
+    def test_far_content_visits_only_busy_and_metric_steps(self):
+        # a content at 2^40 s ends step 18,325,193,796 of 60 s: the replay
+        # visits the two busy steps and the metric steps before the last
+        far = 1 << 40
+        contents = [ContentEvent(far, "a", "i1", ("t1",))]
+        metrics = run(SimConfig(metric_cadence=10**9), [ContactEvent(0, "a", "b")], contents)
+        assert [m.step for m in metrics] == [k * 10**9 - 1 for k in range(1, 19)] + [far // 60]
+        assert [m.n_contents for m in metrics] == [0] * 18 + [1]
+        assert metrics[-1].sim_time_s == (far // 60 + 1) * 60
+        assert [m.avg_graph_jaccard for m in metrics] == [1.0] * 18 + [0.5]
+
+    @pytest.mark.parametrize("policy", [None, "mean_threshold"])
+    def test_metric_steps_between_events_match_merge_replay(self, policy):
+        # events in steps 0, 1, 9, 16 and 30 of 60 s: most metric steps of
+        # cadence 4 hold no event, at some of them the 600 s window expires
+        # items without an event marking the step, and step 16 holds only a
+        # contact
+        contents = [
+            ContentEvent(0, "a", "i1", ("t1",)),
+            ContentEvent(70, "b", "i2", ("t1", "t2")),
+            ContentEvent(560, "c", "i3", ("t2",)),
+        ]
+        contacts = [
+            ContactEvent(30, "a", "b"),
+            ContactEvent(65, "b", "c"),
+            ContactEvent(1000, "c", "a"),
+            ContactEvent(1810, "c", "a"),
+        ]
+        config = SimConfig(metric_cadence=4, download_policy=policy)
+        sim = Simulation(config)
+        rows = sim.run_windows(contacts, contents, [None, 600])
+        _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None, 600])
+        assert [m.step for m in rows[None]] == [3, 7, 11, 15, 19, 23, 27, 30]
+        assert rows == ref_rows
+        assert sim.policies == ref_policies
 
     def test_containment_and_monotonicity(self):
         agents = 20
@@ -958,6 +1014,36 @@ def test_masked_views_equal_built_graphs(replay, more_windows):
     sim.masks = checked_masks
     sim.run_windows(contacts, contents, list(dict.fromkeys([*windows, *more_windows])))
     assert checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    contents=st.lists(
+        st.builds(
+            ContentEvent,
+            time=st.integers(0, 99),
+            creator=st.sampled_from(AGENTS),
+            item=st.sampled_from(["i0", "i1", "i2"]),
+            tags=st.lists(
+                st.sampled_from(["t0", "t1", "t2"]), min_size=1, max_size=3, unique=True
+            ).map(tuple),
+        ),
+        max_size=9,
+    ),
+    bitsets=st.lists(st.integers(0, (1 << 9) - 1), max_size=5),
+    cutoff=st.integers(-5, 105),
+)
+@example(contents=[], bitsets=[0, 3], cutoff=50)
+def test_masks_equal_pair_reference(contents, bitsets, cutoff):
+    """Grouped ORs give the masks that writing each held (view, event) pair gives."""
+    sim = Simulation(SimConfig(), AGENTS)
+    for ev in contents:
+        sim.apply_content(ev)
+    bitsets = [bits & ((1 << len(contents)) - 1) for bits in bitsets]
+    got, want = sim.masks(bitsets, cutoff), reference_masks(sim, bitsets, cutoff)
+    for g, w in zip(got, want):
+        assert g.dtype == bool and g.shape == w.shape
+        assert g.tolist() == w.tolist()
 
 
 RANKED_ITEMS = ["i0", "i1", "i2", "i3", "i4"]

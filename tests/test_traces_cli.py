@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,17 @@ class TestTraceFiles:
         write_contacts(path, events)
         trace = parse_contacts(path)
         assert trace == ContactTrace.of(events)
-        assert (trace.times.tolist(), trace.a, trace.b, trace.agents) == (
+        assert (trace.times.tolist(), trace.a.tolist(), trace.b.tolist(), trace.agents) == (
             [0, 75], [0, 1], [1, 2], ["a", "b", "c"]
         )
+
+    def test_contact_columns_are_packed(self, tmp_path):
+        events = [ContactEvent(0, "a", "b"), ContactEvent(75, "b", "c")]
+        path = tmp_path / "contacts.csv"
+        write_contacts(path, events)
+        for trace in (parse_contacts(path), ContactTrace.of(events), ContactTrace()):
+            for column in (trace.times, trace.a, trace.b):
+                assert isinstance(column, array) and column.typecode == "q"
 
     def test_content_round_trip(self, tmp_path):
         events = [
@@ -459,7 +468,9 @@ class TestInputEncoding:
         contacts.write_text("10,agent1,agent2\n20,agent2,agent1\n")
         contents.write_text("0,agent1,item1,t1\n5,agent1,item1,t2\n")
         trace = parse_contacts(contacts)
-        assert (trace.a, trace.b, trace.agents) == ([0, 1], [1, 0], ["agent1", "agent2"])
+        assert (trace.a.tolist(), trace.b.tolist(), trace.agents) == (
+            [0, 1], [1, 0], ["agent1", "agent2"]
+        )
         first, second = parse_contents(contents)
         assert first.creator is second.creator and first.item is second.item
 
@@ -671,6 +682,24 @@ class TestImports:
         loaded = done.stdout.splitlines()[-1].split()
         assert "pliersim.recommend" in loaded and "pliersim.traces" in loaded
         assert "pliersim.simulator" not in loaded and "pliersim.synth" not in loaded
+
+
+    def test_synth_loads_no_engine(self):
+        """Generating contents and folksonomies imports no replay engine."""
+        script = (
+            "import sys\n"
+            "import pliersim.synth\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pliersim'))))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        loaded = done.stdout.splitlines()[-1].split()
+        assert "pliersim.synth" in loaded and "pliersim.traces" in loaded
+        assert "pliersim.simulator" not in loaded
 
 
 class TestCliGenTraces:
