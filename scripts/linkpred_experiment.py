@@ -25,6 +25,9 @@ def main():
     parser.add_argument("--k", type=int, nargs="+", default=[5, 10, 20])
     parser.add_argument("--lambda", dest="lambda_weight", type=float, default=0.5)
     args = parser.parse_args()
+    for option in ("users", "items", "tags", "seeds"):
+        if getattr(args, option) < 1:
+            parser.error(f"--{option} must be >= 1")
 
     scorers = {}
     try:

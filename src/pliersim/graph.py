@@ -195,10 +195,22 @@ class Adjacency(NamedTuple):
 
         Also returns, for each entry, the position in ``which`` of its row.
         """
-        lengths = self.degree[which]
-        source = np.repeat(np.arange(len(which)), lengths)
-        skip = self.ptr[which] - (np.cumsum(lengths) - lengths)
-        return self.cols[np.arange(len(source)) + skip[source]], source
+        at, source = row_entries(self.ptr, self.degree, which)
+        return self.cols[at], source
+
+
+def row_entries(
+    ptr: np.ndarray, degree: np.ndarray, which: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of CSR rows ``which``, concatenated in the given order.
+
+    Row ``r`` holds the ``degree[r]`` entries from ``ptr[r]`` on. Also
+    returns, for each entry, the position in ``which`` of its row.
+    """
+    lengths = degree[which]
+    source = np.repeat(np.arange(len(which)), lengths)
+    skip = ptr[which] - (np.cumsum(lengths) - lengths)
+    return np.arange(len(source)) + skip[source], source
 
 
 class GraphIndex:

@@ -17,7 +17,11 @@ one budget of scores, and the public single-target functions score a block
 of one with a :func:`scorer`. The PLIERS kernels also run on a stacked index
 (:meth:`GraphIndex.stacked`), which lays several subgraphs of a larger
 graph side by side as disjoint copies, so that one block may hold targets
-of different views. Every sum adds its terms in the order of a walk over
+of different views. A PLIERS term depends only on its source item, bridge
+and candidate, so when the targets of one call own some source item more
+than once, PLIERS walks each distinct source once for the call and every
+block gathers its targets' paths from that table; otherwise each block
+walks its own. Every sum adds its terms in the order of a walk over
 sorted keys, one at a time, so score values are bit-reproducible across
 processes regardless of hash randomization, equal to those of that walk
 written as a loop, and the same whether a target is scored alone or in a
@@ -33,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Adjacency, FolksonomyGraph, GraphIndex
+from .graph import Adjacency, FolksonomyGraph, GraphIndex, row_entries
 
 
 @dataclass(eq=False)
@@ -114,11 +118,16 @@ class RecommendationVector:
 # The most scores (targets x items) one block of targets may take, on a
 # stacked index too, whose blocks may mix views. Larger blocks call numpy
 # less often but hold larger temporaries, which grow with the walks of all
-# the block's targets. On the linkpred benchmark's graph (400 items), the
-# six CLI kernels take 31 ms at 2^12, as with 2^11 for PLIERS and 2^13 for
-# the rest, and PLIERS's traced peak is 1.9 MiB, against 3.3 MiB at 2^13
+# the block's targets. On the linkpred benchmark's graph (400 items, 223
+# graded users), the six CLI kernels take about 20 ms at 2^12 (PLIERS 6-7
+# of them), against 26-28 ms at 2^11 and 17-18 ms at 2^13, where
+# PLIERS's traced peak, its table included, is 2.4 MiB against 1.6 MiB
 # (2-CPU VM, Python 3.11, numpy 2.4).
 _BLOCK_SCORES = 1 << 12
+
+
+def _targets_per_block(index: GraphIndex) -> int:
+    return max(1, _BLOCK_SCORES // max(1, len(index.items)))
 
 
 @dataclass(frozen=True)
@@ -129,9 +138,14 @@ class Scorer:
     ``rows``, every row owning at least one item. Calling a Scorer scores
     one target of a graph; :meth:`rows` scores many user rows of one index
     with the same floats, in blocks of at most ``_BLOCK_SCORES`` scores.
+    ``for_rows(index, rows)``, when given, sees all the warm rows of one
+    :meth:`rows` call first and may return another kernel for that call's
+    blocks, so that work the blocks share is done once per call; it returns
+    None where ``kernel`` serves.
     """
 
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
+    for_rows: Callable[[GraphIndex, np.ndarray], Callable | None] | None = None
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
         index = graph.index()
@@ -144,18 +158,19 @@ class Scorer:
         On a stacked index, user ``u`` of view ``v`` is row
         ``v * len(index.users) + u``. Rows that own items are scored in
         blocks of at most ``_BLOCK_SCORES`` scores, so only one block's
-        temporaries are held while the rows are consumed. A row of -1 or of
-        a user owning no item is a cold start and gets an all-zero row
-        without the kernel.
+        temporaries, and what ``for_rows`` keeps for the call, are held
+        while the rows are consumed. A row of -1 or of a user owning no
+        item is a cold start and gets an all-zero row without the kernel.
         """
         # a row of -1 reads the appended degree 0
         warm = np.append(index.user_items.degree, 0)[rows] > 0
         hot = rows[warm]
-        per_block = max(1, _BLOCK_SCORES // max(1, len(index.items)))
+        per_block = _targets_per_block(index)
+        kernel = (self.for_rows and self.for_rows(index, hot)) or self.kernel
         scores = (
             row
             for lo in range(0, len(hot), per_block)
-            for row in self.kernel(index, hot[lo : lo + per_block])
+            for row in kernel(index, hot[lo : lo + per_block])
         )
         for is_warm in warm.tolist():
             yield next(scores) if is_warm else np.zeros(len(index.items))
@@ -177,8 +192,12 @@ def scorer(name: str, k: int, weight: float) -> Scorer:
         raise ValueError(f"k must be >= 1, got {k}")
     if name in ("pliers", "hybrid") and not 0.0 <= weight <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {weight}")
+    if name == "pliers":
+        return Scorer(
+            partial(_tripartite, affinity_weight=weight),
+            partial(_tripartite_for_rows, affinity_weight=weight),
+        )
     kernel = {
-        "pliers": partial(_tripartite, affinity_weight=weight),
         "cf": partial(_cf, k=k),
         "tagexp": partial(_tag_expansion, k=k),
         "probs": _probs,
@@ -327,43 +346,103 @@ def hybrid_scores(graph: FolksonomyGraph, target: str, probs_weight: float) -> S
     return scorer("hybrid", 1, probs_weight)(graph, target)
 
 
+def _walk(
+    index: GraphIndex, sources: np.ndarray, item_side: Adjacency, bridge_side: Adjacency
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The popularity-matched diffusion paths of the item rows ``sources``.
+
+    For every source item s, walk s -> bridge node l -> candidate item j
+    with the term ``(1 / deg(s) / deg(l)) * overlap / deg(j)``, evaluated in
+    that order: the path's share of s's unit, scaled by the overlap
+    |N(s) & N(j)| / deg(j) of the two items' neighbour sets on the bridging
+    side. ``item_side`` maps items to bridge nodes and ``bridge_side`` back.
+    Returns each path's position in ``sources``, candidate column and term;
+    the paths run over the sources in the given order, then l and j in
+    ascending order. A term depends on s, l and j alone.
+    """
+    n_items = len(index.items)
+    bridges, source = item_side.gather(sources)
+    share = (1.0 / item_side.degree[sources])[source] / bridge_side.degree[bridges]
+    items, via = bridge_side.gather(bridges)
+    # on a stacked index, candidate v * n_items + j is item j of its
+    # source's view v and scores in column j; unstacked, v is 0
+    column = items % n_items
+    # a (s, j) pair occurs once per bridge that s and j share, so its count
+    # is the overlap |N(s) & N(j)|, never 0. The pairs are counted in bins
+    # s * n_items + j, s running over the positions in sources, a block of
+    # sources at a time (source[via] ascends) so that no count array exceeds
+    # max(_PAIR_BINS, n_items) bins.
+    s = source[via]
+    per_block = max(1, _PAIR_BINS // n_items)
+    cuts = np.searchsorted(s, np.arange(0, len(sources) + per_block, per_block))
+    overlap = np.empty_like(items)
+    for block, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
+        pair = (s[lo:hi] - block * per_block) * n_items + column[lo:hi]
+        overlap[lo:hi] = np.bincount(pair)[pair]
+    return s, column, share[via] * overlap / item_side.degree[items]
+
+
 def _overlap_diffusion(
     index: GraphIndex, targets: np.ndarray, item_side: Adjacency, bridge_side: Adjacency
 ) -> np.ndarray:
     """Shared core of the popularity-matched diffusion scores.
 
-    For every item s of a target, walk s -> bridge node l -> candidate item
-    j and add 1 / (deg(l) * deg(s)), then scale each (s, j) path bundle by
-    |N(s) & N(j)| / deg(j), the overlap of the two items' neighbour sets on
-    the bridging side. The factor lies in [0, 1], so the result is bounded
+    Each target adds the terms of the :func:`_walk` paths of its items, s
+    ascending. The overlap factor lies in [0, 1], so the result is bounded
     above by plain mass diffusion on the same projection.
-
-    ``item_side`` maps items to bridge nodes and ``bridge_side`` back. Each
-    term is ``(1 / deg(s) / deg(l)) * overlap / deg(j)``, evaluated in that
-    order, and the terms run over s, l and j in ascending order.
     """
-    n_items = len(index.items)
     owned, of = index.user_items.gather(targets)
-    bridges, source = item_side.gather(owned)
-    share = (1.0 / item_side.degree[owned])[source] / bridge_side.degree[bridges]
-    items, via = bridge_side.gather(bridges)
-    # on a stacked index, candidate v * n_items + j is item j of its
-    # target's view v and scores in column j; unstacked, v is 0
-    column = items % n_items
-    # a (s, j) pair occurs once per bridge that s and j share, so its count
-    # is the overlap |N(s) & N(j)|, never 0. The pairs are counted in bins
-    # s * n_items + j, s running over the block's (target, owned item)
-    # entries, a block of sources at a time (source[via] ascends) so that no
-    # count array exceeds max(_PAIR_BINS, n_items) bins.
-    s = source[via]
-    per_block = max(1, _PAIR_BINS // n_items)
-    cuts = np.searchsorted(s, np.arange(0, len(owned) + per_block, per_block))
-    overlap = np.empty_like(items)
-    for block, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
-        pair = (s[lo:hi] - block * per_block) * n_items + column[lo:hi]
-        overlap[lo:hi] = np.bincount(pair)[pair]
-    terms = share[via] * overlap / item_side.degree[items]
-    return _per_target(of[s], column, terms, len(targets), n_items)
+    s, column, terms = _walk(index, owned, item_side, bridge_side)
+    return _per_target(of[s], column, terms, len(targets), len(index.items))
+
+
+def _paths_of(
+    index: GraphIndex,
+    sources: np.ndarray,
+    at: np.ndarray,
+    n_blocks: int,
+    item_side: Adjacency,
+    bridge_side: Adjacency,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_walk` paths of each of the distinct item rows ``sources``.
+
+    Returns ``(ptr, degree, column, terms)``, CSR rows: row ``r``, source
+    ``r``'s paths in walk order, is the ``degree[r]`` entries of ``column``
+    and ``terms`` from ``ptr[r]`` on. ``at`` lists the source of each owned
+    entry of a call of ``n_blocks`` blocks. The sources are walked a chunk
+    at a time: a chunk takes the sources whose paths start within one
+    budget, the paths of the call's mean block, so a walk's temporaries stay
+    those of a block walked without the table, give or take one source's
+    paths.
+    """
+    bridges, of = item_side.gather(sources)
+    # a source has one path per (bridge, candidate) pair; the weights are
+    # whole numbers, exact in float64
+    degree = np.bincount(of, bridge_side.degree[bridges], len(sources)).astype(np.intp)
+    ptr = np.zeros(len(sources) + 1, np.intp)
+    np.cumsum(degree, out=ptr[1:])
+    budget = max(1, -(-int(degree[at].sum()) // n_blocks))
+    # the smallest integer type that holds a column: the table is held for
+    # the whole call
+    column = np.empty(ptr[-1], np.min_scalar_type(len(index.items)))
+    terms = np.empty(ptr[-1])
+    cuts = np.searchsorted(ptr[:-1], np.arange(0, ptr[-1], budget)).tolist()
+    for lo, hi in zip(cuts, [*cuts[1:], len(sources)]):
+        if lo < hi:
+            _, column[ptr[lo] : ptr[hi]], terms[ptr[lo] : ptr[hi]] = _walk(
+                index, sources[lo:hi], item_side, bridge_side
+            )
+    return ptr, degree, column, terms
+
+
+def _gathered(paths, at: np.ndarray, of: np.ndarray, n_targets: int, n_items: int) -> np.ndarray:
+    """``out[t, j]``: the terms of the ``paths`` of sources ``at``, in that order.
+
+    ``of`` gives the target position of each entry of ``at``.
+    """
+    ptr, degree, column, terms = paths
+    pos, entry = row_entries(ptr, degree, at)
+    return _per_target(of[entry], column[pos], terms[pos], n_targets, n_items)
 
 
 def _affinity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
@@ -386,10 +465,56 @@ def _similarity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:
     return _overlap_diffusion(index, targets, index.item_tags, index.tag_items)
 
 
-def _tripartite(index: GraphIndex, targets: np.ndarray, affinity_weight: float) -> np.ndarray:
-    a = _affinity(index, targets)
-    s = _similarity(index, targets)
+def _tripartite(
+    index: GraphIndex,
+    targets: np.ndarray,
+    affinity_weight: float,
+    walks: tuple | None = None,
+) -> np.ndarray:
+    """PLIERS, from the paths walked for this block, or gathered from ``walks``.
+
+    ``walks`` holds the distinct source rows of a call, ascending, and
+    their affinity and similarity paths (:func:`_paths_of`). Gathered, each
+    target adds its sources' paths in owned order: the terms of the walk,
+    in its order.
+    """
+    if walks is None:
+        a = _affinity(index, targets)
+        s = _similarity(index, targets)
+    else:
+        sources, *sides = walks
+        owned, of = index.user_items.gather(targets)
+        at = np.searchsorted(sources, owned)
+        a, s = (_gathered(paths, at, of, len(targets), len(index.items)) for paths in sides)
     return affinity_weight * a + (1.0 - affinity_weight) * s
+
+
+def _tripartite_for_rows(
+    index: GraphIndex, rows: np.ndarray, affinity_weight: float
+) -> Callable | None:
+    """The PLIERS kernel for the blocks of one call over the warm ``rows``.
+
+    When the rows own some source item row more than once, every distinct
+    source's paths are walked once for the call, both sides, and each block
+    gathers its targets' paths. Otherwise None: each block walks its own
+    sources.
+    """
+    owned, _ = index.user_items.gather(rows)
+    # the stable argsort that rank and lexsort already run: the first
+    # np.sort of a process maps in about 0.4 MiB of code
+    ordered = owned[owned.argsort(kind="stable")]
+    repeats = ordered[1:] == ordered[:-1]
+    if not repeats.any():
+        return None
+    sources = ordered[np.append(True, ~repeats)]
+    at = np.searchsorted(sources, owned)
+    n_blocks = -(-len(rows) // _targets_per_block(index))
+    walks = (
+        sources,
+        _paths_of(index, sources, at, n_blocks, index.item_users, index.user_items),
+        _paths_of(index, sources, at, n_blocks, index.item_tags, index.tag_items),
+    )
+    return partial(_tripartite, affinity_weight=affinity_weight, walks=walks)
 
 
 def pliers_tripartite(

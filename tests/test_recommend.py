@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -725,7 +726,9 @@ class TestBlockBudgets:
         """Each CLI scorer scores ``_BLOCK_SCORES // n_items`` targets a block.
 
         On the half-size criterion-4 graph the linkpred benchmark grades,
-        every user with a removed link.
+        every user with a removed link. The blocks are counted on the kernel
+        that ``rows`` calls: the one a scorer's ``for_rows`` gives for the
+        call, PLIERS's here, or else its own.
         """
         pruned, removal = prune_for_link_prediction(generate_folksonomy(250, 400, 150, 0), 0)
         index = pruned.index()
@@ -736,11 +739,25 @@ class TestBlockBudgets:
             scorer = cli.make_scorer(name, 10, 0.5)
             calls = []
 
-            def counted(index, rows):
-                calls.append(len(rows))
-                return scorer.kernel(index, rows)
+            def counting(kernel):
+                def counted(index, rows):
+                    calls.append(len(rows))
+                    return kernel(index, rows)
 
-            for _ in dataclasses.replace(scorer, kernel=counted).rows(index, rows):
+                return counted
+
+            def for_rows(index, rows, scorer=scorer):
+                # the graded users share sources, so PLIERS takes a table
+                kernel = scorer.for_rows(index, rows)
+                assert kernel is not None
+                return counting(kernel)
+
+            counted = dataclasses.replace(
+                scorer,
+                kernel=counting(scorer.kernel),
+                for_rows=scorer.for_rows and for_rows,
+            )
+            for _ in counted.rows(index, rows):
                 pass
             assert sum(calls) == len(rows), name
             assert len(calls) == -(-len(rows) // per_block), name
@@ -796,6 +813,108 @@ class TestStackedIndex:
                     for want in rows_over(scorer, view_graph(g, view), index.items, targets):
                         assert next(got).tolist() == want, name
                 assert next(got, None) is None
+
+
+@contextlib.contextmanager
+def _recorded_walks():
+    """Record the sources of every PLIERS walk, ``(side, sources)``, and every table built."""
+    walks, tables = [], []
+    real_walk, real_paths_of = recommend._walk, recommend._paths_of
+
+    def walk(index, sources, item_side, bridge_side):
+        side = "affinity" if item_side is index.item_users else "similarity"
+        walks.append((side, sources.tolist()))
+        return real_walk(index, sources, item_side, bridge_side)
+
+    def paths_of(index, sources, *args):
+        tables.append(sources.tolist())
+        return real_paths_of(index, sources, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recommend, "_walk", walk)
+        patch.setattr(recommend, "_paths_of", paths_of)
+        yield walks, tables
+
+
+def _walked(walks, side):
+    return [source for s, sources in walks if s == side for source in sources]
+
+
+class TestSharedSources:
+    """PLIERS walks a source item that many targets own once per ``rows`` call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=3),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.sampled_from([1, 2, 3, None]),
+    )
+    def test_many_targets_equal_each_target_alone(self, seed, densities, w, targets_per_block):
+        """On a plain index (no densities) or a stack of random views, with cold starts."""
+        rng = random.Random(seed)
+        g = build_random_graph(rng, 12, 15, 8, adopt_p=0.7)
+        index = g.index()
+        if densities:
+            views = [_random_view(rng, g, density) for density in densities]
+            index = index.stacked(np.array([v[0] for v in views]), np.array([v[1] for v in views]))
+        # every row of every view, a view's users without items as cold
+        # starts, rows of -1 and rows listed twice
+        rows = [*range(len(index.user_items.degree)), -1, -1]
+        rng.shuffle(rows)
+        rows = np.array(rows + rows[:4], np.intp)
+        pliers = recommend.scorer("pliers", 1, w)
+        owned = index.user_items.gather(rows[rows >= 0])[0].tolist()
+        with _in_blocks_of(targets_per_block, len(index.items)), _recorded_walks() as (_, tables):
+            got = list(pliers.rows(index, rows))
+        assert len(tables) == (2 if len(set(owned)) < len(owned) else 0)
+        assert len(got) == len(rows)
+        for values, row in zip(got, rows.tolist()):
+            (alone,) = pliers.rows(index, np.array([row], np.intp))
+            assert values.shape == alone.shape and (values == alone).all(), row
+
+    def test_criterion_4_rows_pinned(self):
+        """The PLIERS rows of every graded user of criterion-4 seed 0, one call."""
+        pruned, removal = prune_for_link_prediction(generate_folksonomy(500, 800, 300, 0), 0)
+        index = pruned.index()
+        rows = np.array([index.user_pos[u] for u in sorted(removal.removals)], np.intp)
+        digest = hashlib.sha256()
+        for values in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
+            digest.update(values.tobytes())
+        assert len(rows) == 491
+        assert digest.hexdigest() == (
+            "7464bef865725869ae254d9f28cf5c705e7cdf29882ef996fe6cb7f5804a7757"
+        )
+
+    def test_each_source_walked_once_per_call(self):
+        """On the linkpred benchmark's graph, in chunks no more than the blocks."""
+        pruned, removal = prune_for_link_prediction(generate_folksonomy(250, 400, 150, 0), 0)
+        index = pruned.index()
+        rows = np.array([index.user_pos[u] for u in sorted(removal.removals)], np.intp)
+        owned = index.user_items.gather(rows)[0].tolist()
+        assert len(set(owned)) < len(owned)
+        n_blocks = -(-len(rows) // (recommend._BLOCK_SCORES // len(index.items)))
+        with _recorded_walks() as (walks, tables):
+            for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
+                pass
+        assert tables == [sorted(set(owned))] * 2
+        for side in ("affinity", "similarity"):
+            assert _walked(walks, side) == sorted(set(owned)), side
+            assert 1 < sum(s == side for s, _ in walks) <= n_blocks, side
+
+    def test_unshared_sources_walked_per_target(self):
+        """Where every item has one owner, each block walks its targets' items."""
+        g = build_random_graph(random.Random(5), 12, 40, 8, adopt_p=0.0)
+        index = g.index()
+        rows = np.arange(len(index.users))
+        with _in_blocks_of(3, len(index.items)), _recorded_walks() as (walks, tables):
+            for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
+                pass
+        assert tables == []
+        owned = index.user_items.gather(rows)[0].tolist()
+        for side in ("affinity", "similarity"):
+            assert _walked(walks, side) == owned, side
+            assert sum(s == side for s, _ in walks) == -(-len(rows) // 3), side
 
 
 def _merge_new_item(graph):

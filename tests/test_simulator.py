@@ -452,6 +452,37 @@ class TestRun:
         assert rows == ref_rows
         assert sim.policies == ref_policies
 
+    @pytest.mark.parametrize("policy", [None, "mean_threshold"])
+    def test_item_of_two_creators_walked_once_matches_merge_replay(self, monkeypatch, policy):
+        # a and b both announce r, so both own it in gkg's view and every
+        # call that scores both their global rows walks r once for both
+        contents = [
+            ContentEvent(0, "a", "r", ("t1",)),
+            ContentEvent(20, "b", "r", ("t1", "t2")),
+            ContentEvent(40, "b", "i2", ("t2",)),
+            ContentEvent(70, "c", "i3", ("t1", "t3")),
+        ]
+        contacts = [
+            ContactEvent(30, "a", "c"),
+            ContactEvent(80, "b", "c"),
+            ContactEvent(130, "a", "b"),
+        ]
+        tables = []
+        real_paths_of = recommend._paths_of
+
+        def paths_of(index, sources, *args):
+            tables.append(sources.tolist())
+            return real_paths_of(index, sources, *args)
+
+        monkeypatch.setattr(recommend, "_paths_of", paths_of)
+        config = SimConfig(metric_cadence=1, download_policy=policy)
+        sim = Simulation(config)
+        rows = sim.run_windows(contacts, contents, [None, 60])
+        _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None, 60])
+        assert tables
+        assert rows == ref_rows
+        assert sim.policies == ref_policies
+
     def test_containment_and_monotonicity(self):
         agents = 20
         contacts = generate_synthetic_contacts(agents, 4, 0.2, 15 * 60, 5)
