@@ -36,6 +36,8 @@ def main():
     args = parser.parse_args()
     if args.content_gap_s <= 0:
         parser.error("--content-gap-s must be > 0")
+    if args.cadence < 1:
+        parser.error("--cadence must be >= 1")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

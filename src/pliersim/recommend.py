@@ -12,25 +12,29 @@ all-zero vector; cold starts never reach the array kernels.
 Scores are computed over the graph's :class:`~pliersim.graph.GraphIndex`
 (sorted keys and CSR adjacency arrays), ``graph.index()``. Each scorer is one
 array kernel that scores a block of targets at once, one row per target;
-a :class:`Scorer` feeds it the targets of one index in blocks of at most
-one budget of scores, and the public single-target functions score a block
-of one with a :func:`scorer`. The PLIERS kernels also run on a stacked index
+a :class:`Scorer` feeds it the targets of one index in blocks sized by one
+budget of entries: a target counts its output row and the two-hop paths
+that its kernel walks from its items, counted from the degree arrays
+before the walk. The public single-target functions score a block of one
+with a :func:`scorer`. The PLIERS kernels also run on a stacked index
 (:meth:`GraphIndex.stacked`), which lays several subgraphs of a larger
 graph side by side as disjoint copies, so that one block may hold targets
 of different views. A PLIERS term depends only on its source item, bridge
 and candidate, so when the targets of one call own some source item more
-than once, PLIERS walks each distinct source once for the call and every
-block gathers its targets' paths from that table; otherwise each block
-walks its own. Every sum adds its terms in the order of a walk over
-sorted keys, one at a time, so score values are bit-reproducible across
-processes regardless of hash randomization, equal to those of that walk
-written as a loop, and the same whether a target is scored alone or in a
-block, on the graph's own index or on its view of a larger graph's
-stacked index.
+than once, PLIERS walks each distinct source once for the call, in chunks
+of sources whose paths on both sides fit the same budget, and every block
+gathers its targets' paths from that table; otherwise each block walks
+its own. Every sum adds its terms in the order of a walk over sorted keys,
+one at a time, so score values are bit-reproducible across processes
+regardless of hash randomization, equal to those of that walk written as a
+loop, and the same whether a target is scored alone or in a block of any
+size, on the graph's own index or on its view of a larger graph's stacked
+index.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
@@ -115,19 +119,66 @@ class RecommendationVector:
         return f"RecommendationVector({self.target!r}, {self.ranked!r})"
 
 
-# The most scores (targets x items) one block of targets may take, on a
-# stacked index too, whose blocks may mix views. Larger blocks call numpy
-# less often but hold larger temporaries, which grow with the walks of all
-# the block's targets. On the linkpred benchmark's graph (400 items, 223
-# graded users), the six CLI kernels take about 20 ms at 2^12 (PLIERS 6-7
-# of them), against 26-28 ms at 2^11 and 17-18 ms at 2^13, where
-# PLIERS's traced peak, its table included, is 2.4 MiB against 1.6 MiB
-# (2-CPU VM, Python 3.11, numpy 2.4).
-_BLOCK_SCORES = 1 << 12
+# The most entries one block of work may touch, on a stacked index too,
+# whose blocks may mix views: the cells and path entries of a kernel's block
+# of targets (:func:`_walk_entries`), the paths on both sides of a chunk of
+# PLIERS sources walked into a table (:func:`_tripartite_for_rows`), the
+# score cells of a block of agents that a replay ranks. Larger blocks call
+# numpy less often but hold larger temporaries, which grow with these
+# entries. On the linkpred benchmark's graph (400 items, 223 graded users)
+# a PLIERS target counts about 2,080 entries and takes blocks of 15, a
+# user-side kernel's 1,560 and tagexp's 920; the six CLI kernels take about
+# 17 ms, against 21 ms at 2^14 and 28 ms at 2^13 (2-CPU VM, Python 3.11,
+# numpy 2.4).
+_BLOCK_ENTRIES = 1 << 15
 
 
-def _targets_per_block(index: GraphIndex) -> int:
-    return max(1, _BLOCK_SCORES // max(1, len(index.items)))
+def _blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive runs ``(lo, hi)`` of ``sizes`` that cover them in order.
+
+    A run takes entries while their total fits ``_BLOCK_ENTRIES``, and
+    always at least one.
+    """
+    ends = np.cumsum(sizes).tolist()
+    runs, lo = [], 0
+    while lo < len(ends):
+        fits = (ends[lo - 1] if lo else 0) + _BLOCK_ENTRIES
+        hi = max(lo + 1, bisect.bisect_right(ends, fits, lo))
+        runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
+def _two_hop_paths(index: GraphIndex, side: str) -> np.ndarray:
+    """Each item row's two-hop paths item -> bridge -> item on ``side``.
+
+    ``side`` names the bridge-to-item adjacency of ``index``:
+    ``"user_items"`` for users, ``"tag_items"`` for tags. An item has the
+    summed degree of its bridges of such paths: one bincount over the
+    bridges' entries, each counting its bridge's degree, per view on a
+    stacked index. The counts are whole numbers, exact in float64.
+    """
+    bridges = getattr(index, side)
+    return np.bincount(
+        bridges.cols, np.repeat(bridges.degree, bridges.degree), len(index.item_users.degree)
+    )
+
+
+def _walk_entries(index: GraphIndex, rows: np.ndarray, sides: tuple[str, ...]) -> np.ndarray:
+    """The entries a kernel touches for each user row of ``rows``, every row owning items.
+
+    A row counts its output, one cell per item, and the
+    :func:`_two_hop_paths` of each item it owns on each of ``sides``.
+    """
+    owned = index.user_items
+    paths = np.zeros(len(index.item_users.degree))
+    for side in sides:
+        paths += _two_hop_paths(index, side)
+    # each row's total is the difference of a running total over the owned
+    # entries at its bounds
+    running = np.zeros(len(owned.cols) + 1)
+    np.cumsum(paths[owned.cols], out=running[1:])
+    return len(index.items) + running[owned.ptr[rows + 1]] - running[owned.ptr[rows]]
 
 
 @dataclass(frozen=True)
@@ -137,15 +188,17 @@ class Scorer:
     ``kernel(index, rows)`` returns one score row per user index in
     ``rows``, every row owning at least one item. Calling a Scorer scores
     one target of a graph; :meth:`rows` scores many user rows of one index
-    with the same floats, in blocks of at most ``_BLOCK_SCORES`` scores.
-    ``for_rows(index, rows)``, when given, sees all the warm rows of one
-    :meth:`rows` call first and may return another kernel for that call's
-    blocks, so that work the blocks share is done once per call; it returns
-    None where ``kernel`` serves.
+    with the same floats, in blocks sized by the entries the kernel walks:
+    the two-hop paths from each target's items on each of ``sides``
+    (:func:`_walk_entries`). ``for_rows(index, rows)``, when given, sees
+    all the warm rows of one :meth:`rows` call first and may return another
+    kernel for that call's blocks, so that work the blocks share is done
+    once per call; it returns None where ``kernel`` serves.
     """
 
     kernel: Callable[[GraphIndex, np.ndarray], np.ndarray]
     for_rows: Callable[[GraphIndex, np.ndarray], Callable | None] | None = None
+    sides: tuple[str, ...] = ()
 
     def __call__(self, graph: FolksonomyGraph, target: str) -> ScoreVector:
         index = graph.index()
@@ -157,7 +210,8 @@ class Scorer:
 
         On a stacked index, user ``u`` of view ``v`` is row
         ``v * len(index.users) + u``. Rows that own items are scored in
-        blocks of at most ``_BLOCK_SCORES`` scores, so only one block's
+        blocks of consecutive rows, each taking rows while their entries
+        fit ``_BLOCK_ENTRIES``, and at least one, so only one block's
         temporaries, and what ``for_rows`` keeps for the call, are held
         while the rows are consumed. A row of -1 or of a user owning no
         item is a cold start and gets an all-zero row without the kernel.
@@ -165,12 +219,11 @@ class Scorer:
         # a row of -1 reads the appended degree 0
         warm = np.append(index.user_items.degree, 0)[rows] > 0
         hot = rows[warm]
-        per_block = _targets_per_block(index)
         kernel = (self.for_rows and self.for_rows(index, hot)) or self.kernel
         scores = (
             row
-            for lo in range(0, len(hot), per_block)
-            for row in kernel(index, hot[lo : lo + per_block])
+            for lo, hi in _blocks(_walk_entries(index, hot, self.sides))
+            for row in kernel(index, hot[lo:hi])
         )
         for is_warm in warm.tolist():
             yield next(scores) if is_warm else np.zeros(len(index.items))
@@ -178,6 +231,10 @@ class Scorer:
 
 ALGORITHMS = ("pliers", "cf", "tagexp", "probs", "heats", "hybrid")
 K_ALGORITHMS = ("cf", "tagexp")
+# the sides a kernel walks two hops from its targets' items, by the
+# bridge-to-item adjacency: PLIERS walks both
+_USER_SIDE, _TAG_SIDE = "user_items", "tag_items"
+_BOTH_SIDES = (_USER_SIDE, _TAG_SIDE)
 
 
 def scorer(name: str, k: int, weight: float) -> Scorer:
@@ -196,15 +253,16 @@ def scorer(name: str, k: int, weight: float) -> Scorer:
         return Scorer(
             partial(_tripartite, affinity_weight=weight),
             partial(_tripartite_for_rows, affinity_weight=weight),
+            _BOTH_SIDES,
         )
-    kernel = {
-        "cf": partial(_cf, k=k),
-        "tagexp": partial(_tag_expansion, k=k),
-        "probs": _probs,
-        "heats": _heats,
-        "hybrid": partial(_hybrid, probs_weight=weight),
+    kernel, side = {
+        "cf": (partial(_cf, k=k), _USER_SIDE),
+        "tagexp": (partial(_tag_expansion, k=k), _TAG_SIDE),
+        "probs": (_probs, _USER_SIDE),
+        "heats": (_heats, _USER_SIDE),
+        "hybrid": (partial(_hybrid, probs_weight=weight), _USER_SIDE),
     }[name]
-    return Scorer(kernel)
+    return Scorer(kernel, sides=(side,))
 
 
 # The most bins one count array of PLIERS (source item, candidate) pairs may
@@ -373,13 +431,17 @@ def _walk(
     # sources at a time (source[via] ascends) so that no count array exceeds
     # max(_PAIR_BINS, n_items) bins.
     s = source[via]
+    # each term is share * overlap / deg(j), computed in place in that
+    # order: a chunk's path-sized temporaries set the peak of a walk
+    terms = share[via]
+    del via
     per_block = max(1, _PAIR_BINS // n_items)
     cuts = np.searchsorted(s, np.arange(0, len(sources) + per_block, per_block))
-    overlap = np.empty_like(items)
     for block, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
         pair = (s[lo:hi] - block * per_block) * n_items + column[lo:hi]
-        overlap[lo:hi] = np.bincount(pair)[pair]
-    return s, column, share[via] * overlap / item_side.degree[items]
+        terms[lo:hi] *= np.bincount(pair)[pair]
+    terms /= item_side.degree[items]
+    return s, column, terms
 
 
 def _overlap_diffusion(
@@ -399,39 +461,28 @@ def _overlap_diffusion(
 def _paths_of(
     index: GraphIndex,
     sources: np.ndarray,
-    at: np.ndarray,
-    n_blocks: int,
+    degree: np.ndarray,
+    chunks: list[tuple[int, int]],
     item_side: Adjacency,
     bridge_side: Adjacency,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The :func:`_walk` paths of each of the distinct item rows ``sources``.
 
-    Returns ``(ptr, degree, column, terms)``, CSR rows: row ``r``, source
-    ``r``'s paths in walk order, is the ``degree[r]`` entries of ``column``
-    and ``terms`` from ``ptr[r]`` on. ``at`` lists the source of each owned
-    entry of a call of ``n_blocks`` blocks. The sources are walked a chunk
-    at a time: a chunk takes the sources whose paths start within one
-    budget, the paths of the call's mean block, so a walk's temporaries stay
-    those of a block walked without the table, give or take one source's
-    paths.
+    Source ``r`` has ``degree[r]`` paths. Returns ``(ptr, degree, column,
+    terms)``, CSR rows: row ``r``, source ``r``'s paths in walk order, is
+    the ``degree[r]`` entries of ``column`` and ``terms`` from ``ptr[r]``
+    on. The sources are walked a chunk ``(lo, hi)`` of ``chunks`` at a time.
     """
-    bridges, of = item_side.gather(sources)
-    # a source has one path per (bridge, candidate) pair; the weights are
-    # whole numbers, exact in float64
-    degree = np.bincount(of, bridge_side.degree[bridges], len(sources)).astype(np.intp)
     ptr = np.zeros(len(sources) + 1, np.intp)
     np.cumsum(degree, out=ptr[1:])
-    budget = max(1, -(-int(degree[at].sum()) // n_blocks))
     # the smallest integer type that holds a column: the table is held for
     # the whole call
     column = np.empty(ptr[-1], np.min_scalar_type(len(index.items)))
     terms = np.empty(ptr[-1])
-    cuts = np.searchsorted(ptr[:-1], np.arange(0, ptr[-1], budget)).tolist()
-    for lo, hi in zip(cuts, [*cuts[1:], len(sources)]):
-        if lo < hi:
-            _, column[ptr[lo] : ptr[hi]], terms[ptr[lo] : ptr[hi]] = _walk(
-                index, sources[lo:hi], item_side, bridge_side
-            )
+    for lo, hi in chunks:
+        _, column[ptr[lo] : ptr[hi]], terms[ptr[lo] : ptr[hi]] = _walk(
+            index, sources[lo:hi], item_side, bridge_side
+        )
     return ptr, degree, column, terms
 
 
@@ -496,9 +547,16 @@ def _tripartite_for_rows(
 
     When the rows own some source item row more than once, every distinct
     source's paths are walked once for the call, both sides, and each block
-    gathers its targets' paths. Otherwise None: each block walks its own
-    sources.
+    gathers its targets' paths. The sources are walked a chunk at a time,
+    on both sides, so a chunk takes sources while their paths on both sides
+    fit ``_BLOCK_ENTRIES``, and at least one: a walk's temporaries stay
+    those of a kernel block that walks without the table. Otherwise None:
+    each block walks its own sources. So is it, without a look at the rows,
+    when no item row has two owners: then only a row listed twice repeats a
+    source.
     """
+    if not (index.item_users.degree > 1).any():
+        return None
     owned, _ = index.user_items.gather(rows)
     # the stable argsort that rank and lexsort already run: the first
     # np.sort of a process maps in about 0.4 MiB of code
@@ -507,12 +565,12 @@ def _tripartite_for_rows(
     if not repeats.any():
         return None
     sources = ordered[np.append(True, ~repeats)]
-    at = np.searchsorted(sources, owned)
-    n_blocks = -(-len(rows) // _targets_per_block(index))
+    users, tags = (_two_hop_paths(index, side)[sources].astype(np.intp) for side in _BOTH_SIDES)
+    chunks = _blocks(users + tags)
     walks = (
         sources,
-        _paths_of(index, sources, at, n_blocks, index.item_users, index.user_items),
-        _paths_of(index, sources, at, n_blocks, index.item_tags, index.tag_items),
+        _paths_of(index, sources, users, chunks, index.item_users, index.user_items),
+        _paths_of(index, sources, tags, chunks, index.item_tags, index.tag_items),
     )
     return partial(_tripartite, affinity_weight=affinity_weight, walks=walks)
 

@@ -172,9 +172,11 @@ def compute_step_metrics(
     with every event of it that its holders know, their own included, so an
     item that an agent owns in ``gkg`` and that scores above 0 in a view is
     owned in that view too. The lists are ranked and compared a block of
-    agents at a time, two score rows each and one kernel block
-    (``recommend._BLOCK_SCORES`` scores) in all, by :func:`_ranked_rows` and
-    :func:`_pair_similarities`.
+    agents at a time, by :func:`_ranked_rows` and :func:`_pair_similarities`:
+    as many agents as fit the entry budget of a kernel block
+    (``recommend._BLOCK_ENTRIES``), and at least one. An agent counts four
+    entries per item in each of its two rows: the score, its list place,
+    and the key and order of the sort that lists it.
     """
     index = gkg.index()
     ui, it = views
@@ -185,7 +187,7 @@ def compute_step_metrics(
     rec_sims: dict[str, tuple[float, float, float]] = {}
     pliers = scorer("pliers", 1, affinity_weight)
     per_stack = max(1, _views_per_stack(gkg) - 1)
-    per_block = max(1, recommend._BLOCK_SCORES // (2 * max(1, len(index.items))))
+    per_block = max(1, recommend._BLOCK_ENTRIES // (8 * max(1, len(index.items))))
     for lo in range(1, len(ui), per_stack):
         picked = [0, *range(lo, min(lo + per_stack, len(ui)))]
         stacked = index.stacked(ui[picked], it[picked])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference_scorers
 from pliersim import cli, recommend
 from pliersim.evaluation import prune_for_link_prediction
-from pliersim.graph import FolksonomyGraph
+from pliersim.graph import Adjacency, FolksonomyGraph
 from pliersim.synth import generate_folksonomy
 from pliersim.recommend import (
     ALGORITHMS,
@@ -620,13 +620,74 @@ SINGLE_TARGET = {
 }
 
 
+# entry budgets of a kernel block: one target a block, a few targets of the
+# small test graphs a block, the default (None), and one block a call
+BUDGETS = [1, 150, None, 1 << 62]
+
+
 @contextlib.contextmanager
-def _in_blocks_of(targets_per_block, n_items):
-    """Every scorer scoring ``targets_per_block`` targets a block, or as it does for None."""
+def _with_budget(budget):
+    """Every block sized by an entry budget of ``budget``, or of the default for None."""
     with pytest.MonkeyPatch.context() as patch:
-        if targets_per_block is not None:
-            patch.setattr(recommend, "_BLOCK_SCORES", targets_per_block * n_items)
+        if budget is not None:
+            patch.setattr(recommend, "_BLOCK_ENTRIES", budget)
         yield
+
+
+def _recording_blocks(scorer, blocks):
+    """``scorer`` with the rows of each kernel call that ``rows`` makes appended to ``blocks``.
+
+    The kernel is the one that ``rows`` calls: the one a scorer's
+    ``for_rows`` gives for the call, or else its own.
+    """
+
+    def recording(kernel):
+        def recorded(index, rows):
+            blocks.append(rows.tolist())
+            return kernel(index, rows)
+
+        return recorded
+
+    def for_rows(index, rows):
+        return recording(scorer.for_rows(index, rows) or scorer.kernel)
+
+    return dataclasses.replace(
+        scorer, kernel=recording(scorer.kernel), for_rows=scorer.for_rows and for_rows
+    )
+
+
+def _paths_by_hand(index, item, sides):
+    """The two-hop paths from item row ``item`` over ``sides``, counted entry by entry."""
+    adjacencies = {
+        "users": (index.item_users, index.user_items),
+        "tags": (index.item_tags, index.tag_items),
+    }
+    return sum(
+        int(adjacencies[side][1].degree[bridge])
+        for side in sides
+        for bridge in adjacencies[side][0].row(item).tolist()
+    )
+
+
+def _entries_by_hand(index, row, sides):
+    """A target's block entries: its output cells and the paths from its items."""
+    return len(index.items) + sum(
+        _paths_by_hand(index, item, sides) for item in index.user_items.row(row).tolist()
+    )
+
+
+def assert_packed(runs, sizes, budget):
+    """``runs``, consecutive and in order, each take sizes while they fit ``budget``.
+
+    A run of more than one entry fits the budget, and a run followed by
+    another would not fit with that run's first entry added.
+    """
+    assert [x for run in runs for x in run] == list(range(len(sizes)))
+    for run, after in zip(runs, [*runs[1:], None]):
+        total = sum(sizes[x] for x in run)
+        assert len(run) == 1 or total <= budget, run
+        if after is not None:
+            assert total + sizes[after[0]] > budget, run
 
 
 class TestManyTargets:
@@ -637,9 +698,9 @@ class TestManyTargets:
         st.integers(0, 2**31),
         st.sampled_from([0.0, 0.3, 0.5, 1.0]),
         st.integers(1, 12),
-        st.sampled_from([1, 2, 3, None]),
+        st.sampled_from(BUDGETS),
     )
-    def test_bit_equal_to_single_targets(self, seed, w, k, targets_per_block):
+    def test_bit_equal_to_single_targets(self, seed, w, k, budget):
         rng = random.Random(seed)
         g = _graph_with_edge_cases(rng)
         # a target owning every item; "gone" left the graph, "nobody" never joined
@@ -651,7 +712,7 @@ class TestManyTargets:
         index = g.index()
         rows = np.array([index.user_pos.get(t, -1) for t in targets], np.intp)
         for name, make in MANY_TARGET_SCORERS.items():
-            with _in_blocks_of(targets_per_block, len(index.items)):
+            with _with_budget(budget):
                 got = list(make(w, k).rows(index, rows))
             assert len(got) == len(targets)
             for values, target in zip(got, targets):
@@ -721,47 +782,74 @@ class TestScorerTable:
                     assert recommend.scorer(name, 3, w)(g, "u_t").values.tobytes() == want
 
 
+# the sides each CLI scorer walks two hops from its targets' items
+WALKED_SIDES = {
+    "pliers": ("users", "tags"),
+    "tagexp": ("tags",),
+    **dict.fromkeys(["cf", "probs", "heats", "hybrid"], ("users",)),
+}
+
+
 class TestBlockBudgets:
     def test_every_cli_scorer_takes_blocks_of_one_budget(self):
-        """Each CLI scorer scores ``_BLOCK_SCORES // n_items`` targets a block.
+        """Each CLI scorer's blocks take targets while their entries fit one budget.
 
         On the half-size criterion-4 graph the linkpred benchmark grades,
-        every user with a removed link. The blocks are counted on the kernel
-        that ``rows`` calls: the one a scorer's ``for_rows`` gives for the
-        call, PLIERS's here, or else its own.
+        every user with a removed link. A target's entries, counted here by
+        hand, are its output cells and the two-hop paths from its items on
+        the sides its kernel walks. Every block of more than one target fits
+        the budget, and no block would fit it with the next target added.
         """
         pruned, removal = prune_for_link_prediction(generate_folksonomy(250, 400, 150, 0), 0)
         index = pruned.index()
         rows = np.array([index.user_pos[u] for u in sorted(removal.removals)], np.intp)
-        per_block = recommend._BLOCK_SCORES // len(index.items)
-        assert 1 < per_block < len(rows)
+        position = {row: x for x, row in enumerate(rows.tolist())}
+        per_block = {}
+        # the graded users share sources, so PLIERS's blocks gather from a table
+        assert cli.make_scorer("pliers", 10, 0.5).for_rows(index, rows) is not None
         for name in cli.ALGORITHMS:
             scorer = cli.make_scorer(name, 10, 0.5)
-            calls = []
-
-            def counting(kernel):
-                def counted(index, rows):
-                    calls.append(len(rows))
-                    return kernel(index, rows)
-
-                return counted
-
-            def for_rows(index, rows, scorer=scorer):
-                # the graded users share sources, so PLIERS takes a table
-                kernel = scorer.for_rows(index, rows)
-                assert kernel is not None
-                return counting(kernel)
-
-            counted = dataclasses.replace(
-                scorer,
-                kernel=counting(scorer.kernel),
-                for_rows=scorer.for_rows and for_rows,
-            )
-            for _ in counted.rows(index, rows):
+            blocks = []
+            for _ in _recording_blocks(scorer, blocks).rows(index, rows):
                 pass
-            assert sum(calls) == len(rows), name
-            assert len(calls) == -(-len(rows) // per_block), name
-            assert set(calls[:-1]) == {per_block}, name
+            sizes = [_entries_by_hand(index, row, WALKED_SIDES[name]) for row in rows.tolist()]
+            runs = [[position[row] for row in block] for block in blocks]
+            assert_packed(runs, sizes, recommend._BLOCK_ENTRIES)
+            per_block[name] = len(rows) / len(blocks)
+        # the budget keeps PLIERS's blocks near 10-15 targets here; the
+        # other kernels walk fewer entries, so they take more
+        assert 10 <= per_block["pliers"] <= 16
+        assert min(per_block.values()) == per_block["pliers"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 6))
+    def test_rows_bit_equal_at_every_budget(self, seed, w, k):
+        """One target a block, the default, and one block a call give the same rows.
+
+        Every CLI scorer on a small random folksonomy's own index, PLIERS
+        on a stack of random views of it; cold starts and rows listed twice
+        included.
+        """
+        rng = random.Random(seed)
+        g = build_random_graph(rng, 12, 15, 8, adopt_p=rng.choice([0.0, 0.3, 0.7]))
+        index = g.index()
+        views = [_random_view(rng, g, density) for density in (0.3, 1.0)]
+        stacked = index.stacked(np.array([v[0] for v in views]), np.array([v[1] for v in views]))
+        cases = [(name, index) for name in cli.ALGORITHMS] + [("pliers", stacked)]
+        for name, on in cases:
+            rows = [*range(len(on.user_items.degree)), -1]
+            rng.shuffle(rows)
+            rows = np.array(rows + rows[:3], np.intp)
+            n_warm = int((np.append(on.user_items.degree, 0)[rows] > 0).sum())
+            scorer = cli.make_scorer(name, k, w)
+            got = {}
+            for budget, n_blocks in ((1, n_warm), (None, None), (1 << 62, min(n_warm, 1))):
+                blocks = []
+                with _with_budget(budget):
+                    rows_got = _recording_blocks(scorer, blocks).rows(on, rows)
+                    got[budget] = [values.tobytes() for values in rows_got]
+                assert n_blocks is None or len(blocks) == n_blocks, (name, budget)
+            assert got[1] == got[None] == got[1 << 62], name
 
 
 def _random_view(rng, graph, density):
@@ -787,9 +875,9 @@ class TestStackedIndex:
         st.integers(0, 2**31),
         st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=1, max_size=4),
         st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-        st.sampled_from([1, 2, 3, None]),
+        st.sampled_from(BUDGETS),
     )
-    def test_rows_equal_each_views_own_graph(self, seed, densities, w, targets_per_block):
+    def test_rows_equal_each_views_own_graph(self, seed, densities, w, budget):
         rng = random.Random(seed)
         g = _graph_with_edge_cases(rng)
         views = [_random_view(rng, g, density) for density in densities]
@@ -806,7 +894,7 @@ class TestStackedIndex:
             "affinity": Scorer(recommend._affinity),
             "similarity": Scorer(recommend._similarity),
         }
-        with _in_blocks_of(targets_per_block, len(index.items)):
+        with _with_budget(budget):
             for name, scorer in scorers.items():
                 got = scorer.rows(index.stacked(ui, it), np.array(rows, np.intp))
                 for view in views:
@@ -848,9 +936,9 @@ class TestSharedSources:
         st.integers(0, 2**31),
         st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=3),
         st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-        st.sampled_from([1, 2, 3, None]),
+        st.sampled_from(BUDGETS),
     )
-    def test_many_targets_equal_each_target_alone(self, seed, densities, w, targets_per_block):
+    def test_many_targets_equal_each_target_alone(self, seed, densities, w, budget):
         """On a plain index (no densities) or a stack of random views, with cold starts."""
         rng = random.Random(seed)
         g = build_random_graph(rng, 12, 15, 8, adopt_p=0.7)
@@ -865,9 +953,12 @@ class TestSharedSources:
         rows = np.array(rows + rows[:4], np.intp)
         pliers = recommend.scorer("pliers", 1, w)
         owned = index.user_items.gather(rows[rows >= 0])[0].tolist()
-        with _in_blocks_of(targets_per_block, len(index.items)), _recorded_walks() as (_, tables):
+        with _with_budget(budget), _recorded_walks() as (_, tables):
             got = list(pliers.rows(index, rows))
-        assert len(tables) == (2 if len(set(owned)) < len(owned) else 0)
+        # only an item row of two owners, or a row listed twice, repeats a
+        # source, and the table waits for an item row of two owners
+        shared = len(set(owned)) < len(owned) and (index.item_users.degree > 1).any()
+        assert len(tables) == (2 if shared else 0)
         assert len(got) == len(rows)
         for values, row in zip(got, rows.tolist()):
             (alone,) = pliers.rows(index, np.array([row], np.intp))
@@ -887,34 +978,104 @@ class TestSharedSources:
         )
 
     def test_each_source_walked_once_per_call(self):
-        """On the linkpred benchmark's graph, in chunks no more than the blocks."""
+        """On the linkpred benchmark's graph, in chunks whose paths fit the budget.
+
+        Each chunk of sources is walked on both sides, so it takes sources
+        while their paths on both sides fit. At the default budget and at
+        2^12 entries, which cuts the table into several chunks.
+        """
         pruned, removal = prune_for_link_prediction(generate_folksonomy(250, 400, 150, 0), 0)
         index = pruned.index()
         rows = np.array([index.user_pos[u] for u in sorted(removal.removals)], np.intp)
         owned = index.user_items.gather(rows)[0].tolist()
         assert len(set(owned)) < len(owned)
-        n_blocks = -(-len(rows) // (recommend._BLOCK_SCORES // len(index.items)))
-        with _recorded_walks() as (walks, tables):
-            for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
-                pass
-        assert tables == [sorted(set(owned))] * 2
-        for side in ("affinity", "similarity"):
-            assert _walked(walks, side) == sorted(set(owned)), side
-            assert 1 < sum(s == side for s, _ in walks) <= n_blocks, side
+        sources = sorted(set(owned))
+        position = {source: x for x, source in enumerate(sources)}
+        for budget in (recommend._BLOCK_ENTRIES, 1 << 12):
+            with _with_budget(budget), _recorded_walks() as (walks, tables):
+                for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
+                    pass
+            assert tables == [sources] * 2
+            sizes = [_paths_by_hand(index, source, ("users", "tags")) for source in sources]
+            for side in ("affinity", "similarity"):
+                assert _walked(walks, side) == sources, side
+                chunks = [[position[x] for x in chunk] for s, chunk in walks if s == side]
+                assert_packed(chunks, sizes, budget)
+                assert len(chunks) > (1 if budget > 1 << 12 else 4), side
 
     def test_unshared_sources_walked_per_target(self):
-        """Where every item has one owner, each block walks its targets' items."""
+        """Where every item has one owner, each block walks its targets' items.
+
+        With a budget of one target a block, each target walks alone; at the
+        default, the 12 users of this small graph fit one block.
+        """
         g = build_random_graph(random.Random(5), 12, 40, 8, adopt_p=0.0)
         index = g.index()
         rows = np.arange(len(index.users))
-        with _in_blocks_of(3, len(index.items)), _recorded_walks() as (walks, tables):
-            for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
-                pass
-        assert tables == []
         owned = index.user_items.gather(rows)[0].tolist()
-        for side in ("affinity", "similarity"):
-            assert _walked(walks, side) == owned, side
-            assert sum(s == side for s, _ in walks) == -(-len(rows) // 3), side
+        for budget, n_blocks in ((1, len(rows)), (None, 1)):
+            with _with_budget(budget), _recorded_walks() as (walks, tables):
+                for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
+                    pass
+            assert tables == []
+            for side in ("affinity", "similarity"):
+                assert _walked(walks, side) == owned, side
+                assert sum(s == side for s, _ in walks) == n_blocks, side
+
+    def test_no_two_owner_item_skips_the_gather(self, monkeypatch):
+        """With no item row of two owners, a call looks for no repeated source.
+
+        Not even through a row listed twice: that row's blocks walk its
+        items again. Nothing outside the kernel gathers owned entries, and
+        the call, small enough for one block, calls the kernel once.
+        """
+        g = build_random_graph(random.Random(5), 12, 40, 8, adopt_p=0.0)
+        index = g.index()
+        assert (index.item_users.degree == 1).all()
+        rows = np.array([*range(len(index.users)), 0, 3], np.intp)
+        pliers = recommend.scorer("pliers", 1, 0.5)
+        want = [next(pliers.rows(index, np.array([row], np.intp))) for row in rows.tolist()]
+        in_kernel, outside = [False], []
+        real_gather, real_kernel = Adjacency.gather, pliers.kernel
+
+        def gather(self, which):
+            if not in_kernel[0]:
+                outside.append(which.tolist())
+            return real_gather(self, which)
+
+        def kernel(index, rows):
+            in_kernel[0] = True
+            try:
+                return real_kernel(index, rows)
+            finally:
+                in_kernel[0] = False
+
+        blocks = []
+        monkeypatch.setattr(Adjacency, "gather", gather)
+        watched = _recording_blocks(dataclasses.replace(pliers, kernel=kernel), blocks)
+        with _recorded_walks() as (_, tables):
+            got = list(watched.rows(index, rows))
+        assert outside == [] and tables == []
+        assert blocks == [rows.tolist()]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_a_two_owner_item_builds_the_table(self):
+        """One item of two owners is enough: the table is built, with the same floats."""
+        g = build_random_graph(random.Random(5), 12, 40, 8, adopt_p=0.0)
+        item = min(g.items)
+        (owner,) = g.users_of_item(item)
+        other = min(u for u in g.users if u != owner)
+        g.add_content(other, item, sorted(g.tags_of_item(item)), 500)
+        index = g.index()
+        assert (index.item_users.degree > 1).sum() == 1
+        rows = np.arange(len(index.users))
+        pliers = recommend.scorer("pliers", 1, 0.5)
+        with _recorded_walks() as (_, tables):
+            got = list(pliers.rows(index, rows))
+        assert tables == [sorted(set(index.user_items.gather(rows)[0].tolist()))] * 2
+        for values, row in zip(got, rows.tolist()):
+            (alone,) = pliers.rows(index, np.array([row], np.intp))
+            assert values.tobytes() == alone.tobytes(), row
 
 
 def _merge_new_item(graph):

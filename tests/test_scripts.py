@@ -33,6 +33,10 @@ def run_script(name, *args, cwd):
         ("convergence_experiment.py", ["--agents", "0"], "with 0 agents"),
         ("convergence_experiment.py", ["--agents", "30", "--hours", "0"], "nothing to replay"),
         ("convergence_experiment.py", ["--content-gap-s", "0"], "--content-gap-s must be > 0"),
+        ("convergence_experiment.py", ["--cadence", "0"], "--cadence must be >= 1"),
+        ("convergence_experiment.py", ["--cadence", "-5"], "--cadence must be >= 1"),
+        ("scaled_replay.py", ["--cadence", "0"], "--cadence must be >= 1"),
+        ("scaled_replay.py", ["--hours", "0"], "--hours must cover at least 1 s"),
     ],
     ids=[
         "linkpred_k_0",
@@ -44,6 +48,10 @@ def run_script(name, *args, cwd):
         "convergence_agents_0",
         "convergence_hours_0",
         "convergence_gap_0",
+        "convergence_cadence_0",
+        "convergence_cadence_negative",
+        "scaled_replay_cadence_0",
+        "scaled_replay_hours_0",
     ],
 )
 def test_bad_value_is_a_usage_error(tmp_path, script, args, message):

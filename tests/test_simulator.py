@@ -629,13 +629,14 @@ class TestStepMetrics:
 
 
     @pytest.mark.parametrize("top_n", [None, 0, 2])
-    @pytest.mark.parametrize("budget", [1, 64])
+    @pytest.mark.parametrize("budget", [1, 64, 1024])
     def test_rows_do_not_depend_on_the_ranked_block_size(self, monkeypatch, top_n, budget):
-        # a budget of 1 ranks one agent a block; 64 ranks several, cut mid-stack
+        # a budget of 1 ranks one agent a block; 64 ranks two while the
+        # replay holds at most 4 items; 1024 ranks several, cut mid-stack
         contacts, contents = TestExpiryRuns._fixture()
         config = SimConfig(top_n=top_n)
         want = Simulation(config).run_windows(contacts, contents, [None, 300])
-        monkeypatch.setattr(recommend, "_BLOCK_SCORES", budget)
+        monkeypatch.setattr(recommend, "_BLOCK_ENTRIES", budget)
         assert Simulation(config).run_windows(contacts, contents, [None, 300]) == want
 
 
