@@ -11,7 +11,9 @@ and replayed with metrics every 20 steps under the windows None and
 
 - ``wall_s``: parse, replay and metrics CSV text, in seconds;
 - ``metric_steps_s``: the part of it spent in ``compute_step_metrics``;
-- ``vmhwm_mib``: the peak resident memory of the process;
+- ``vmhwm_parsed_mib``: the peak resident memory of the process once both
+  traces are parsed, before the replay starts;
+- ``vmhwm_mib``: the peak resident memory of the process at the end;
 - ``digest``: the first 16 hex digits of the SHA-256 of both windows'
   metrics CSV text, None's then 900's. The default run prints
   ``02674c0d965da818``.
@@ -107,6 +109,7 @@ def main():
         started = time.perf_counter()
         parsed = traces.parse_contacts(d / "contacts.csv")
         events = traces.parse_contents(d / "contents.csv")
+        parsed_mib = vmhwm_mib()
         rows = simulator.Simulation(traces.SimConfig(metric_cadence=args.cadence)).run_windows(
             parsed, events, WINDOWS
         )
@@ -115,6 +118,7 @@ def main():
         simulator.compute_step_metrics = real_step_metrics
     print(f"wall_s {wall:.2f}")
     print(f"metric_steps_s {spent[0]:.2f}")
+    print(f"vmhwm_parsed_mib {parsed_mib:.1f}")
     print(f"vmhwm_mib {vmhwm_mib():.1f}")
     print(f"digest {hashlib.sha256(text.encode('utf-8')).hexdigest()[:16]}")
 

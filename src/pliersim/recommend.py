@@ -24,7 +24,9 @@ and candidate, so when the targets of one call own some source item more
 than once, PLIERS walks each distinct source once for the call, in chunks
 of sources whose paths on both sides fit the same budget, and every block
 gathers its targets' paths from that table; otherwise each block walks
-its own. Every sum adds its terms in the order of a walk over sorted keys,
+its own. A target whose own entries exceed the budget is a block alone,
+and walks or gathers its sources in chunks whose paths fit the budget.
+Every sum adds its terms in the order of a walk over sorted keys,
 one at a time, so score values are bit-reproducible across processes
 regardless of hash randomization, equal to those of that walk written as a
 loop, and the same whether a target is scored alone or in a block of any
@@ -123,13 +125,14 @@ class RecommendationVector:
 # whose blocks may mix views: the cells and path entries of a kernel's block
 # of targets (:func:`_walk_entries`), the paths on both sides of a chunk of
 # PLIERS sources walked into a table (:func:`_tripartite_for_rows`), the
-# score cells of a block of agents that a replay ranks. Larger blocks call
-# numpy less often but hold larger temporaries, which grow with these
-# entries. On the linkpred benchmark's graph (400 items, 223 graded users)
-# a PLIERS target counts about 2,080 entries and takes blocks of 15, a
-# user-side kernel's 1,560 and tagexp's 920; the six CLI kernels take about
-# 17 ms, against 21 ms at 2^14 and 28 ms at 2^13 (2-CPU VM, Python 3.11,
-# numpy 2.4).
+# paths on one side of a chunk of the sources of a lone PLIERS target over
+# the budget (:func:`_overlap_diffusion`), the score cells of a block of
+# agents that a replay ranks. Larger blocks call numpy less often but hold
+# larger temporaries, which grow with these entries. On the linkpred
+# benchmark's graph (400 items, 223 graded users) a PLIERS target counts
+# about 2,080 entries and takes blocks of 15, a user-side kernel's 1,560 and
+# tagexp's 920; the six CLI kernels take about 17 ms, against 21 ms at 2^14
+# and 28 ms at 2^13 (2-CPU VM, Python 3.11, numpy 2.4).
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -213,7 +216,8 @@ class Scorer:
         blocks of consecutive rows, each taking rows while their entries
         fit ``_BLOCK_ENTRIES``, and at least one, so only one block's
         temporaries, and what ``for_rows`` keeps for the call, are held
-        while the rows are consumed. A row of -1 or of a user owning no
+        while the rows are consumed; PLIERS takes the sources of a row over
+        the budget in chunks that fit it. A row of -1 or of a user owning no
         item is a cold start and gets an all-zero row without the kernel.
         """
         # a row of -1 reads the appended degree 0
@@ -280,12 +284,21 @@ _PAIR_BINS = 1 << 20
 # pairwise, in another order, and can break exact ties in rank.
 
 
-def _per_target(target: np.ndarray, cols: np.ndarray, weights, n_targets: int, n_cols: int):
+def _per_target(
+    target: np.ndarray, cols: np.ndarray, weights, n_targets: int, n_cols: int, start=None
+):
     """``out[t, c]``: the weights of the entries with target ``t`` and column ``c``.
 
     They are added in input order; with no ``weights`` each entry counts 1.
+    With ``start``, the sums of earlier entries, each bin takes its start
+    as its first weight: a bin begins at 0.0 and 0.0 + s == s, so the sums
+    are those of one bincount over the earlier entries and these in order.
     """
-    sums = np.bincount(target * n_cols + cols, weights=weights, minlength=n_targets * n_cols)
+    bins = target * n_cols + cols
+    if start is not None:
+        bins = np.concatenate([np.arange(start.size), bins])
+        weights = np.concatenate([start.ravel(), weights])
+    sums = np.bincount(bins, weights=weights, minlength=n_targets * n_cols)
     return sums.reshape(n_targets, n_cols)
 
 
@@ -454,8 +467,17 @@ def _overlap_diffusion(
     above by plain mass diffusion on the same projection.
     """
     owned, of = index.user_items.gather(targets)
-    s, column, terms = _walk(index, owned, item_side, bridge_side)
-    return _per_target(of[s], column, terms, len(targets), len(index.items))
+    chunks = [(0, len(owned))]
+    if len(targets) == 1:
+        # a lone target may exceed the budget: it walks its sources in chunks
+        # whose paths fit it (a block of several fits as a whole)
+        bridges, source = item_side.gather(owned)
+        chunks = _blocks(np.bincount(source, bridge_side.degree[bridges], len(owned)))
+    sums = None
+    for lo, hi in chunks:
+        s, column, terms = _walk(index, owned[lo:hi], item_side, bridge_side)
+        sums = _per_target(of[lo:hi][s], column, terms, len(targets), len(index.items), sums)
+    return sums
 
 
 def _paths_of(
@@ -492,8 +514,12 @@ def _gathered(paths, at: np.ndarray, of: np.ndarray, n_targets: int, n_items: in
     ``of`` gives the target position of each entry of ``at``.
     """
     ptr, degree, column, terms = paths
-    pos, entry = row_entries(ptr, degree, at)
-    return _per_target(of[entry], column[pos], terms[pos], n_targets, n_items)
+    sums = None
+    # a lone target may exceed the budget, as in _overlap_diffusion
+    for lo, hi in _blocks(degree[at]) if n_targets == 1 else [(0, len(at))]:
+        pos, entry = row_entries(ptr, degree, at[lo:hi])
+        sums = _per_target(of[lo:hi][entry], column[pos], terms[pos], n_targets, n_items, sums)
+    return sums
 
 
 def _affinity(index: GraphIndex, targets: np.ndarray) -> np.ndarray:

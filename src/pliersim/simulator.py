@@ -12,18 +12,21 @@ Time is integer seconds; step s covers [s*step_length, (s+1)*step_length)
 and its metrics are stamped with the step's end time. Within a step all
 content events apply first, then contacts run sequentially in input order,
 so knowledge can travel several hops in a single step. The input need not
-be sorted by time: the replay orders the contacts by step with one stable
-sort. A step with no content, no contact and no metric row changes nothing
-and is not visited, so a gap in the traces costs nothing.
+be sorted by time: contacts out of step order are ordered by step with one
+stable sort. A step with no content, no contact and no metric row changes
+nothing and is not visited, so a gap in the traces costs nothing.
 
 Contacts stay packed from the trace file to the exchange loop: a
 :class:`ContactTrace` holds ``array("q")`` columns of times and agent ids,
-and each step's contacts run as slices of such columns in this replay's
-ids. The replay keeps each agent's knowledge as two bitsets indexed by
-agent id: the content events it has seen and their items. A contact is one
-comparison of two integers, and two integer ORs when they differ. A view's
-edges are the events it holds ORed together by edge id, a byte per
-(view, event) while they are taken.
+and each step's contacts run as slices of its agent columns. Without a
+roster, the trace's agent ids are the replay's, and a trace in step order
+(every generated or time-sorted one) is read in place, with no copy of a
+column: besides the trace, the replay then holds nothing per contact. The
+replay keeps each agent's knowledge as two bitsets indexed by agent id: the
+content events it has seen and their items. A contact is one comparison of
+two integers, and two integer ORs when they differ. A view's edges are the
+events it holds ORed together by edge id, a byte per (view, event) while
+they are taken.
 """
 
 from __future__ import annotations
@@ -37,9 +40,16 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+# recommend before numpy: a process that compiles the package from source,
+# with no bytecode cache, then frees the compiler's memory for recommend
+# (1.7 MiB at its peak, the most after this module's) before numpy loads,
+# and numpy reuses it. Compiled after numpy, recommend grew the heap
+# instead: a gossip bench child's peak_rss_mib read 0.1-0.3 MiB higher
+# (Python 3.11, numpy 2.4)
+from . import recommend
+
 import numpy as np
 
-from . import recommend
 from .evaluation import sum_in_order
 from .graph import FolksonomyGraph, GraphIndex
 from .recommend import scorer
@@ -444,29 +454,38 @@ class Simulation:
             self._tag_event.append(n)
             self._tag_edge.append(it_ids.setdefault((event.item, tag), len(it_ids)))
 
-    def _contacts(self, xs: Sequence[int], ys: Sequence[int], times: Sequence[int]) -> None:
-        """Exchange knowledge on each contact, in order: ``xs[i]`` meets ``ys[i]`` at ``times[i]``.
+    def _contacts(
+        self, xs: Sequence[int], ys: Sequence[int], times: Sequence[int] | None = None
+    ) -> None:
+        """Exchange knowledge on each contact, in order: ``xs[i]`` meets ``ys[i]``.
 
         Both sides end up with the union of the two event bitsets and of the
         two item bitsets. Equal event bitsets hold equal items, so a contact
         between equal knowledge costs one comparison and changes nothing.
-        With a download policy, which every agent then has, a side that
-        gains items queues them, and :meth:`run_windows` has the policies
-        decide at the end of the step.
+        Only a download policy, which every agent then has, reads the
+        contact times: given ``times``, contact ``i`` is at ``times[i]``, a
+        side that gains items queues them, and :meth:`run_windows` has the
+        policies decide at the end of the step.
         """
-        events, items, queue = self._event_bits, self._item_bits, self._discoveries
-        watched = self.config.download_policy is not None
+        events, items = self._event_bits, self._item_bits
+        if times is None:
+            for x, y in zip(xs, ys):
+                ex, ey = events[x], events[y]
+                if ex != ey:
+                    events[x] = events[y] = ex | ey
+                    items[x] = items[y] = items[x] | items[y]
+            return
+        queue = self._discoveries
         for x, y, now in zip(xs, ys, times):
             ex, ey = events[x], events[y]
             if ex != ey:
                 known = events[x] = events[y] = ex | ey
                 ix, iy = items[x], items[y]
                 union = items[x] = items[y] = ix | iy
-                if watched:
-                    if union != ix:
-                        queue.append((x, known, union ^ ix, now))
-                    if union != iy:
-                        queue.append((y, known, union ^ iy, now))
+                if union != ix:
+                    queue.append((x, known, union ^ ix, now))
+                if union != iy:
+                    queue.append((y, known, union ^ iy, now))
 
     def encounter(self, a: str, b: str, now: int) -> tuple[set[str], set[str]]:
         """One contact between agents ``a`` and ``b``; returns the two new-item sets (for a, for b).
@@ -477,7 +496,7 @@ class Simulation:
         """
         x, y = self._ids[a], self._ids[b]
         ix, iy = self._item_bits[x], self._item_bits[y]
-        self._contacts([x], [y], [now])
+        self._contacts([x], [y], None if self.config.download_policy is None else [now])
         union, items = ix | iy, list(self._item_ids)
         return {items[i] for i in _set_bits(union ^ ix)}, {items[i] for i in _set_bits(union ^ iy)}
 
@@ -506,6 +525,44 @@ class Simulation:
                 score = float(values[index.item_pos[item]])
                 apply_download_policy(self.policies[agents[x]], item, score, now)
 
+    def _step_columns(
+        self, contacts: ContactTrace
+    ) -> tuple[Sequence[int], Sequence[int], Sequence[int] | None, dict[int, int]]:
+        """The contacts in step order: columns ``xs``, ``ys`` and ``times``, and the step ends.
+
+        ``xs[i]`` meets ``ys[i]``, both as this replay's agent ids, at
+        ``times[i]``; ``times`` is None without a download policy, the one
+        reader of the times. ``ends`` maps each step that holds contacts to
+        the end of its contacts in the columns, which start where the step
+        before ends. A column is the trace's own where it serves as it is:
+        agent ids that are this replay's, contacts already in step order.
+        Otherwise it is mapped, or reordered by one stable sort that keeps
+        each step's contacts in input order, into a new packed column. No
+        numpy view of the trace outlives the call, so its columns can still
+        grow.
+        """
+        steps = np.frombuffer(contacts.times, np.int64) // self.config.step_length
+        order = None
+        if (steps[:-1] > steps[1:]).any():
+            order = np.argsort(steps, kind="stable")
+            steps = steps[order]
+        ids = [self._ids[agent] for agent in contacts.agents]
+        ids = None if ids == list(range(len(ids))) else np.array(ids, np.int64)
+
+        def column(values: array, mapping: np.ndarray | None = None) -> Sequence[int]:
+            if order is None and mapping is None:
+                return values
+            out = np.frombuffer(values, np.int64)
+            if order is not None:
+                out = out[order]
+            return _packed(out if mapping is None else mapping[out])
+
+        xs, ys = column(contacts.a, ids), column(contacts.b, ids)
+        times = None if self.config.download_policy is None else column(contacts.times)
+        # steps are at least 0, and np.unique would load numpy.ma
+        busy = steps[np.diff(steps, prepend=-1) != 0]
+        return xs, ys, times, dict(zip(busy.tolist(), steps.searchsorted(busy, "right").tolist()))
+
     def run_windows(
         self,
         contacts: ContactTrace | Sequence[ContactEvent],
@@ -515,43 +572,36 @@ class Simulation:
         """Replay the traces once, measuring under several expiry windows.
 
         Contacts given as events become a :class:`ContactTrace` first. Every
-        agent the traces name is registered first: the content creators,
-        then the contact agents in first-seen order. The contacts are then
-        ordered by step with one stable sort, so each step's keep their
-        input order, and each step's run through one loop over packed
-        columns of agent ids. Only the steps that hold contents or contacts
-        and the metric steps up to the last of them are visited: any other
-        step changes nothing. The expiry window only affects measurement,
-        never the exchanged knowledge, so one pass over the dynamics serves
-        all windows: at each metric step, agents with equal knowledge share
-        one row of :meth:`masks` in every window. A window listed twice, or
-        of 0 s or less, raises ValueError up front.
+        agent the traces name is registered, after any roster: the
+        contact agents in the trace's order, then the content creators that
+        the trace does not name. So without a roster the trace's agent ids
+        are this replay's ids. Each step's contacts then run, in input
+        order, through one loop over slices of the agent columns
+        (:meth:`_step_columns`): read in place from the trace when they
+        serve as they are, and never changed. Only the steps that hold
+        contents or contacts and the metric steps up to the last of them are
+        visited: any other step changes nothing. The expiry window only
+        affects measurement, never the exchanged knowledge, so one pass over
+        the dynamics serves all windows: at each metric step, agents with
+        equal knowledge share one row of :meth:`masks` in every window. A
+        window listed twice, or of 0 s or less, raises ValueError up front.
         """
         if len(set(windows)) < len(windows) or any(w is not None and w <= 0 for w in windows):
             raise ValueError(f"expiry windows must be distinct and positive, got {list(windows)}")
         if not isinstance(contacts, ContactTrace):
             contacts = ContactTrace.of(contacts)
         length = self.config.step_length
-        for agent in [*(ev.creator for ev in contents), *contacts.agents]:
+        for agent in [*contacts.agents, *(ev.creator for ev in contents)]:
             self.register(agent)
 
         contents_by_step: dict[int, list[ContentEvent]] = {}
         for ev in contents:
             contents_by_step.setdefault(ev.time // length, []).append(ev)
-        # the contacts in step order, as packed columns in this replay's ids
-        times = np.frombuffer(contacts.times, np.int64)
-        steps = times // length
-        order = np.argsort(steps, kind="stable")
-        steps = steps[order]
-        ids = np.array([self._ids[agent] for agent in contacts.agents], np.int64)
-        xs = _packed(ids[np.frombuffer(contacts.a, np.int64)[order]])
-        ys = _packed(ids[np.frombuffer(contacts.b, np.int64)[order]])
-        times = _packed(times[order])
+        xs, ys, times, ends = self._step_columns(contacts)
 
         # the steps that hold contents or contacts, then the metric steps up
-        # to the last of them; a step between these changes nothing. Steps
-        # are at least 0, and np.unique would load numpy.ma
-        busy = sorted({*contents_by_step, *steps[np.diff(steps, prepend=-1) != 0].tolist()})
+        # to the last of them; a step between these changes nothing
+        busy = sorted({*contents_by_step, *ends})
         last_step = busy[-1] if busy else -1
         cadence = self.config.metric_cadence
         visited = heapq.merge(busy, range(cadence - 1, last_step + 1, cadence))
@@ -563,8 +613,8 @@ class Simulation:
             for ev in step_contents:
                 self.apply_content(ev)
             # the step's contacts: those since the step visited last
-            lo, hi = hi, int(steps.searchsorted(step, "right"))
-            self._contacts(xs[lo:hi], ys[lo:hi], times[lo:hi])
+            lo, hi = hi, ends.get(step, hi)
+            self._contacts(xs[lo:hi], ys[lo:hi], None if times is None else times[lo:hi])
             while self._discoveries:
                 self._decide()
             if (step + 1) % cadence == 0 or step == last_step:

@@ -106,7 +106,10 @@ class ContactTrace:
     first-seen order, ``a`` before ``b`` within a contact. The contacts
     keep their input order. :func:`parse_contacts` builds a trace from a
     file, checking each line as :class:`ContactEvent` checks an event, and
-    :meth:`of` builds one from events.
+    :meth:`of` builds one from events. A replay reads the columns and
+    never changes them: it runs each step's contacts as slices of ``a`` and
+    ``b`` themselves when its agent ids are the trace's and the contacts
+    are in step order, and copies only what it must map or reorder.
     """
 
     times: array = field(default_factory=lambda: array("q"))

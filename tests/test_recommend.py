@@ -1006,21 +1006,71 @@ class TestSharedSources:
     def test_unshared_sources_walked_per_target(self):
         """Where every item has one owner, each block walks its targets' items.
 
-        With a budget of one target a block, each target walks alone; at the
-        default, the 12 users of this small graph fit one block.
+        With a budget of one entry, each target is a block of its own and
+        over the budget, so it walks its items one at a time; at the default,
+        the 12 users of this small graph fit one block.
         """
         g = build_random_graph(random.Random(5), 12, 40, 8, adopt_p=0.0)
         index = g.index()
         rows = np.arange(len(index.users))
         owned = index.user_items.gather(rows)[0].tolist()
-        for budget, n_blocks in ((1, len(rows)), (None, 1)):
+        for budget, n_walks in ((1, len(owned)), (None, 1)):
             with _with_budget(budget), _recorded_walks() as (walks, tables):
                 for _ in recommend.scorer("pliers", 1, 0.5).rows(index, rows):
                     pass
             assert tables == []
             for side in ("affinity", "similarity"):
                 assert _walked(walks, side) == owned, side
-                assert sum(s == side for s, _ in walks) == n_blocks, side
+                assert sum(s == side for s, _ in walks) == n_walks, side
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["walk", "table"])
+    def test_a_target_over_the_budget_sums_its_chunks_in_walk_order(self, stacked, shared):
+        """A lone target whose entries exceed the budget takes its sources in chunks.
+
+        "hoarder" owns every item. Scored alone, each of its rows walks its
+        sources, in chunks whose paths on the walked side fit the budget;
+        scored with every user, it gathers them from the call's table, in
+        chunks too. Either way its rows equal, with ==, those of the default
+        budget, under which it is one chunk.
+        """
+        rng = random.Random(11)
+        g = build_random_graph(rng, 12, 40, 8, adopt_p=0.3)
+        for item in sorted(g.items):
+            g.add_content("hoarder", item, sorted(g.tags_of_item(item)), 100)
+        index = g.index()
+        n_users, hoarder = len(index.users), index.user_pos["hoarder"]
+        n_views = 1
+        if stacked:
+            views = [_random_view(rng, g, density) for density in (1.0, 0.6)]
+            index = index.stacked(np.array([v[0] for v in views]), np.array([v[1] for v in views]))
+            n_views = len(views)
+        users = range(n_users) if shared else [hoarder]
+        rows = np.array([v * n_users + u for v in range(n_views) for u in users], np.intp)
+        pliers = recommend.scorer("pliers", 1, 0.5)
+        want = [values.tolist() for values in pliers.rows(index, rows)]
+        paths = _entries_by_hand(index, hoarder, ("users", "tags")) - len(index.items)
+        budget = paths // 5
+        # the sums that each chunk after a row's first starts from
+        continued, real_per_target = [], recommend._per_target
+
+        def per_target(*args):
+            continued.append(len(args) > 5 and args[5] is not None)
+            return real_per_target(*args)
+
+        with _with_budget(budget), _recorded_walks() as (walks, tables):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(recommend, "_per_target", per_target)
+                got = [values.tolist() for values in pliers.rows(index, rows)]
+        assert got == want
+        assert bool(tables) == shared
+        assert any(continued)
+        if not shared:
+            bridged = {"affinity": ("users",), "similarity": ("tags",)}
+            assert len(walks) > 2 * n_views
+            for side, sources in walks:
+                sizes = [_paths_by_hand(index, s, bridged[side]) for s in sources]
+                assert len(sources) == 1 or sum(sizes) <= budget, side
 
     def test_no_two_owner_item_skips_the_gather(self, monkeypatch):
         """With no item row of two owners, a call looks for no repeated source.

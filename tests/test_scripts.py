@@ -37,6 +37,8 @@ def run_script(name, *args, cwd):
         ("convergence_experiment.py", ["--cadence", "-5"], "--cadence must be >= 1"),
         ("scaled_replay.py", ["--cadence", "0"], "--cadence must be >= 1"),
         ("scaled_replay.py", ["--hours", "0"], "--hours must cover at least 1 s"),
+        ("reference_replay.py", ["--cadence", "0"], "--cadence must be >= 1"),
+        ("reference_replay.py", ["--communities", "151"], "--communities must not exceed --agents"),
     ],
     ids=[
         "linkpred_k_0",
@@ -52,6 +54,8 @@ def run_script(name, *args, cwd):
         "convergence_cadence_negative",
         "scaled_replay_cadence_0",
         "scaled_replay_hours_0",
+        "reference_replay_cadence_0",
+        "reference_replay_communities_over_agents",
     ],
 )
 def test_bad_value_is_a_usage_error(tmp_path, script, args, message):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from pliersim.simulator import (
     generate_synthetic_contacts,
     run,
 )
+from pliersim.synth import generate_synthetic_contents
+from pliersim.traces import ContactTrace
 
 from oracles import (
     graph_of,
@@ -341,14 +345,15 @@ class TestEncounter:
         assert [m.avg_graph_jaccard for m in rows] == [0.5]
 
     def test_population_order(self):
-        # the roster, then creators in content order, then contact agents
-        # as first seen
+        # the roster, then contact agents in the trace's order, then the
+        # creators that the trace does not name, in content order
         config = SimConfig(download_policy="mean_threshold")
         sim = Simulation(config, ["r", "c2"])
         contents = [
             ContentEvent(0, "c2", "i1", ("t1",)),
             ContentEvent(1, "c1", "i2", ("t1",)),
             ContentEvent(2, "c2", "i3", ("t1",)),
+            ContentEvent(2, "c3", "i4", ("t1",)),
         ]
         contacts = [
             ContactEvent(3, "x", "c1"),
@@ -356,7 +361,7 @@ class TestEncounter:
             ContactEvent(5, "z", "r"),
         ]
         sim.run_windows(contacts, contents, [None])
-        assert list(sim.lkgs) == list(sim.policies) == ["r", "c2", "c1", "x", "y", "z"]
+        assert list(sim.lkgs) == list(sim.policies) == ["r", "c2", "x", "c1", "y", "z", "c3"]
 
     def test_unregistered_agent_raises_and_changes_nothing(self):
         sim = self._sim(["a", "b"])
@@ -711,6 +716,109 @@ class TestExpiryRuns:
             for v, (stack_ui, stack_it) in enumerate(stacks, start=1):
                 assert np.array_equal(stack_ui, ui[[0, v]]) and np.array_equal(stack_it, it[[0, v]])
         assert max(len(np.unique(np.hstack(views), axis=0)) for views, _ in evaluations) >= 4
+
+
+def _columns_of(trace):
+    return trace.times.tobytes(), trace.a.tobytes(), trace.b.tobytes(), list(trace.agents)
+
+
+class TestContactColumns:
+    """The replay reads a trace's columns in place where they serve, and never changes them."""
+
+    @staticmethod
+    def _gossip():
+        contacts = generate_synthetic_contacts(16, 4, 0.2, 30 * 60, 3)
+        contents = generate_synthetic_contents(16, 30, 8, 30 * 60, 3)
+        return contacts, contents
+
+    @staticmethod
+    def _recorded_columns(monkeypatch):
+        """The agent columns of every replay, as ``_step_columns`` returns them."""
+        columns, real = [], Simulation._step_columns
+
+        def step_columns(self, contacts):
+            out = real(self, contacts)
+            columns.append(out[:2])
+            return out
+
+        monkeypatch.setattr(Simulation, "_step_columns", step_columns)
+        return columns
+
+    @pytest.mark.parametrize("policy", [None, "mean_threshold"])
+    @pytest.mark.parametrize("in_place", [True, False], ids=["in_place", "copied"])
+    def test_rows_and_policies_equal_merge_replay(self, monkeypatch, policy, in_place):
+        """Read in place: a step-ordered trace, no roster. Copied: a shuffled one, a roster."""
+        contacts, contents = self._gossip()
+        roster = []
+        if not in_place:
+            random.Random(0).shuffle(contacts)
+            roster = ["s1", "a0005", "s2"]
+        trace = ContactTrace.of(contacts)
+        before = _columns_of(trace)
+        config = SimConfig(metric_cadence=3, download_policy=policy, top_n=4)
+        columns = self._recorded_columns(monkeypatch)
+        sim = Simulation(config, roster)
+        rows = sim.run_windows(trace, contents, [None, 600])
+        _, _, ref_rows, ref_policies = merge_replay(config, contacts, contents, [None, 600], roster)
+        assert rows == ref_rows
+        assert sim.policies == ref_policies
+        ((xs, ys),) = columns
+        assert (xs is trace.a and ys is trace.b) == in_place
+        assert _columns_of(trace) == before
+        # no numpy view of a column outlives the replay
+        for column in (trace.times, trace.a, trace.b):
+            column.append(0)
+
+    def test_out_of_order_times_within_a_step_are_in_step_order(self, monkeypatch):
+        # 50 s before 10 s is still step order: both fall in step 0
+        contacts = [
+            ContactEvent(50, "a", "b"), ContactEvent(10, "b", "c"), ContactEvent(70, "c", "a")
+        ]
+        columns = self._recorded_columns(monkeypatch)
+        trace = ContactTrace.of(contacts)
+        Simulation(SimConfig()).run_windows(trace, [ContentEvent(0, "a", "i1", ("t1",))], [None])
+        assert columns[0][0] is trace.a
+
+    def test_in_place_replay_holds_no_per_contact_array(self, monkeypatch):
+        """At the first metric step, the replay holds less than one per-contact column.
+
+        With 20 agents meeting in 100-minute steps, a step holds 2,000
+        contacts, so the busy steps' ends take far less than a column of
+        8 bytes a contact. Copied columns, which a roster makes the replay
+        take, show in the same measure.
+        """
+        trace = ContactTrace.of(generate_synthetic_contacts(20, 4, 0.2, 2000 * 60, 0))
+        contents = [ContentEvent(0, "a0000", "i1", ("t1",))]
+        column = 8 * len(trace.a)
+        real_metrics = simulator.compute_step_metrics
+
+        def held(roster):
+            growth = []
+
+            def first_step(*args, **kwargs):
+                if not growth:
+                    growth.append(tracemalloc.get_traced_memory()[0] - start)
+                return real_metrics(*args, **kwargs)
+
+            monkeypatch.setattr(simulator, "compute_step_metrics", first_step)
+            sim = Simulation(SimConfig(step_length=6000), roster)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                sim.run_windows(trace, contents, [None])
+            finally:
+                tracemalloc.stop()
+            return growth[0]
+
+        assert held([]) < column
+        assert held(["r"]) > 2 * column
+
+    def test_population_keeps_the_trace_ids(self):
+        trace = ContactTrace.of(generate_synthetic_contacts(10, 2, 0.2, 10 * 60, 1))
+        contents = [ContentEvent(0, "c", "i1", ("t1",)), ContentEvent(5, "a0003", "i2", ("t1",))]
+        sim = Simulation(SimConfig())
+        sim.run_windows(trace, contents, [None])
+        assert list(sim.lkgs) == [*trace.agents, "c"]
 
 
 class TestDownloadPolicies:

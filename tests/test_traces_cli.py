@@ -701,6 +701,27 @@ class TestImports:
         assert "pliersim.synth" in loaded and "pliersim.traces" in loaded
         assert "pliersim.simulator" not in loaded
 
+    def test_replay_starts_recommend_before_numpy(self):
+        """Importing the replay engine starts ``recommend`` before numpy, as its comment explains."""
+        script = (
+            "import sys\n"
+            "started = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        started.append(name)\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import pliersim.simulator\n"
+            "print(' '.join(started))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        started = done.stdout.split()
+        assert started.index("pliersim.recommend") < started.index("numpy")
+
 
 class TestCliGenTraces:
     def test_generates_parseable_traces(self, tmp_path):
